@@ -23,10 +23,15 @@ REFERENCES = Path(__file__).resolve().parent / "references.json"
 
 @dataclass
 class PassResult:
-    wall_s: float
+    command_s: list  # wall time per command
     codes: list  # exit code per command
     digests: list  # {file name: sha256} per command
     bytes_written: int
+    gauge_s: list  # the reference program's wall time per command, if gauged
+
+    @property
+    def wall_s(self) -> float:
+        return sum(self.command_s)
 
 
 def command_key(argv) -> str:
@@ -58,28 +63,36 @@ def digest_outputs(out_dir: Path) -> tuple:
     return digests, total
 
 
-def run_pass(main, cmds, work_dir: Path, call=run_main) -> PassResult:
+def run_pass(main, cmds, work_dir: Path, call=run_main, gauge=None, flip=False) -> PassResult:
     """Run ``cmds`` once into fresh directories under ``work_dir``.
 
-    ``call(main, argv)`` runs one command; a tracer passes its own.
+    ``call(main, argv)`` runs one command; a tracer passes its own. With a
+    ``gauge`` (``gauge.Gauge``), each command also runs on the reference
+    program, alternately before and after it; ``flip`` swaps the order, so
+    that over two passes each command runs first once.
     """
     shutil.rmtree(work_dir, ignore_errors=True)
     out_dirs = [work_dir / f"c{i:02d}" for i in range(len(cmds))]
     for out in out_dirs:
         out.mkdir(parents=True)
-    gc.collect()
-    codes = []
-    start = time.perf_counter()
-    for argv, out in zip(cmds, out_dirs):
+    codes, times, gauged = [], [], []
+    for i, (argv, out) in enumerate(zip(cmds, out_dirs)):
+        gauge_first = gauge is not None and (i % 2 == 0) != flip
+        if gauge_first:
+            gauged.append(gauge([*argv, "--out", str(work_dir / f"r{i:02d}")]))
+        gc.collect()
+        start = time.perf_counter()
         codes.append(call(main, [*argv, "--out", str(out)]))
-    wall = time.perf_counter() - start
+        times.append(time.perf_counter() - start)
+        if gauge is not None and not gauge_first:
+            gauged.append(gauge([*argv, "--out", str(work_dir / f"r{i:02d}")]))
     digests = []
     total = 0
     for out in out_dirs:
         d, n = digest_outputs(out)
         digests.append(d)
         total += n
-    return PassResult(wall, codes, digests, total)
+    return PassResult(times, codes, digests, total, gauged)
 
 
 def load_references(path: Path = REFERENCES) -> dict:

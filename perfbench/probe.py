@@ -3,7 +3,7 @@
 ``run.py`` starts this script in a fresh interpreter and times it from
 process start to the ``ready`` line.
 
-    python3 perfbench/probe.py <workload> <seed> <size>
+    python3 perfbench/probe.py <workload> <seed>
 """
 
 import sys
@@ -14,5 +14,5 @@ if __name__ == "__main__":
     import antlion.cli  # noqa: F401
     import workloads
 
-    workloads.commands(sys.argv[1], int(sys.argv[2]), sys.argv[3])
+    workloads.commands(sys.argv[1], int(sys.argv[2]))
     print("ready", flush=True)

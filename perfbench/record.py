@@ -1,5 +1,6 @@
 """Record ``references.json``: the sha256 of every data file each workload
-command writes, for every size and for every seed in ``range(REFERENCE_SEEDS)``.
+command writes, at full size for every seed in ``range(REFERENCE_SEEDS)`` and
+at tiny size for ``TINY_SEED``.
 
 The references define correct output for the benchmark, so record them only
 at a commit whose outputs are known to be right. Each command runs twice and
@@ -28,12 +29,16 @@ def main() -> int:
     work = ROOT / ".perfbench_out" / "record"
     references = {}
     try:
-        for size in workloads.SIZES:
+        sizes = (
+            ("full", workloads.FULL, range(workloads.REFERENCE_SEEDS)),
+            ("tiny", workloads.TINY, [workloads.TINY_SEED]),
+        )
+        for size, table, seeds in sizes:
             for workload in workloads.WORKLOADS:
-                for seed in range(workloads.REFERENCE_SEEDS):
+                for seed in seeds:
                     cmds = [
                         argv
-                        for argv in workloads.commands(workload, seed, size)
+                        for argv in workloads.commands(workload, seed, table)
                         if harness.command_key(argv) not in references
                     ]
                     if not cmds:

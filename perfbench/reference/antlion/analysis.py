@@ -1,0 +1,269 @@
+"""Distributional analysis: standardization, CvM distance, residence laws.
+
+The Cramer-von Mises distance here is the fixed-grid sum
+
+    d(U, V) = ((m2 - m1) / n) * sum_{k=1..n} (F_U(u_k) - F_V(u_k))^2,
+    u_k = m1 + (m2 - m1) * k / n,
+
+with defaults (m1, m2, n) = (-3, 3, 600). No square root is taken and the
+grid is left exactly as defined so tabulated values are reproducible to the
+last bit. CDF arguments are plain callables ``x -> P(<= x)``; exact,
+empirical, binomial, and normal evaluators all conform.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
+from typing import Callable, Mapping, Union
+
+import numpy as np
+
+from .exact import ExactDistribution
+
+__all__ = [
+    "CvmResult",
+    "ResidenceSummary",
+    "DiscreteCdf",
+    "standardize_arw",
+    "standardize_srw",
+    "normal_cdf",
+    "uniform_cdf",
+    "exact_standardized_cdf",
+    "simple_rw_exact_cdf",
+    "cvm_distance",
+    "cvm_grid_table",
+    "binomial_pmf",
+    "compare_residence_to_binomial",
+    "cvm_lower_bound",
+]
+
+CdfFn = Callable[[float], float]
+
+
+def standardize_arw(x, alpha: float, t: int):
+    """Rescale a walk position to unit symmetric-case variance.
+
+    Multiplies by ``sqrt((1 - alpha^2) / (1 - alpha^(2t)))``; for p = 1/2 the
+    result has variance exactly 1. Accepts scalars or arrays.
+    """
+    if not (0 < alpha < 1):
+        raise ValueError(f"standardization requires 0 < alpha < 1, got {alpha}")
+    if t < 1:
+        raise ValueError("standardization requires t >= 1")
+    factor = math.sqrt((1.0 - alpha * alpha) / (1.0 - alpha ** (2 * t)))
+    return factor * x
+
+
+def standardize_srw(s, t: int):
+    """Simple-RW rescaling ``s / sqrt(t)``."""
+    if t < 1:
+        raise ValueError("standardization requires t >= 1")
+    return s / math.sqrt(t)
+
+
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF via the library complementary error function."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def uniform_cdf(lo: float, hi: float) -> CdfFn:
+    """CDF of the uniform law on [lo, hi] as a callable."""
+    if not lo < hi:
+        raise ValueError("uniform_cdf requires lo < hi")
+    width = hi - lo
+
+    def cdf(x: float) -> float:
+        if x <= lo:
+            return 0.0
+        if x >= hi:
+            return 1.0
+        return (x - lo) / width
+
+    return cdf
+
+
+class DiscreteCdf:
+    """Right-continuous CDF of a finite discrete law."""
+
+    def __init__(self, xs, probs):
+        order = np.argsort(np.asarray(xs, dtype=np.float64), kind="stable")
+        self.xs = np.asarray(xs, dtype=np.float64)[order]
+        self.cum = np.cumsum(np.asarray(probs, dtype=np.float64)[order])
+
+    def __call__(self, x):
+        idx = np.searchsorted(self.xs, x, side="right")
+        if np.isscalar(idx):
+            return 0.0 if idx == 0 else float(min(self.cum[idx - 1], 1.0))
+        out = np.where(idx > 0, self.cum[np.maximum(idx - 1, 0)], 0.0)
+        return np.minimum(out, 1.0)
+
+
+def exact_standardized_cdf(dist: ExactDistribution) -> DiscreteCdf:
+    """CDF of the standardized variable of an exact distribution."""
+    alpha = float(dist.alpha)
+    xs = standardize_arw(dist.support_floats(), alpha, dist.t)
+    probs = [float(dist.point_probability(s)) for s in sorted(dist.entries)]
+    return DiscreteCdf(xs, probs)
+
+
+def simple_rw_exact_cdf(t: int) -> DiscreteCdf:
+    """Exact CDF of the standardized simple-RW position ``S_t / sqrt(t)``."""
+    if not 1 <= t <= 64:
+        raise ValueError("exact simple-RW CDF supports 1 <= t <= 64")
+    xs = [(2 * j - t) / math.sqrt(t) for j in range(t + 1)]
+    probs = [float(Fraction(comb(t, j), 2**t)) for j in range(t + 1)]
+    return DiscreteCdf(xs, probs)
+
+
+@dataclass(frozen=True)
+class CvmResult:
+    """Grid CvM distance together with the grid it was computed on."""
+
+    distance: float
+    m1: float
+    m2: float
+    n: int
+    label_u: str = "U"
+    label_v: str = "V"
+
+
+def cvm_distance(
+    cdf_u: CdfFn,
+    cdf_v: CdfFn,
+    m1: float = -3.0,
+    m2: float = 3.0,
+    n: int = 600,
+    label_u: str = "U",
+    label_v: str = "V",
+) -> CvmResult:
+    """Squared-difference grid sum between two CDFs.
+
+    The sum runs over ``u_k = m1 + (m2 - m1) k / n`` for ``k = 1..n`` in fixed
+    order (fsum), so results do not depend on evaluation scheduling.
+    """
+    if not m1 < m2:
+        raise ValueError("cvm_distance requires m1 < m2")
+    if n < 1:
+        raise ValueError("cvm_distance requires n >= 1")
+    width = m2 - m1
+    total = math.fsum(
+        (float(cdf_u(m1 + width * k / n)) - float(cdf_v(m1 + width * k / n))) ** 2
+        for k in range(1, n + 1)
+    )
+    return CvmResult(width / n * total, m1, m2, n, label_u, label_v)
+
+
+def cvm_grid_table(
+    cdf_u: CdfFn, cdf_v: CdfFn, m1: float = -3.0, m2: float = 3.0, n: int = 600
+):
+    """Rows ``(u_k, F_U(u_k), F_V(u_k), squared difference)`` for export."""
+    width = m2 - m1
+    rows = []
+    for k in range(1, n + 1):
+        u = m1 + width * k / n
+        fu = float(cdf_u(u))
+        fv = float(cdf_v(u))
+        rows.append((u, fu, fv, (fu - fv) ** 2))
+    return rows
+
+
+def binomial_pmf(t: int, q: Union[float, Fraction], k: int):
+    """``C(t, k) q^k (1-q)^(t-k)``; exact when ``q`` is a Fraction."""
+    if not 0 <= k <= t:
+        raise ValueError(f"k must lie in 0..{t}, got {k}")
+    return comb(t, k) * q**k * (1 - q) ** (t - k)
+
+
+@dataclass(frozen=True)
+class ResidenceSummary:
+    """Residence-time law versus its binomial reference.
+
+    ``condition_holds`` records whether alpha <= 1/2 or alpha^t - 2 alpha + 1
+    > 0, the sufficient condition for the law to be exactly B(t, 1-p). The
+    distance is reported either way; outside the condition no claim is made.
+    """
+
+    t: int
+    pmf: Mapping[int, Union[float, Fraction]]
+    binomial_q: Union[float, Fraction]
+    tv_distance: Union[float, Fraction]
+    condition_holds: bool
+
+
+def compare_residence_to_binomial(
+    pmf: Mapping[int, Union[float, Fraction]],
+    t: int,
+    p: Union[float, Fraction],
+    alpha: float,
+) -> ResidenceSummary:
+    """Total-variation distance between a residence pmf and ``B(t, 1-p)``.
+
+    A pmf made of Fractions is compared in exact rational arithmetic (the
+    distance is then exactly zero when the binomial law holds); float pmfs
+    fall back to float arithmetic.
+    """
+    exact = all(isinstance(v, Fraction) for v in pmf.values())
+    if exact:
+        pf = Fraction(p)
+        qf = 1 - pf
+        tv = (
+            sum(
+                abs(pmf.get(j, Fraction(0)) - comb(t, j) * qf**j * pf ** (t - j))
+                for j in range(t + 1)
+            )
+            / 2
+        )
+        q: Union[float, Fraction] = qf
+    else:
+        pv = float(p)
+        q = 1.0 - pv
+        tv = (
+            sum(
+                abs(float(pmf.get(j, 0.0)) - comb(t, j) * q**j * pv ** (t - j))
+                for j in range(t + 1)
+            )
+            / 2.0
+        )
+    condition = alpha <= 0.5 or alpha**t - 2.0 * alpha + 1.0 > 0.0
+    return ResidenceSummary(t, dict(pmf), q, tv, condition)
+
+
+def cvm_lower_bound(alpha: float, *, tol: float = 1e-10) -> float:
+    """Tail lower bound ``2 * integral_{-inf}^{-1/sqrt(1-alpha)} Phi(u)^2 du``.
+
+    Adaptive trapezoid with interval doubling and Richardson extrapolation,
+    refined until successive extrapolants agree within ``tol``; the lower
+    limit is cut at -40 where the integrand is far below double precision.
+    """
+    if not (0 < alpha < 1):
+        raise ValueError(f"cvm_lower_bound requires 0 < alpha < 1, got {alpha}")
+    upper = -1.0 / math.sqrt(1.0 - alpha)
+    lower = -40.0
+    if upper <= lower:
+        return 0.0
+
+    def integrand(u: float) -> float:
+        phi = normal_cdf(u)
+        return phi * phi
+
+    n = 256
+    trap_prev = _trapezoid(integrand, lower, upper, n)
+    extrap_prev = None
+    while n < 2**20:
+        n *= 2
+        trap_cur = _trapezoid(integrand, lower, upper, n)
+        extrap_cur = (4.0 * trap_cur - trap_prev) / 3.0
+        if extrap_prev is not None and abs(extrap_cur - extrap_prev) <= tol:
+            return 2.0 * extrap_cur
+        trap_prev, extrap_prev = trap_cur, extrap_cur
+    return 2.0 * extrap_prev
+
+
+def _trapezoid(f: Callable[[float], float], a: float, b: float, n: int) -> float:
+    h = (b - a) / n
+    total = 0.5 * (f(a) + f(b))
+    total += math.fsum(f(a + h * i) for i in range(1, n))
+    return h * total

@@ -1,0 +1,260 @@
+"""Two-armed bandit driven by a walk-valued threshold adjuster.
+
+At each step a signal ``s_t`` is compared against the threshold
+``theta = k * [X]`` (``[.]`` nearest integer): arm A is played when
+``s_t >= theta``, arm B otherwise. The outcome moves the adjuster,
+
+    rewarded A  -> xi = -delta        rewarded B  -> xi = +delta
+    failed A    -> xi = +omega        failed B    -> xi = -omega
+
+and ``X <- alpha * X + xi``. A reward pulls the threshold toward the arm
+just played, a failure pushes it away; ``alpha < 1`` caps how much past
+preference can accumulate. With ``k = delta = omega = 1`` and ``alpha = 1``
+the adjuster is an integer +-1 walk and ``theta`` equals ``X``.
+
+Signal sources are pluggable. The chaotic laser input of the hardware
+systems this models is out of scope; uniform-integer, Gaussian, and lag-1
+autocorrelated Gaussian surrogates cover the stochastic readings.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Union
+
+import numpy as np
+
+__all__ = [
+    "UniformSignal",
+    "NormalSignal",
+    "Ar1Signal",
+    "BanditConfig",
+    "BanditTrace",
+    "AlphaSweepRow",
+    "nearest_integer",
+    "run_bandit",
+    "sweep_alpha",
+]
+
+
+def nearest_integer(x: float) -> int:
+    """Closest integer with .5 ties rounded away from zero."""
+    if x >= 0:
+        return math.floor(x + 0.5)
+    return math.ceil(x - 0.5)
+
+
+@dataclass(frozen=True)
+class UniformSignal:
+    """Uniform integer signal on ``low..high`` inclusive."""
+
+    low: int = -5
+    high: int = 5
+
+    def __post_init__(self) -> None:
+        if self.low >= self.high:
+            raise ValueError("signal range must satisfy low < high")
+
+    def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.integers(self.low, self.high + 1, size=n).astype(np.float64)
+
+
+@dataclass(frozen=True)
+class NormalSignal:
+    """Standard normal signal."""
+
+    def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.standard_normal(n)
+
+
+@dataclass(frozen=True)
+class Ar1Signal:
+    """Stationary lag-1 autocorrelated Gaussian signal with unit variance.
+
+    ``rho < 0`` emulates the negatively autocorrelated inputs known to speed
+    decisions up.
+    """
+
+    rho: float = -0.7
+
+    def __post_init__(self) -> None:
+        if not (-1.0 < self.rho < 1.0):
+            raise ValueError("rho must lie in (-1, 1)")
+
+    def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        noise = rng.standard_normal(n) * math.sqrt(1.0 - self.rho * self.rho)
+        out = np.empty(n)
+        prev = rng.standard_normal()
+        for i in range(n):
+            prev = self.rho * prev + noise[i]
+            out[i] = prev
+        return out
+
+
+SignalSource = Union[UniformSignal, NormalSignal, Ar1Signal]
+
+
+@dataclass(frozen=True)
+class BanditConfig:
+    """Full configuration of one bandit run.
+
+    ``swap_at``, when set, exchanges the two reward probabilities from that
+    step on (an environment change mid-run).
+    """
+
+    p_a: float
+    p_b: float
+    horizon: int
+    k: float = 1.0
+    alpha: float = 1.0
+    delta: float = 1.0
+    omega: float = 1.0
+    signal: SignalSource = NormalSignal()
+    swap_at: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.p_a <= 1.0 and 0.0 <= self.p_b <= 1.0):
+            raise ValueError("reward probabilities must lie in [0, 1]")
+        if self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
+        if self.k <= 0 or self.delta <= 0 or self.omega <= 0:
+            raise ValueError("k, delta, omega must be positive")
+        if not (0.0 <= self.alpha <= 1.0):
+            raise ValueError("alpha must lie in [0, 1]")
+        if self.swap_at is not None and self.swap_at < 0:
+            raise ValueError("swap_at must be nonnegative")
+
+
+@dataclass(frozen=True, eq=False)
+class BanditTrace:
+    """Per-step record of one run.
+
+    ``arm_a[i]`` is True when arm A was played at step i; ``x`` and ``theta``
+    hold the adjuster and threshold after the step's update, so replaying
+    ``xi`` through the update reproduces ``x`` bit for bit.
+    """
+
+    config: BanditConfig
+    seed: int
+    signal: np.ndarray
+    arm_a: np.ndarray
+    reward: np.ndarray
+    xi: np.ndarray
+    x: np.ndarray
+    theta: np.ndarray
+    correct: np.ndarray
+
+    @property
+    def selection_rate_a(self) -> float:
+        return float(self.arm_a.mean())
+
+    def correct_rate_over_time(self) -> np.ndarray:
+        """Running fraction of steps that chose the better arm."""
+        steps = np.arange(1, self.config.horizon + 1, dtype=np.float64)
+        return np.cumsum(self.correct) / steps
+
+    def correct_rate(self, last: Optional[int] = None) -> float:
+        if last is None:
+            return float(self.correct.mean())
+        return float(self.correct[-last:].mean())
+
+
+def run_bandit(
+    config: BanditConfig, seed: Union[int, np.random.SeedSequence]
+) -> BanditTrace:
+    """Execute one run, deterministic under ``(config, seed)``.
+
+    Signal values and reward uniforms are drawn up front (one of each per
+    step) so runs with matched seeds stay draw-aligned across alphas.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        ss = seed
+        seed_label = -1
+    else:
+        ss = np.random.SeedSequence(entropy=seed)
+        seed_label = int(seed)
+    rng = np.random.Generator(np.random.Philox(ss))
+    h = config.horizon
+    sig = config.signal.generate(rng, h)
+    reward_u = rng.random(h)
+
+    arm_a = np.empty(h, dtype=bool)
+    reward = np.empty(h, dtype=bool)
+    xi_arr = np.empty(h, dtype=np.float64)
+    x_arr = np.empty(h, dtype=np.float64)
+    theta_arr = np.empty(h, dtype=np.float64)
+    correct = np.empty(h, dtype=bool)
+
+    k, alpha, delta, omega = config.k, config.alpha, config.delta, config.omega
+    x = 0.0
+    theta = k * nearest_integer(0.0)
+    for i in range(h):
+        if config.swap_at is not None and i >= config.swap_at:
+            pa, pb = config.p_b, config.p_a
+        else:
+            pa, pb = config.p_a, config.p_b
+        play_a = sig[i] >= theta
+        if play_a:
+            won = reward_u[i] < pa
+            xi = -delta if won else omega
+        else:
+            won = reward_u[i] < pb
+            xi = delta if won else -omega
+        x = alpha * x + xi
+        theta = k * nearest_integer(x)
+        arm_a[i] = play_a
+        reward[i] = won
+        xi_arr[i] = xi
+        x_arr[i] = x
+        theta_arr[i] = theta
+        correct[i] = True if pa == pb else (play_a == (pa > pb))
+    return BanditTrace(
+        config, seed_label, sig, arm_a, reward, xi_arr, x_arr, theta_arr, correct
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class AlphaSweepRow:
+    alpha: float
+    mean_correct_trajectory: np.ndarray
+    final_rate: float
+    last_window_rate: float
+
+
+def sweep_alpha(
+    config: BanditConfig,
+    alphas: Sequence[float],
+    n_seeds: int,
+    seed_base: int = 0,
+    last_window: int = 1000,
+) -> list:
+    """Average correct-selection trajectories over seeds, one row per alpha.
+
+    Run ``j`` for every alpha uses the stream ``SeedSequence(seed_base,
+    spawn_key=(j,))``, so trajectories are seed-matched across alphas.
+    """
+    if not alphas:
+        raise ValueError("alphas must be nonempty")
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be at least 1")
+    window = min(last_window, config.horizon)
+    rows = []
+    for a in alphas:
+        cfg = replace(config, alpha=a)
+        acc = np.zeros(config.horizon)
+        last_acc = 0.0
+        for j in range(n_seeds):
+            ss = np.random.SeedSequence(entropy=seed_base, spawn_key=(j,))
+            trace = run_bandit(cfg, ss)
+            acc += trace.correct_rate_over_time()
+            last_acc += trace.correct_rate(last=window)
+        rows.append(
+            AlphaSweepRow(
+                alpha=float(a),
+                mean_correct_trajectory=acc / n_seeds,
+                final_rate=float(acc[-1] / n_seeds),
+                last_window_rate=float(last_acc / n_seeds),
+            )
+        )
+    return rows

@@ -4,13 +4,15 @@ Run from the repository root:
 
     python3 perfbench/run.py --workload exact_law --seed 0 --seconds 25 --trace 0
 
-One run is one fresh process and one workload. It times set-up in fresh
-interpreters (``probe.py``), then runs passes over the workload's commands
-(``workloads.py``) through ``antlion.cli.main`` until ``--seconds`` is used
-up, and checks every data file against ``references.json``.
+One run is one fresh process and one workload. It runs passes over the
+workload's commands (``workloads.py``) through ``antlion.cli.main`` until
+``--seconds`` is used up, and checks every data file against
+``references.json``.
 
 ``--trace 0`` reports the end-to-end metrics of ``BENCHMARK.json`` from
-untraced passes. ``--trace 1`` alternates untraced and traced passes
+untraced passes that also run each command on the reference program
+(``gauge.py``), with set-up timed in fresh interpreters (``probe.py``)
+between them. ``--trace 1`` alternates untraced and traced passes
 (``spans.py``) and reports the per-layer metrics. The last stdout line is
 one JSON object; the lines before it, the environment and a readable
 summary. The full result, with the traced spans grouped per command, is
@@ -20,11 +22,13 @@ written to ``.perfbench_out/results/``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -33,12 +37,13 @@ from pathlib import Path
 
 import harness
 import workloads
+from gauge import Gauge, GaugeError
 from spans import Tracer, median_metrics
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
-SETUP_PROBES = 15
+SETUP_PROBES_PER_PASS = 5
 MIN_PASSES = 3
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -47,22 +52,26 @@ class SetupError(RuntimeError):
     pass
 
 
+class Terminated(BaseException):
+    """SIGTERM. A ``BaseException``, so ``harness.run_main`` lets it through."""
+
+
+def _terminate(*_):
+    raise Terminated
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=workloads.WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument(
-        "--size", choices=tuple(workloads.SIZES), default="full",
-        help="'tiny' runs the same commands at small sizes, for a smoke run",
-    )
     return parser.parse_args(argv)
 
 
-def setup_seconds(workload: str, seed: int, size: str) -> float:
+def setup_seconds(workload: str, seed: int) -> float:
     """Process start to ``antlion.cli`` imported and argv lists built."""
-    probe = [sys.executable, str(Path(__file__).with_name("probe.py")), workload, str(seed), size]
+    probe = [sys.executable, str(Path(__file__).with_name("probe.py")), workload, str(seed)]
     start = time.perf_counter()
     with subprocess.Popen(probe, stdout=subprocess.PIPE, text=True) as proc:
         line = proc.stdout.readline()
@@ -73,11 +82,21 @@ def setup_seconds(workload: str, seed: int, size: str) -> float:
     return elapsed
 
 
-def measure(cli, cmds, references: dict, work: Path, seconds: float, trace: bool) -> dict:
-    """Run passes until ``seconds`` would be exceeded (at least ``MIN_PASSES``)."""
-    untraced, traced, layers = [], [], []
+def measure(
+    cli, cmds, references: dict, work: Path, seconds: float, trace: bool,
+    probe=None, gauge=None,
+) -> dict:
+    """Run passes until ``seconds`` would be exceeded (at least ``MIN_PASSES``).
+
+    With ``trace``, each untraced pass is followed by a traced one. With
+    ``probe``, ``SETUP_PROBES_PER_PASS`` set-up probes follow each untraced
+    pass, so set-up is sampled across the whole run and within its time.
+    With ``gauge``, untraced passes run each command on the reference
+    program too (``harness.run_pass``).
+    """
+    untraced, traced, layers, setup = [], [], [], []
     tracer = None
-    failed = 0
+    failed = []  # indices of the failed commands, per pass
     start = time.perf_counter()
     while True:
         if trace and len(traced) < len(untraced):
@@ -87,9 +106,13 @@ def measure(cli, cmds, references: dict, work: Path, seconds: float, trace: bool
             traced.append(result)
             layers.append(tracer.layer_metrics())
         else:
-            result = harness.run_pass(cli.main, cmds, work)
+            result = harness.run_pass(
+                cli.main, cmds, work, gauge=gauge, flip=len(untraced) % 2 == 1
+            )
             untraced.append(result)
-        failed += len(harness.failed_commands(cmds, result, references))
+            if probe is not None:
+                setup.extend(probe() for _ in range(SETUP_PROBES_PER_PASS))
+        failed.append(harness.failed_commands(cmds, result, references))
         done = len(untraced) + len(traced)
         elapsed = time.perf_counter() - start
         if done >= MIN_PASSES and elapsed * (done + 1) / done > seconds:
@@ -98,18 +121,56 @@ def measure(cli, cmds, references: dict, work: Path, seconds: float, trace: bool
         "untraced": untraced,
         "traced": traced,
         "layers": layers,
+        "setup": setup,
         "tracer": tracer,
+        "commands": len(cmds),
         "attempted": len(cmds) * (len(untraced) + len(traced)),
-        "failed": failed,
+        "failed": sum(len(f) for f in failed),
+        "failed_commands": set().union(*failed),
     }
 
 
-def end_to_end(run: dict, setup: list) -> dict:
+def fastest_wall(passes: list) -> float:
+    """Wall time of a pass made of each command's fastest run.
+
+    Times are fastest-of-N: on a shared host the speed of the same code
+    swings by up to 1.7x between stretches of a second to a minute, and the
+    fastest sample is the one least slowed by others' load. Taking it per
+    command needs one quiet stretch per command rather than one per pass.
+    """
+    return sum(min(c) for c in zip(*(p.command_s for p in passes)))
+
+
+def wall_ratio(passes: list) -> float:
+    """Pass wall time over the reference program's, from gauged passes.
+
+    Each command's ratio is the median over passes of its time over the
+    reference's time on the same command, run right next to it; the ratios
+    are weighted by the command's median reference time. The host's speed
+    swings cancel in each ratio, so this is the measured program's speed
+    relative to the program the benchmark was defined on: 1 at that commit,
+    below 1 when faster.
+    """
+    weighted, total = 0.0, 0.0
+    for cur, ref in zip(zip(*(p.command_s for p in passes)), zip(*(p.gauge_s for p in passes))):
+        weight = statistics.median(ref)
+        weighted += statistics.median(c / r for c, r in zip(cur, ref)) * weight
+        total += weight
+    return weighted / total
+
+
+def end_to_end(run: dict) -> dict:
+    """The end-to-end metrics of an untraced, gauged run."""
     return {
-        "setup_s": statistics.median(setup),
-        "wall_s": statistics.median(p.wall_s for p in run["untraced"]),
+        # The median: the fastest probe of a run depends on whether the run
+        # met a quiet stretch of the host, the median far less.
+        "setup_s": statistics.median(run["setup"]),
+        "wall_ratio": wall_ratio(run["untraced"]),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "ok_frac": 1 - run["failed"] / run["attempted"],
+        # Share of the workload's commands that were correct on every pass:
+        # one failure anywhere costs a whole command, at least 1/7, however
+        # many passes the run made.
+        "ok_frac": 1 - len(run["failed_commands"]) / run["commands"],
     }
 
 
@@ -118,11 +179,7 @@ def per_layer(run: dict) -> dict:
     first = run["traced"][0]
     metrics["cli.files_written"] = sum(len(d) for d in first.digests)
     metrics["cli.bytes_written"] = first.bytes_written
-    # Each traced pass against the untraced pass just before it, so that
-    # drift in machine speed over the run cancels.
-    metrics["trace.overhead_s"] = statistics.median(
-        t.wall_s - u.wall_s for u, t in zip(run["untraced"], run["traced"])
-    )
+    metrics["trace.overhead_s"] = fastest_wall(run["traced"]) - fastest_wall(run["untraced"])
     return metrics
 
 
@@ -170,11 +227,6 @@ def main(argv=None) -> int:
         return 2
     for var in THREAD_VARS:
         os.environ[var] = "1"
-    try:
-        setup = [setup_seconds(args.workload, args.seed, args.size) for _ in range(SETUP_PROBES)]
-    except SetupError as exc:
-        print(f"perfbench: {exc}", file=sys.stderr)
-        return 2
     sys.path.insert(0, str(SRC))
     import antlion.cli as cli
 
@@ -182,42 +234,54 @@ def main(argv=None) -> int:
         print(f"perfbench: antlion imported from {cli.__file__}, not {SRC}", file=sys.stderr)
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    cmds = workloads.commands(args.workload, args.seed, args.size)
+    cmds = workloads.commands(args.workload, args.seed)
     references = harness.load_references()
     work = OUT / f"work-{os.getpid()}"
+    probe = None if args.trace else lambda: setup_seconds(args.workload, args.seed)
     try:
-        run = measure(cli, cmds, references, work, args.seconds, bool(args.trace))
+        with contextlib.nullcontext() if args.trace else Gauge() as gauge:
+            run = measure(
+                cli, cmds, references, work, args.seconds, bool(args.trace), probe, gauge
+            )
+    except (SetupError, GaugeError) as exc:
+        print(f"perfbench: {exc}", file=sys.stderr)
+        return 2
+    except Terminated:
+        print("perfbench: terminated", file=sys.stderr)
+        return 143
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
     if args.trace:
         values, specs = per_layer(run), spec["per_layer"]
     else:
-        values, specs = end_to_end(run, setup), spec["end_to_end"]
+        values, specs = end_to_end(run), spec["end_to_end"]
     metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in specs}
     env = environment()
     walls = [round(p.wall_s, 4) for p in run["untraced"]]
     print(f"environment {json.dumps(env)}")
     print(
-        f"{args.workload} seed={args.seed} size={args.size} trace={args.trace}: "
+        f"{args.workload} seed={args.seed} trace={args.trace}: "
         f"{len(run['untraced'])} untraced passes {walls}, {len(run['traced'])} traced"
     )
     print(f"  {'failed_frac':32} {run['failed'] / run['attempted']:.6g} "
           f"({run['failed']} of {run['attempted']} commands)")
+    print(f"  {'wall_s (fastest-of-N, ungated)':32} {fastest_wall(run['untraced']):.6g} s")
     for name, m in metrics.items():
         print(f"  {name:32} {m['value']:.6g} {m['unit']}")
 
     record = {
         "workload": args.workload,
         "seed": args.seed,
-        "size": args.size,
         "trace": args.trace,
         "environment": env,
-        "setup_s_samples": setup,
-        "untraced_pass_s": [p.wall_s for p in run["untraced"]],
-        "traced_pass_s": [p.wall_s for p in run["traced"]],
+        "setup_s_samples": run["setup"],
+        "untraced_command_s": [p.command_s for p in run["untraced"]],
+        "traced_command_s": [p.command_s for p in run["traced"]],
         "metrics": metrics,
     }
+    if not args.trace:
+        record["reference_command_s"] = [p.gauge_s for p in run["untraced"]]
     if run["tracer"] is not None:
         record["commands"] = run["tracer"].by_command(cmds)
         record["spans"] = run["tracer"].spans
@@ -235,4 +299,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # On SIGTERM, unwind: the reference program is stopped and waited for,
+    # and the work directory removed.
+    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main())

@@ -23,12 +23,11 @@ from contextlib import contextmanager
 
 from harness import run_main
 
-# Walkers per Philox stream chunk in antlion.montecarlo.
-CHUNK = 4096
-
 
 def _walkers(n: int, t: int) -> dict:
-    return {"montecarlo.walker_steps": n * t, "montecarlo.chunks": -(-n // CHUNK)}
+    from antlion.montecarlo import STREAM_CHUNK
+
+    return {"montecarlo.walker_steps": n * t, "montecarlo.chunks": -(-n // STREAM_CHUNK)}
 
 
 def _support(a) -> dict:

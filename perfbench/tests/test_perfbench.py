@@ -1,6 +1,7 @@
 """The benchmark's own checks: tiny passes run clean, one flipped byte is a
-failure, tracing leaves the outputs alone, counts repeat, and ``run.py``
-keeps its output contract.
+failure, tracing leaves the outputs alone, counts repeat, the reference
+program writes the reference outputs, and ``run.py`` keeps its output
+contract.
 
     python3 -m pytest perfbench/tests
 """
@@ -15,7 +16,9 @@ import pytest
 
 import antlion.cli as cli
 import harness
+import run
 import workloads
+from gauge import Gauge, GaugeError
 from spans import COUNT_METRICS, Tracer
 
 BENCH = Path(__file__).resolve().parents[1]
@@ -24,7 +27,7 @@ SPEC = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
 
 
 def tiny_pass(workload, work, tracer=None):
-    cmds = workloads.commands(workload, 3, "tiny")
+    cmds = workloads.commands(workload, workloads.TINY_SEED, workloads.TINY)
     if tracer is None:
         return cmds, harness.run_pass(cli.main, cmds, work)
     with tracer.installed(cli):
@@ -52,6 +55,44 @@ def test_nonzero_exit_fails_its_command(tmp_path):
     cmds, result = tiny_pass("exact_law", tmp_path)
     result.codes[2] = 2
     assert harness.failed_commands(cmds, result, REFERENCES) == [2]
+
+
+def test_one_failing_command_moves_ok_frac_past_its_bound(tmp_path):
+    cmds = workloads.commands("table_dump", workloads.TINY_SEED, workloads.TINY)
+    references = dict(REFERENCES, **{harness.command_key(cmds[3]): {}})
+    with Gauge() as gauge:
+        measured = run.measure(cli, cmds, references, tmp_path, 0.1, False, gauge=gauge)
+    assert measured["failed"] == len(measured["untraced"])
+    bound = next(m["bound"] for m in SPEC["end_to_end"] if m["name"] == "ok_frac")
+    assert run.end_to_end(measured | {"setup": [1.0]})["ok_frac"] < 1 - bound
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_reference_program_writes_the_reference_outputs(workload, tmp_path):
+    cmds = workloads.commands(workload, workloads.TINY_SEED, workloads.TINY)
+    with Gauge() as gauge:
+        result = harness.run_pass(cli.main, cmds, tmp_path, gauge=gauge)
+    assert len(result.gauge_s) == len(cmds) and min(result.gauge_s) > 0
+    for i, argv in enumerate(cmds):
+        digests, _ = harness.digest_outputs(tmp_path / f"r{i:02d}")
+        assert digests == REFERENCES[harness.command_key(argv)]
+
+
+def test_a_failing_reference_command_stops_the_run(tmp_path):
+    with Gauge() as gauge:
+        with pytest.raises(GaugeError):
+            gauge(["dist", "--alpha", "not-a-number", "--out", str(tmp_path)])
+    assert gauge.proc.returncode == 0
+
+
+def test_wall_ratio_weights_each_command_by_its_reference_time():
+    passes = [
+        harness.PassResult([2.0, 1.0], [0, 0], [{}, {}], 0, [1.0, 1.0]),
+        harness.PassResult([2.0, 3.0], [0, 0], [{}, {}], 0, [1.0, 3.0]),
+        harness.PassResult([8.0, 1.0], [0, 0], [{}, {}], 0, [4.0, 1.0]),
+    ]
+    # Per-command median ratios 2 and 1, median reference times 1 and 1.
+    assert run.wall_ratio(passes) == 1.5
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
@@ -88,21 +129,13 @@ def test_counts_follow_the_call_arguments(tmp_path):
     assert metrics["analysis.cvm_cdf_evals"] == 4 * 2 * 600
 
 
-def run_bench(cwd, *args):
-    return subprocess.run(
-        [sys.executable, "perfbench/run.py", *args],
-        cwd=cwd, capture_output=True, text=True, timeout=120,
-    )
-
-
 @pytest.mark.parametrize("trace, section", [("0", "end_to_end"), ("1", "per_layer")])
-def test_run_prints_one_result_line(trace, section):
-    proc = run_bench(
-        BENCH.parent, "--workload", "table_dump", "--seed", "7", "--seconds", "0.5",
-        "--trace", trace, "--size", "tiny",
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+def test_run_prints_one_result_line(trace, section, monkeypatch, capsys):
+    monkeypatch.setattr(workloads, "FULL", workloads.TINY)
+    argv = ["--workload", "table_dump", "--seed", str(workloads.TINY_SEED),
+            "--seconds", "0.5", "--trace", trace]
+    assert run.main(argv) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] is True and result["failed"] == 0
     assert list(result["metrics"]) == [m["name"] for m in SPEC[section]]
@@ -111,6 +144,10 @@ def test_run_prints_one_result_line(trace, section):
 def test_run_fails_without_the_sources(tmp_path):
     shutil.copy(BENCH.parent / "BENCHMARK.json", tmp_path)
     shutil.copytree(BENCH, tmp_path / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
-    proc = run_bench(tmp_path, "--workload", "sim_law", "--seed", "1", "--seconds", "1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "sim_law", "--seed", "1",
+         "--seconds", "1", "--trace", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
     assert proc.returncode != 0
     assert proc.stdout == ""
