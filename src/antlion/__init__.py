@@ -57,6 +57,7 @@ from .exact import (
     exact_cdf,
     exact_moments,
     exact_residence_distribution,
+    path_weights,
     support_size,
 )
 from .montecarlo import (
@@ -96,6 +97,7 @@ __all__ = [
     "exact_cdf",
     "exact_moments",
     "exact_residence_distribution",
+    "path_weights",
     "TrajectoryBatch",
     "Ecdf",
     "ResourceLimitError",

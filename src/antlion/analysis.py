@@ -19,8 +19,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Mapping, Union
 
-import numpy as np
-
+from .core import DiscreteCdf
 from .exact import ExactDistribution
 
 __all__ = [
@@ -85,28 +84,10 @@ def uniform_cdf(lo: float, hi: float) -> CdfFn:
     return cdf
 
 
-class DiscreteCdf:
-    """Right-continuous CDF of a finite discrete law."""
-
-    def __init__(self, xs, probs):
-        order = np.argsort(np.asarray(xs, dtype=np.float64), kind="stable")
-        self.xs = np.asarray(xs, dtype=np.float64)[order]
-        self.cum = np.cumsum(np.asarray(probs, dtype=np.float64)[order])
-
-    def __call__(self, x):
-        idx = np.searchsorted(self.xs, x, side="right")
-        if np.isscalar(idx):
-            return 0.0 if idx == 0 else float(min(self.cum[idx - 1], 1.0))
-        out = np.where(idx > 0, self.cum[np.maximum(idx - 1, 0)], 0.0)
-        return np.minimum(out, 1.0)
-
-
 def exact_standardized_cdf(dist: ExactDistribution) -> DiscreteCdf:
     """CDF of the standardized variable of an exact distribution."""
-    alpha = float(dist.alpha)
-    xs = standardize_arw(dist.support_floats(), alpha, dist.t)
-    probs = [float(dist.point_probability(s)) for s in sorted(dist.entries)]
-    return DiscreteCdf(xs, probs)
+    xs, probs = dist.float_law()
+    return DiscreteCdf(standardize_arw(xs, float(dist.alpha), dist.t), probs)
 
 
 def simple_rw_exact_cdf(t: int) -> DiscreteCdf:
@@ -126,8 +107,6 @@ class CvmResult:
     m1: float
     m2: float
     n: int
-    label_u: str = "U"
-    label_v: str = "V"
 
 
 def cvm_distance(
@@ -136,30 +115,26 @@ def cvm_distance(
     m1: float = -3.0,
     m2: float = 3.0,
     n: int = 600,
-    label_u: str = "U",
-    label_v: str = "V",
 ) -> CvmResult:
     """Squared-difference grid sum between two CDFs.
 
-    The sum runs over ``u_k = m1 + (m2 - m1) k / n`` for ``k = 1..n`` in fixed
-    order (fsum), so results do not depend on evaluation scheduling.
+    The sum runs over the squared differences of :func:`cvm_grid_table` in
+    grid order (fsum), so results do not depend on evaluation scheduling.
     """
-    if not m1 < m2:
-        raise ValueError("cvm_distance requires m1 < m2")
-    if n < 1:
-        raise ValueError("cvm_distance requires n >= 1")
-    width = m2 - m1
-    total = math.fsum(
-        (float(cdf_u(m1 + width * k / n)) - float(cdf_v(m1 + width * k / n))) ** 2
-        for k in range(1, n + 1)
-    )
-    return CvmResult(width / n * total, m1, m2, n, label_u, label_v)
+    rows = cvm_grid_table(cdf_u, cdf_v, m1, m2, n)
+    total = math.fsum(row[3] for row in rows)
+    return CvmResult((m2 - m1) / n * total, m1, m2, n)
 
 
 def cvm_grid_table(
     cdf_u: CdfFn, cdf_v: CdfFn, m1: float = -3.0, m2: float = 3.0, n: int = 600
 ):
-    """Rows ``(u_k, F_U(u_k), F_V(u_k), squared difference)`` for export."""
+    """Rows ``(u_k, F_U(u_k), F_V(u_k), squared difference)`` at
+    ``u_k = m1 + (m2 - m1) k / n`` for ``k = 1..n``."""
+    if not m1 < m2:
+        raise ValueError("the CvM grid requires m1 < m2")
+    if n < 1:
+        raise ValueError("the CvM grid requires n >= 1")
     width = m2 - m1
     rows = []
     for k in range(1, n + 1):
@@ -202,31 +177,15 @@ def compare_residence_to_binomial(
     """Total-variation distance between a residence pmf and ``B(t, 1-p)``.
 
     A pmf made of Fractions is compared in exact rational arithmetic (the
-    distance is then exactly zero when the binomial law holds); float pmfs
-    fall back to float arithmetic.
+    distance is then exactly zero when the binomial law holds); any other
+    pmf is compared in float arithmetic.
     """
-    exact = all(isinstance(v, Fraction) for v in pmf.values())
-    if exact:
-        pf = Fraction(p)
-        qf = 1 - pf
-        tv = (
-            sum(
-                abs(pmf.get(j, Fraction(0)) - comb(t, j) * qf**j * pf ** (t - j))
-                for j in range(t + 1)
-            )
-            / 2
-        )
-        q: Union[float, Fraction] = qf
-    else:
-        pv = float(p)
-        q = 1.0 - pv
-        tv = (
-            sum(
-                abs(float(pmf.get(j, 0.0)) - comb(t, j) * q**j * pv ** (t - j))
-                for j in range(t + 1)
-            )
-            / 2.0
-        )
+    num = Fraction if all(isinstance(v, Fraction) for v in pmf.values()) else float
+    pv = num(p)
+    q = 1 - pv
+    tv = sum(
+        abs(num(pmf.get(j, 0)) - comb(t, j) * q**j * pv ** (t - j)) for j in range(t + 1)
+    ) / 2
     condition = alpha <= 0.5 or alpha**t - 2.0 * alpha + 1.0 > 0.0
     return ResidenceSummary(t, dict(pmf), q, tv, condition)
 

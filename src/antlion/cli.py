@@ -18,8 +18,9 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
+from itertools import count
 from pathlib import Path
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,8 +43,9 @@ from .bandit import (
     run_bandit,
     sweep_alpha,
 )
-from .core import Alpha, WalkParams, closed_form_mean, closed_form_variance
+from .core import Alpha, WalkParams, closed_form_mean, closed_form_variance, parse_number
 from .exact import (
+    DIST_HEADER,
     HorizonTooLargeError,
     enumerate_distribution,
     exact_moments,
@@ -66,6 +68,14 @@ EXIT_HORIZON = 3
 EXIT_RESOURCE = 4
 EXIT_IO = 5
 
+# Most specific first: HorizonTooLargeError is a ValueError.
+_EXIT_CODES = (
+    (HorizonTooLargeError, EXIT_HORIZON),
+    (ResourceLimitError, EXIT_RESOURCE),
+    ((ValueError, TypeError), EXIT_USAGE),
+    (OSError, EXIT_IO),
+)
+
 CSV_SCHEMA_VERSION = 1
 
 # Feasibility ceiling for the optional exact columns in `moments`.
@@ -73,12 +83,7 @@ _MOMENTS_EXACT_MAX_T = 20
 
 
 def _parse_prob(text: str):
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        value = Fraction(int(num), int(den))
-    else:
-        value = float(text)
+    value = parse_number(text)
     if not 0 <= value <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {text}")
     return value
@@ -120,42 +125,56 @@ def _parse_signal(text: str):
     raise ValueError(f"unknown signal source {text!r}")
 
 
+class Table(NamedTuple):
+    """One output table, written in the ``--format`` of the run.
+
+    ``rows`` is any iterable of row tuples, consumed only while the table is
+    written; only the JSON format collects it into one record list first.
+    """
+
+    name: str
+    header: Sequence[str]
+    rows: Iterable
+
+
+class Summary(NamedTuple):
+    """One JSON document, written as ``<name>.json`` whatever the format."""
+
+    name: str
+    payload: dict
+
+
 def _fmt_cell(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
-def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
+def _write_table(out_dir: Path, table: Table, fmt: str) -> Path:
     if fmt == "csv":
-        path = out_dir / f"{name}.csv"
+        path = out_dir / f"{table.name}.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
+            writer.writerow(table.header)
+            for row in table.rows:
                 writer.writerow([_fmt_cell(v) for v in row])
     elif fmt == "gnuplot":
-        path = out_dir / f"{name}.dat"
+        path = out_dir / f"{table.name}.dat"
         with open(path, "w") as fh:
-            fh.write("# " + " ".join(header) + "\n")
-            for row in rows:
+            fh.write("# " + " ".join(table.header) + "\n")
+            for row in table.rows:
                 fh.write(" ".join(_fmt_cell(v) for v in row) + "\n")
     elif fmt == "json":
-        path = out_dir / f"{name}.json"
-        records = [
-            {key: (v if not isinstance(v, float) else v) for key, v in zip(header, row)}
-            for row in rows
-        ]
-        with open(path, "w") as fh:
-            json.dump(records, fh, indent=2)
+        records = [dict(zip(table.header, row)) for row in table.rows]
+        path = _write_json(out_dir, table.name, records)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     return path
 
 
-def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
+def _write_json(out_dir: Path, name: str, payload) -> Path:
     path = out_dir / f"{name}.json"
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -180,66 +199,26 @@ def _manifest(out_dir: Path, subcommand: str, args, outputs, started: float) -> 
     return _write_json(out_dir, f"{subcommand}_manifest", payload)
 
 
-def _cmd_dist(args, out_dir: Path):
+# Each subcommand is a generator of the Table and Summary specs it writes, in
+# output order; main writes each one before the next is produced.
+
+
+def _cmd_dist(args):
     alpha = Alpha.parse(args.alpha)
     p = _parse_prob(args.p)
     params = WalkParams(alpha=alpha, p=p, t=args.t)
-    outputs = []
     if args.mode == "exact":
         dist = enumerate_distribution(params)
-        den = dist.scale_denominator
-        rows = [
-            (scaled / den, scaled, k, float(dist.point_probability(scaled)))
-            for scaled, k, _ in dist.items_sorted()
-        ]
-        outputs.append(
-            _write_table(
-                out_dir,
-                "dist",
-                ["position_real", "scaled_value", "k_minus_steps", "probability"],
-                rows,
-                args.format,
-            )
-        )
-        cdf_rows = []
-        running = 0.0
-        for position, _, _, prob in rows:
-            running = min(running + prob, 1.0)
-            cdf_rows.append((position, running))
-        outputs.append(
-            _write_table(out_dir, "dist_cdf", ["position", "cdf"], cdf_rows, args.format)
-        )
+        yield Table("dist", DIST_HEADER, dist.rows())
+        cdf = dist.cdf
     else:
-        mode = "paths" if args.store == "paths" else "finals"
-        batch = simulate(params, n_walkers=args.n, seed=args.seed, mode=mode)
-        finals = batch.finals
-        rows = [(i, float(v)) for i, v in enumerate(finals)]
-        outputs.append(
-            _write_table(out_dir, "dist", ["walker_id", "position"], rows, args.format)
-        )
-        ecdf = empirical_cdf(batch)
-        cdf_rows = [
-            (float(v), float((i + 1) / ecdf.n)) for i, v in enumerate(ecdf.values)
-        ]
-        outputs.append(
-            _write_table(out_dir, "dist_cdf", ["position", "cdf"], cdf_rows, args.format)
-        )
-        if mode == "paths":
-            walk_rows = (
-                (w, s, float(batch.positions[w, s]))
-                for w in range(batch.n_walkers)
-                for s in range(params.t + 1)
-            )
-            outputs.append(
-                _write_table(
-                    out_dir,
-                    "trajectories",
-                    ["walker_id", "step", "position"],
-                    walk_rows,
-                    args.format,
-                )
-            )
-    return outputs
+        batch = simulate(params, n_walkers=args.n, seed=args.seed, mode=args.store)
+        yield Table("dist", ["walker_id", "position"], enumerate(batch.finals))
+        cdf = empirical_cdf(batch)
+    yield Table("dist_cdf", ["position", "cdf"], zip(cdf.xs, cdf.cum))
+    if args.mode == "mc" and args.store == "paths":
+        walks = ((w, s, x) for w, path in enumerate(batch.positions) for s, x in enumerate(path))
+        yield Table("trajectories", ["walker_id", "step", "position"], walks)
 
 
 def _cvm_arw_cdf(alpha: Alpha, t: int, mode: str, n: int, seed: int):
@@ -257,7 +236,7 @@ def _cvm_srw_cdf(t: int, mode: str, n: int, seed: int):
     return Ecdf(standardize_srw(batch.finals, t))
 
 
-def _cmd_cvm(args, out_dir: Path):
+def _cmd_cvm(args):
     targets = [t.strip() for t in args.targets.split(",")]
     if any(t not in ("arw", "srw") for t in targets):
         raise ValueError("targets must be a comma list of 'arw'/'srw'")
@@ -266,121 +245,85 @@ def _cmd_cvm(args, out_dir: Path):
     alphas = [Alpha.parse(a) for a in args.alpha.split(",")] if args.alpha else []
     if "arw" in targets and not alphas:
         raise ValueError("target 'arw' requires --alpha")
+    cases = [(target, a) for target in targets for a in (alphas if target == "arw" else [""])]
     rows = []
-    table_rows = []
+    grid_rows = []
     for t in t_values:
-        for target in targets:
+        for target, alpha in cases:
             if target == "arw":
-                for alpha in alphas:
-                    cdf = _cvm_arw_cdf(alpha, t, args.mode, args.n, args.seed)
-                    res = cvm_distance(cdf, normal_cdf, m1, m2, grid_n)
-                    rows.append(("arw", str(alpha), t, res.distance))
-                    if args.grid_table:
-                        for u, fu, fv, sq in cvm_grid_table(cdf, normal_cdf, m1, m2, grid_n):
-                            table_rows.append(("arw", str(alpha), t, u, fu, fv, sq))
+                cdf = _cvm_arw_cdf(alpha, t, args.mode, args.n, args.seed)
             else:
                 cdf = _cvm_srw_cdf(t, args.mode, args.n, args.seed)
-                res = cvm_distance(cdf, normal_cdf, m1, m2, grid_n)
-                rows.append(("srw", "", t, res.distance))
-                if args.grid_table:
-                    for u, fu, fv, sq in cvm_grid_table(cdf, normal_cdf, m1, m2, grid_n):
-                        table_rows.append(("srw", "", t, u, fu, fv, sq))
-    outputs = [
-        _write_table(
-            out_dir, "cvm", ["target", "alpha", "t", "distance"], rows, args.format
-        )
-    ]
+            key = (target, str(alpha), t)
+            rows.append((*key, cvm_distance(cdf, normal_cdf, m1, m2, grid_n).distance))
+            if args.grid_table:
+                grid = cvm_grid_table(cdf, normal_cdf, m1, m2, grid_n)
+                grid_rows.extend((*key, *row) for row in grid)
+            del cdf  # free this law's arrays before the next one is built
+    yield Table("cvm", ["target", "alpha", "t", "distance"], rows)
     if args.grid_table:
-        outputs.append(
-            _write_table(
-                out_dir,
-                "cvm_grid",
-                ["target", "alpha", "t", "u", "f_target", "f_normal", "sq_diff"],
-                table_rows,
-                args.format,
-            )
+        yield Table(
+            "cvm_grid",
+            ["target", "alpha", "t", "u", "f_target", "f_normal", "sq_diff"],
+            grid_rows,
         )
-    return outputs
 
 
-def _cmd_residence(args, out_dir: Path):
+def _cmd_residence(args):
     alpha = Alpha.parse(args.alpha)
     p = _parse_prob(args.p)
-    params = WalkParams(alpha=alpha, p=p, t=args.t)
+    t = args.t
+    params = WalkParams(alpha=alpha, p=p, t=t)
     if args.mode == "exact":
         pmf = exact_residence_distribution(params)
     else:
         batch = simulate(params, n_walkers=args.n, seed=args.seed, mode="paths")
-        counts = np.bincount(residence_times(batch), minlength=args.t + 1)
-        pmf = {j: counts[j] / batch.n_walkers for j in range(args.t + 1)}
-    summary = compare_residence_to_binomial(pmf, args.t, p, alpha.as_float)
-    rows = [
+        counts = np.bincount(residence_times(batch), minlength=t + 1)
+        pmf = {j: counts[j] / batch.n_walkers for j in range(t + 1)}
+    summary = compare_residence_to_binomial(pmf, t, p, alpha.as_float)
+    q, pv = float(1 - float(p)), float(p)
+    yield Table(
+        "residence",
+        ["t_plus", "probability", "binomial_probability"],
         (
-            j,
-            float(pmf.get(j, 0)),
-            float(math.comb(args.t, j))
-            * float(1 - float(p)) ** j
-            * float(p) ** (args.t - j),
-        )
-        for j in range(args.t + 1)
-    ]
-    outputs = [
-        _write_table(
-            out_dir,
-            "residence",
-            ["t_plus", "probability", "binomial_probability"],
-            rows,
-            args.format,
-        )
-    ]
-    outputs.append(
-        _write_json(
-            out_dir,
-            "residence_summary",
-            {
-                "alpha": str(alpha),
-                "p": str(p),
-                "t": args.t,
-                "mode": args.mode,
-                "tv_distance": float(summary.tv_distance),
-                "tv_distance_is_exact_zero": summary.tv_distance == 0,
-                "binomial_condition_holds": summary.condition_holds,
-            },
-        )
+            (j, float(pmf.get(j, 0)), float(math.comb(t, j)) * q**j * pv ** (t - j))
+            for j in range(t + 1)
+        ),
     )
-    return outputs
+    yield Summary(
+        "residence_summary",
+        {
+            "alpha": str(alpha),
+            "p": str(p),
+            "t": t,
+            "mode": args.mode,
+            "tv_distance": float(summary.tv_distance),
+            "tv_distance_is_exact_zero": summary.tv_distance == 0,
+            "binomial_condition_holds": summary.condition_holds,
+        },
+    )
 
 
-def _cmd_reach(args, out_dir: Path):
+def _cmd_reach(args):
     alpha = Alpha.parse(args.alpha).as_float
-    rows = []
     if args.sweep is not None:
         bound = 1.0 / (1.0 - alpha)
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=args.seed))
         )
         targets = rng.uniform(-bound, bound, size=args.sweep)
+    elif args.r is None:
+        raise ValueError("reach needs --r or --sweep")
     else:
-        if args.r is None:
-            raise ValueError("reach needs --r or --sweep")
-        targets = [float(args.r)]
+        targets = [args.r]
+    rows = []
     for r in targets:
         result = is_eps_reachable(ReachQuery(alpha=alpha, r=float(r), epsilon=args.epsilon))
-        rows.append(
-            (alpha, float(r), args.epsilon, result.reachable, result.witness_depth)
-        )
-    return [
-        _write_table(
-            out_dir,
-            "reach",
-            ["alpha", "r", "epsilon", "reachable", "witness_depth"],
-            rows,
-            args.format,
-        )
-    ]
+        rows.append((alpha, float(r), args.epsilon, result.reachable, result.witness_depth))
+    yield Table("reach", ["alpha", "r", "epsilon", "reachable", "witness_depth"], rows)
 
 
-def _cmd_bandit(args, out_dir: Path):
+def _cmd_bandit(args):
     signal = _parse_signal(args.signal)
     config = BanditConfig(
         p_a=args.pa,
@@ -393,100 +336,64 @@ def _cmd_bandit(args, out_dir: Path):
         signal=signal,
         swap_at=args.swap_at,
     )
-    outputs = []
     if args.sweep_alphas:
         alphas = [float(a) for a in args.sweep_alphas.split(",")]
         rows = sweep_alpha(config, alphas, args.seeds, seed_base=args.seed)
-        table = [
-            (row.alpha, row.final_rate, row.last_window_rate) for row in rows
-        ]
-        outputs.append(
-            _write_table(
-                out_dir,
-                "bandit_sweep",
-                ["alpha", "final_correct_rate", "last_window_correct_rate"],
-                table,
-                args.format,
-            )
+        yield Table(
+            "bandit_sweep",
+            ["alpha", "final_correct_rate", "last_window_correct_rate"],
+            [(row.alpha, row.final_rate, row.last_window_rate) for row in rows],
         )
         stride = max(1, config.horizon // 200)
-        outputs.append(
-            _write_json(
-                out_dir,
-                "bandit_sweep_trajectories",
-                {
-                    "seed_base": args.seed,
-                    "n_seeds": args.seeds,
-                    "steps": list(range(0, config.horizon, stride)),
-                    "trajectories": {
-                        str(row.alpha): [
-                            float(v)
-                            for v in row.mean_correct_trajectory[::stride]
-                        ]
-                        for row in rows
-                    },
+        yield Summary(
+            "bandit_sweep_trajectories",
+            {
+                "seed_base": args.seed,
+                "n_seeds": args.seeds,
+                "steps": list(range(0, config.horizon, stride)),
+                "trajectories": {
+                    str(row.alpha): [float(v) for v in row.mean_correct_trajectory[::stride]]
+                    for row in rows
                 },
-            )
+            },
         )
     else:
         trace = run_bandit(config, args.seed)
-        rows = [
-            (
-                i,
-                float(trace.signal[i]),
-                float(trace.theta[i]),
-                "A" if trace.arm_a[i] else "B",
-                int(trace.reward[i]),
-                float(trace.xi[i]),
-                float(trace.x[i]),
-            )
-            for i in range(config.horizon)
-        ]
-        outputs.append(
-            _write_table(
-                out_dir,
-                "bandit_trace",
-                ["step", "s", "theta", "arm", "reward", "xi", "x"],
-                rows,
-                args.format,
-            )
+        arms = ("A" if a else "B" for a in trace.arm_a)
+        columns = (trace.signal, trace.theta, arms, map(int, trace.reward), trace.xi, trace.x)
+        header = ["step", "s", "theta", "arm", "reward", "xi", "x"]
+        yield Table("bandit_trace", header, zip(count(), *columns))
+        yield Summary(
+            "bandit_summary",
+            {
+                "seed": args.seed,
+                "selection_rate_a": trace.selection_rate_a,
+                "correct_rate": trace.correct_rate(),
+                "last_1000_correct_rate": trace.correct_rate(last=min(1000, config.horizon)),
+            },
         )
-        outputs.append(
-            _write_json(
-                out_dir,
-                "bandit_summary",
-                {
-                    "seed": args.seed,
-                    "selection_rate_a": trace.selection_rate_a,
-                    "correct_rate": trace.correct_rate(),
-                    "last_1000_correct_rate": trace.correct_rate(
-                        last=min(1000, config.horizon)
-                    ),
-                },
-            )
-        )
-    return outputs
 
 
-def _cmd_moments(args, out_dir: Path):
+def _moment_row(alpha: Alpha, p, t: int) -> tuple:
+    params = WalkParams(alpha=alpha, p=p, t=t)
+    row = (t, float(closed_form_mean(params)), float(closed_form_variance(params)))
+    if not alpha.exact:
+        return row
+    if t > _MOMENTS_EXACT_MAX_T:
+        return (*row, "", "")
+    mean, var = exact_moments(enumerate_distribution(params))
+    return (*row, float(mean), float(var))
+
+
+def _cmd_moments(args):
     alpha = Alpha.parse(args.alpha)
     p = _parse_prob(args.p)
-    include_exact = alpha.exact
     header = ["t", "mean", "variance"]
-    if include_exact:
+    if alpha.exact:
         header += ["exact_mean", "exact_variance"]
-    rows = []
-    for t in range(1, args.t_max + 1):
-        params = WalkParams(alpha=alpha, p=p, t=t)
-        row = [t, float(closed_form_mean(params)), float(closed_form_variance(params))]
-        if include_exact:
-            if t <= _MOMENTS_EXACT_MAX_T:
-                mean, var = exact_moments(enumerate_distribution(params))
-                row += [float(mean), float(var)]
-            else:
-                row += ["", ""]
-        rows.append(tuple(row))
-    return [_write_table(out_dir, "moments", header, rows, args.format)]
+    yield Table(
+        "moments", header, (_moment_row(alpha, p, t) for t in range(1, args.t_max + 1))
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -497,66 +404,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    shared = {
+        "--alpha": dict(required=True, help="memory parameter, 'm/n' or decimal"),
+        "--p": dict(default="0.5", help="minus-step probability, 'm/n' or decimal"),
+        "--mode": dict(choices=("exact", "mc"), default="exact"),
+        "--n": dict(type=int, default=DEFAULT_WALKERS, help="Monte Carlo walkers"),
+        "--seed": dict(type=int, default=0),
+        "--out": dict(default=".", help="output directory"),
+        "--format": dict(choices=("csv", "json", "gnuplot"), default="csv"),
+    }
 
-    def common(sp):
-        sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument(
-            "--format", choices=("csv", "json", "gnuplot"), default="csv"
-        )
+    def command(name, func, help, *flags):
+        sp = sub.add_parser(name, help=help)
+        for flag in (*flags, "--out", "--format"):
+            sp.add_argument(flag, **shared[flag])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("dist", help="distribution of the walk at a horizon")
-    sp.add_argument("--alpha", required=True, help="memory parameter, 'm/n' or decimal")
-    sp.add_argument("--p", default="0.5", help="minus-step probability")
+    sp = command(
+        "dist", _cmd_dist, "distribution of the walk at a horizon",
+        "--alpha", "--p", "--mode", "--n", "--seed",
+    )
     sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    sp.add_argument("--n", type=int, default=DEFAULT_WALKERS)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument(
         "--store",
         choices=("finals", "paths"),
         default="finals",
         help="mc mode: also dump full trajectories (large files)",
     )
-    common(sp)
-    sp.set_defaults(func=_cmd_dist)
 
-    sp = sub.add_parser("cvm", help="CvM distance to the standard normal")
+    sp = command(
+        "cvm", _cmd_cvm, "CvM distance to the standard normal", "--mode", "--n", "--seed"
+    )
     sp.add_argument("--targets", default="arw,srw")
     sp.add_argument("--alpha", default="", help="comma list for the arw target")
     sp.add_argument("--t", required=True, help="horizons, e.g. '1..15' or '15,60'")
-    sp.add_argument("--mode", choices=("exact", "mc"), default="exact")
     sp.add_argument("--grid", default="-3,3,600", help="m1,m2,n")
-    sp.add_argument("--n", type=int, default=DEFAULT_WALKERS)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument(
         "--grid-table",
         action="store_true",
         dest="grid_table",
         help="also write the per-point CDF tabulation",
     )
-    common(sp)
-    sp.set_defaults(func=_cmd_cvm)
 
-    sp = sub.add_parser("residence", help="positive-side residence time law")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--p", default="0.5")
+    sp = command(
+        "residence", _cmd_residence, "positive-side residence time law",
+        "--alpha", "--p", "--mode", "--n", "--seed",
+    )
     sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    sp.add_argument("--n", type=int, default=DEFAULT_WALKERS)
-    sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(func=_cmd_residence)
 
-    sp = sub.add_parser("reach", help="epsilon-reachability of targets")
-    sp.add_argument("--alpha", required=True)
+    sp = command("reach", _cmd_reach, "epsilon-reachability of targets", "--alpha", "--seed")
     sp.add_argument("--r", type=float, default=None)
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--sweep", type=int, default=None, help="number of random targets")
-    sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(func=_cmd_reach)
 
-    sp = sub.add_parser("bandit", help="two-armed bandit threshold simulation")
+    sp = command("bandit", _cmd_bandit, "two-armed bandit threshold simulation", "--seed")
     sp.add_argument("--alpha", default="1.0")
     sp.add_argument("--k", type=float, default=1.0)
     sp.add_argument("--delta", type=float, default=1.0)
@@ -568,16 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--swap-at", type=int, default=None, dest="swap_at")
     sp.add_argument("--sweep-alphas", default="", dest="sweep_alphas")
     sp.add_argument("--seeds", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(func=_cmd_bandit)
 
-    sp = sub.add_parser("moments", help="closed-form moment table")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--p", default="0.5")
+    sp = command("moments", _cmd_moments, "closed-form moment table", "--alpha", "--p")
     sp.add_argument("--t-max", type=int, required=True, dest="t_max")
-    common(sp)
-    sp.set_defaults(func=_cmd_moments)
 
     return parser
 
@@ -589,20 +484,16 @@ def main(argv=None) -> int:
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = args.func(args, out_dir)
+        outputs = [
+            _write_json(out_dir, *spec)
+            if isinstance(spec, Summary)
+            else _write_table(out_dir, spec, args.format)
+            for spec in args.func(args)
+        ]
         _manifest(out_dir, args.subcommand, args, outputs, started)
-    except HorizonTooLargeError as exc:
+    except (ValueError, TypeError, ResourceLimitError, OSError) as exc:
         print(f"antlion: {exc}", file=sys.stderr)
-        return EXIT_HORIZON
-    except ResourceLimitError as exc:
-        print(f"antlion: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (ValueError, TypeError) as exc:
-        print(f"antlion: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"antlion: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     return EXIT_OK
 
 

@@ -25,6 +25,8 @@ import numpy as np
 __all__ = [
     "Alpha",
     "WalkParams",
+    "DiscreteCdf",
+    "parse_number",
     "sample_step",
     "evolve",
     "closed_form_mean",
@@ -33,6 +35,39 @@ __all__ = [
 ]
 
 Probability = Union[float, Fraction]
+
+
+def parse_number(text: str) -> Union[Fraction, float]:
+    """Parse ``"m/n"`` as an exact Fraction and anything else as a float."""
+    text = text.strip()
+    if "/" not in text:
+        return float(text)
+    num, _, den = text.partition("/")
+    if int(den) == 0:
+        raise ValueError(f"{text!r} has a zero denominator")
+    return Fraction(int(num), int(den))
+
+
+class DiscreteCdf:
+    """Right-continuous CDF of a finite discrete law.
+
+    ``xs`` is the support in increasing order and ``cum[i] = P(X <= xs[i])``,
+    clamped to 1 against rounding; a call is one ``searchsorted`` on ``xs``.
+    This is the one step-CDF type: exact, empirical and simple-RW laws all
+    evaluate through it.
+    """
+
+    def __init__(self, xs, probs):
+        xs = np.asarray(xs, dtype=np.float64)
+        order = np.argsort(xs, kind="stable")
+        self.xs = xs[order]
+        self.cum = np.minimum(np.cumsum(np.asarray(probs, dtype=np.float64)[order]), 1.0)
+
+    def __call__(self, x):
+        idx = np.searchsorted(self.xs, x, side="right")
+        if np.isscalar(idx):
+            return float(self.cum[idx - 1]) if idx else 0.0
+        return np.where(idx > 0, self.cum[np.maximum(idx - 1, 0)], 0.0)
 
 
 @dataclass(frozen=True)
@@ -76,11 +111,8 @@ class Alpha:
     @staticmethod
     def parse(text: str) -> "Alpha":
         """Parse ``"m/n"`` as exact mode and a decimal string as real mode."""
-        text = text.strip()
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return Alpha.from_rational(int(num), int(den))
-        return Alpha.from_real(float(text))
+        value = parse_number(text)
+        return Alpha(value, exact=isinstance(value, Fraction))
 
     @property
     def as_float(self) -> float:
@@ -128,17 +160,13 @@ def evolve(x, alpha: Union[Alpha, float, Fraction], xi: int):
     return a * x + xi
 
 
-def _alpha_value(alpha: Alpha):
-    return alpha.value
-
-
 def closed_form_mean(params: WalkParams):
     """Expected position after ``t`` steps: ``(1-2p)(1-alpha^t)/(1-alpha)``.
 
     ``alpha = 1`` (real mode) returns the simple-RW mean ``(1-2p) t``.
     Exact alpha with Fraction ``p`` gives an exact Fraction.
     """
-    a = _alpha_value(params.alpha)
+    a = params.alpha.value
     p, t = params.p, params.t
     if not params.alpha.exact and a == 1.0:
         return (1 - 2 * p) * t
@@ -150,7 +178,7 @@ def closed_form_variance(params: WalkParams):
 
     ``alpha = 1`` (real mode) returns the simple-RW variance ``4p(1-p) t``.
     """
-    a = _alpha_value(params.alpha)
+    a = params.alpha.value
     p, t = params.p, params.t
     if not params.alpha.exact and a == 1.0:
         return 4 * p * (1 - p) * t
@@ -163,11 +191,8 @@ def position_bounds(alpha: Alpha):
     Every realizable position lies strictly inside. Requires 0 < alpha < 1;
     alpha = 1 has no bound and alpha = 0 is rejected with it.
     """
-    a = _alpha_value(alpha)
+    a = alpha.value
     if not (0 < a < 1):
         raise ValueError(f"position bounds require 0 < alpha < 1, got {a}")
-    if alpha.exact:
-        upper = 1 / (1 - a)
-    else:
-        upper = 1.0 / (1.0 - a)
+    upper = 1 / (1 - a)
     return (-upper, upper)

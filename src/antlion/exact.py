@@ -8,9 +8,11 @@ steps is ``X_t = S_t / n^(t-1)`` with the integer numerator
 maintained incrementally as ``S_s = m * S_{s-1} + n^(s-1) * xi_s``. Carrying
 ``S_t`` exactly makes position equality decidable, which is what the
 support-size and path-uniqueness checks rely on; floating point cannot
-certify either. Probabilities are kept symbolic per support point as
-``(k, multiplicity)`` where ``k`` counts the -1 steps, so the distribution is
-exact for any step parameter ``p``, including irrational ``p``.
+certify either. Distinct paths land on distinct positions for rational alpha
+in (0, 1), so each support point carries just ``k``, the number of -1 steps
+of its path, and its probability is entry ``k`` of the ``t + 1`` path
+weights ``p^k (1-p)^(t-k)``. The law is therefore exact for any step
+parameter ``p``, including irrational ``p``.
 """
 
 from __future__ import annotations
@@ -19,14 +21,16 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .core import Alpha, WalkParams
+from .core import Alpha, DiscreteCdf, WalkParams
 
 __all__ = [
     "DEFAULT_HORIZON_CAP",
+    "DIST_HEADER",
     "HorizonTooLargeError",
     "ExactDistribution",
     "Collision",
@@ -38,7 +42,11 @@ __all__ = [
     "exact_cdf",
     "exact_moments",
     "exact_residence_distribution",
+    "path_weights",
 ]
+
+# Columns of the exact law's table, as ``ExactDistribution.rows`` yields them.
+DIST_HEADER = ("position_real", "scaled_value", "k_minus_steps", "probability")
 
 # 2^24 paths is the desk-scale ceiling; larger horizons exhaust memory long
 # before they exhaust patience.
@@ -55,6 +63,19 @@ def _require_exact_alpha(alpha: Alpha) -> Fraction:
     return alpha.value
 
 
+def path_weights(p, t: int) -> list:
+    """``[p^k (1-p)^(t-k) for k in 0..t]``: the probability of one length-``t``
+    path with ``k`` minus steps, in the arithmetic of ``p``."""
+    return [p**k * (1 - p) ** (t - k) for k in range(t + 1)]
+
+
+def _collision(level: int) -> RuntimeError:
+    return RuntimeError(
+        f"two paths share a position at step {level}; "
+        "this cannot happen for rational alpha in (0, 1)"
+    )
+
+
 def _check_cap(t: int, cap: int) -> None:
     if t > cap:
         raise HorizonTooLargeError(
@@ -67,10 +88,8 @@ class ExactDistribution:
     """Exact law of ``X_t``: support as scaled integers with symbolic weights.
 
     ``entries`` maps the scaled integer position ``S = X_t * n^(t-1)`` to
-    ``(k, multiplicity)``. For rational alpha in (0, 1) every multiplicity is
-    1 and ``k`` is well defined per point because distinct paths land on
-    distinct positions; the enumerator still merges defensively and would
-    refuse an ambiguous ``k``.
+    ``k``, the number of -1 steps of the one path that lands there; its
+    probability is ``weights[k]``.
     """
 
     def __init__(self, t: int, alpha: Fraction, p, entries: dict):
@@ -78,7 +97,6 @@ class ExactDistribution:
         self.alpha = alpha
         self.p = p
         self.entries = entries
-        self._tables = None
 
     def __repr__(self) -> str:
         return (
@@ -90,73 +108,65 @@ class ExactDistribution:
     def scale_denominator(self) -> int:
         return self.alpha.denominator ** max(self.t - 1, 0)
 
+    @cached_property
+    def weights(self) -> list:
+        """Path probability by minus-step count: ``path_weights(p, t)``."""
+        return path_weights(self.p, self.t)
+
     def point_probability(self, scaled: int):
         """Probability of one support point, in the arithmetic of ``p``."""
-        k, mult = self.entries[scaled]
-        p, t = self.p, self.t
-        return mult * p**k * (1 - p) ** (t - k)
+        return self.weights[self.entries[scaled]]
 
-    def items_sorted(self):
-        """Yield ``(scaled, k, multiplicity)`` in increasing position order."""
+    def rows(self):
+        """Yield ``(position, scaled, k, probability)`` per support point, the
+        columns of ``DIST_HEADER``, in increasing position order."""
+        den = self.scale_denominator
+        weights = [float(w) for w in self.weights]
         for scaled in sorted(self.entries):
-            k, mult = self.entries[scaled]
-            yield scaled, k, mult
+            k = self.entries[scaled]
+            yield scaled / den, scaled, k, weights[k]
 
     def support_fractions(self) -> list:
         den = self.scale_denominator
         return [Fraction(s, den) for s in sorted(self.entries)]
 
-    def support_floats(self) -> np.ndarray:
+    def float_law(self) -> tuple:
+        """``(positions, probabilities)`` as floats, in increasing position order."""
         den = self.scale_denominator
-        return np.array([s / den for s in sorted(self.entries)], dtype=float)
+        weights = [float(w) for w in self.weights]
+        scaled = sorted(self.entries)
+        xs = np.array([s / den for s in scaled], dtype=float)
+        return xs, [weights[self.entries[s]] for s in scaled]
 
     def total_probability(self):
-        return sum(self.point_probability(s) for s in self.entries)
+        return sum(self.weights[k] for k in self.entries.values())
 
-    def _ensure_tables(self):
-        if self._tables is None:
-            scaled_sorted = sorted(self.entries)
-            den = self.scale_denominator
-            xs = np.array([s / den for s in scaled_sorted], dtype=float)
-            probs = np.array(
-                [float(self.point_probability(s)) for s in scaled_sorted], dtype=float
-            )
-            self._tables = (xs, np.cumsum(probs))
-        return self._tables
-
-    def cdf(self, x: float) -> float:
-        """P(X_t <= x), evaluated against the float image of the support."""
-        xs, cum = self._ensure_tables()
-        idx = int(np.searchsorted(xs, x, side="right"))
-        if idx == 0:
-            return 0.0
-        return float(min(cum[idx - 1], 1.0))
+    @cached_property
+    def cdf(self) -> DiscreteCdf:
+        """``x -> P(X_t <= x)``, evaluated against the float image of the support."""
+        return DiscreteCdf(*self.float_law())
 
     def to_csv(self, path) -> None:
-        den = self.scale_denominator
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["position_real", "scaled_value", "k_minus_steps", "probability"])
-            for scaled, k, mult in self.items_sorted():
-                prob = float(mult * self.p**k * (1 - self.p) ** (self.t - k))
-                writer.writerow([repr(scaled / den), scaled, k, repr(prob)])
+            writer.writerow(DIST_HEADER)
+            writer.writerows((repr(x), s, k, repr(prob)) for x, s, k, prob in self.rows())
 
     def to_json_dict(self) -> dict:
-        den = self.scale_denominator
         return {
             "t": self.t,
             "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
             "p": float(self.p),
-            "scale_denominator": str(den),
+            "scale_denominator": str(self.scale_denominator),
             "points": [
                 {
-                    "position": scaled / den,
-                    "scaled_value": str(scaled),
+                    "position": x,
+                    "scaled_value": str(s),
                     "k_minus_steps": k,
-                    "multiplicity": mult,
-                    "probability": float(mult * self.p**k * (1 - self.p) ** (self.t - k)),
+                    "multiplicity": 1,
+                    "probability": prob,
                 }
-                for scaled, k, mult in self.items_sorted()
+                for x, s, k, prob in self.rows()
             ],
         }
 
@@ -165,50 +175,29 @@ class ExactDistribution:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
-def _merge_level(entries: dict, m: int, weight: int) -> dict:
-    # Slow path with genuine merging; only reached if a level actually collides.
-    nxt: dict = {}
-    for scaled, (k, mult) in entries.items():
-        base = m * scaled
-        for new_scaled, new_k in ((base + weight, k), (base - weight, k + 1)):
-            cur = nxt.get(new_scaled)
-            if cur is None:
-                nxt[new_scaled] = (new_k, mult)
-            elif cur[0] == new_k:
-                nxt[new_scaled] = (new_k, cur[1] + mult)
-            else:
-                # Same position via different minus-step counts: the symbolic
-                # (k, multiplicity) form cannot represent it.
-                raise RuntimeError(
-                    "position collision with mismatched minus-step counts; "
-                    "this cannot happen for rational alpha in (0, 1)"
-                )
-    return nxt
-
-
 def enumerate_distribution(
     params: WalkParams, *, cap: int = DEFAULT_HORIZON_CAP
 ) -> ExactDistribution:
     """Enumerate the exact law of ``X_t`` for rational alpha.
 
     Walks all ``2^t`` increment sequences via a level-by-level sweep with the
-    scaled-integer update, deduplicating through a map keyed on the scaled
-    value. Raises :class:`HorizonTooLargeError` past the cap.
+    scaled-integer update, in a map keyed on the scaled value. Raises
+    :class:`HorizonTooLargeError` past the cap, and ``RuntimeError`` if two
+    paths ever shared a position.
     """
     frac = _require_exact_alpha(params.alpha)
     _check_cap(params.t, cap)
     m, n = frac.numerator, frac.denominator
-    entries: dict = {0: (0, 1)}
+    entries: dict = {0: 0}
     weight = 1  # n^(s-1) at step s
-    for _ in range(params.t):
+    for level in range(1, params.t + 1):
         nxt: dict = {}
-        for scaled, km in entries.items():
+        for scaled, k in entries.items():
             base = m * scaled
-            nxt[base + weight] = km
-            nxt[base - weight] = (km[0] + 1, km[1])
+            nxt[base + weight] = k
+            nxt[base - weight] = k + 1
         if len(nxt) != 2 * len(entries):
-            # Overwrites hid a collision; redo the level with real merging.
-            nxt = _merge_level(entries, m, weight)
+            raise _collision(level)
         entries = nxt
         weight *= n
     return ExactDistribution(params.t, frac, params.p, entries)
@@ -232,18 +221,15 @@ def exact_moments(dist: ExactDistribution):
     is. Returns Fractions when ``p`` is a Fraction, floats otherwise (the
     float path still evaluates the rational sum exactly and rounds once).
     """
-    t = dist.t
     sums1: dict = {}
     sums2: dict = {}
-    for scaled, (k, mult) in dist.entries.items():
-        v = mult * scaled
-        sums1[k] = sums1.get(k, 0) + v
-        sums2[k] = sums2.get(k, 0) + v * scaled
+    for scaled, k in dist.entries.items():
+        sums1[k] = sums1.get(k, 0) + scaled
+        sums2[k] = sums2.get(k, 0) + scaled * scaled
     scale = Fraction(dist.scale_denominator)
-    pf = Fraction(dist.p)
-    qf = 1 - pf
-    mean = sum(pf**k * qf ** (t - k) * s for k, s in sums1.items()) / scale
-    ex2 = sum(pf**k * qf ** (t - k) * s for k, s in sums2.items()) / (scale * scale)
+    weights = path_weights(Fraction(dist.p), dist.t)
+    mean = sum(weights[k] * s for k, s in sums1.items()) / scale
+    ex2 = sum(weights[k] * s for k, s in sums2.items()) / (scale * scale)
     var = ex2 - mean * mean
     if isinstance(dist.p, Fraction):
         return mean, var
@@ -279,34 +265,13 @@ def check_path_uniqueness_exact(
 
     Distinct paths reach distinct positions for every rational alpha in
     (0, 1), so the report is always empty; the scan is performed anyway so it
-    doubles as a regression oracle for the enumeration engine.
+    doubles as a regression oracle for the enumeration engine, which raises
+    ``RuntimeError`` on a collision.
     """
     if isinstance(alpha, Fraction):
         alpha = Alpha.from_fraction(alpha)
-    frac = _require_exact_alpha(alpha)
-    _check_cap(t, cap)
-    dist = enumerate_distribution(WalkParams(alpha=alpha, p=0.5, t=t), cap=cap)
-    if len(dist.entries) == 2**t and all(mult == 1 for _, mult in dist.entries.values()):
-        return CollisionReport([])
-    return _collision_pairs_exact(frac, t)
-
-
-def _collision_pairs_exact(frac: Fraction, t: int) -> CollisionReport:
-    # Only reachable on a theorem violation; recovers the offending paths.
-    m, n = frac.numerator, frac.denominator
-    weights = [m ** (t - s) * n ** (s - 1) for s in range(1, t + 1)]
-    seen: dict = {}
-    collisions = []
-    for index in range(2**t):
-        path = tuple(1 if (index >> s) & 1 else -1 for s in range(t))
-        scaled = sum(w * x for w, x in zip(weights, path))
-        if scaled in seen:
-            collisions.append(
-                Collision(seen[scaled], path, scaled / n ** (t - 1), t)
-            )
-        else:
-            seen[scaled] = path
-    return CollisionReport(collisions)
+    enumerate_distribution(WalkParams(alpha=alpha, p=0.5, t=t), cap=cap)
+    return CollisionReport([])
 
 
 def _positions_all_paths(alpha: float, t: int) -> np.ndarray:
@@ -373,35 +338,26 @@ def exact_residence_distribution(
     _check_cap(params.t, cap)
     m, n = frac.numerator, frac.denominator
     t = params.t
-    # scaled -> (nonnegative-visit count, minus-step count, multiplicity);
-    # the scaled value determines the whole prefix for rational alpha, so the
-    # merge branch below is defensive only.
-    state: dict = {0: (0, 0, 1)}
+    # scaled -> (nonnegative-visit count, minus-step count); the scaled value
+    # determines the whole prefix for rational alpha.
+    state: dict = {0: (0, 0)}
     weight = 1
-    for _ in range(t):
+    for level in range(1, t + 1):
         nxt: dict = {}
-        for scaled, (cnt, k, mult) in state.items():
+        for scaled, (cnt, k) in state.items():
             base = m * scaled
-            for new_scaled, new_k in ((base + weight, k), (base - weight, k + 1)):
-                new_cnt = cnt + (1 if new_scaled >= 0 else 0)
-                cur = nxt.get(new_scaled)
-                if cur is None:
-                    nxt[new_scaled] = (new_cnt, new_k, mult)
-                elif cur[0] == new_cnt and cur[1] == new_k:
-                    nxt[new_scaled] = (new_cnt, new_k, cur[2] + mult)
-                else:
-                    raise RuntimeError(
-                        "residence collision with mismatched labels; "
-                        "impossible for rational alpha in (0, 1)"
-                    )
+            up, down = base + weight, base - weight
+            nxt[up] = (cnt + (up >= 0), k)
+            nxt[down] = (cnt + (down >= 0), k + 1)
+        if len(nxt) != 2 * len(state):
+            raise _collision(level)
         state = nxt
         weight *= n
     cells: dict = {}
-    for cnt, k, mult in state.values():
-        cells[(cnt, k)] = cells.get((cnt, k), 0) + mult
-    pf = Fraction(params.p)
-    qf = 1 - pf
+    for cell in state.values():
+        cells[cell] = cells.get(cell, 0) + 1
+    weights = path_weights(Fraction(params.p), t)
     pmf = {j: Fraction(0) for j in range(t + 1)}
     for (cnt, k), paths in cells.items():
-        pmf[cnt] += paths * pf**k * qf ** (t - k)
+        pmf[cnt] += paths * weights[k]
     return pmf

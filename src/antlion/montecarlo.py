@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alpha, WalkParams
+from .core import Alpha, DiscreteCdf, WalkParams
 
 __all__ = [
     "STREAM_CHUNK",
@@ -98,28 +98,24 @@ def simulate(
         )
     a = params.alpha.as_float
     p = float(params.p)
-    if mode == "paths":
-        out = np.empty((n_walkers, t + 1), dtype=np.float64)
-    else:
-        out = np.empty(n_walkers, dtype=np.float64)
+    paths = mode == "paths"
+    out = np.empty((n_walkers, t + 1) if paths else n_walkers, dtype=np.float64)
     for start in range(0, n_walkers, STREAM_CHUNK):
         stop = min(start + STREAM_CHUNK, n_walkers)
         size = stop - start
         gen = _chunk_stream(seed, start // STREAM_CHUNK)
         x = np.zeros(size, dtype=np.float64)
-        if mode == "paths":
+        if paths:
             out[start:stop, 0] = 0.0
-            for s in range(1, t + 1):
-                # Draw the full chunk width even on the tail chunk so a
-                # walker's stream depends only on (seed, walker_index), not
-                # on n_walkers: growing a run extends it, never reshuffles.
-                u = gen.random(STREAM_CHUNK)[:size]
-                x = a * x + np.where(u < p, -1.0, 1.0)
+        for s in range(1, t + 1):
+            # Draw the full chunk width even on the tail chunk so a walker's
+            # stream depends only on (seed, walker_index), not on n_walkers:
+            # growing a run extends it, never reshuffles.
+            u = gen.random(STREAM_CHUNK)[:size]
+            x = a * x + np.where(u < p, -1.0, 1.0)
+            if paths:
                 out[start:stop, s] = x
-        else:
-            for _ in range(t):
-                u = gen.random(STREAM_CHUNK)[:size]
-                x = a * x + np.where(u < p, -1.0, 1.0)
+        if not paths:
             out[start:stop] = x
     return TrajectoryBatch(params, n_walkers, seed, mode, out)
 
@@ -137,25 +133,23 @@ def simulate_simple_rw(
     return simulate(params, n_walkers, seed, mode, element_limit=element_limit)
 
 
-class Ecdf:
-    """Empirical CDF: right-continuous step function of a sample."""
+class Ecdf(DiscreteCdf):
+    """Empirical CDF: the step CDF that gives each of the ``n`` sample values
+    weight ``1/n``, so ``cum[i]`` is exactly ``(i + 1) / n``."""
 
     def __init__(self, values):
-        arr = np.sort(np.asarray(values, dtype=np.float64))
-        if arr.size == 0:
+        self.xs = np.sort(np.asarray(values, dtype=np.float64))
+        n = self.xs.size
+        if n == 0:
             raise ValueError("cannot build an empirical CDF from an empty sample")
-        self.values = arr
-        self.n = int(arr.size)
-
-    def __call__(self, x):
-        return np.searchsorted(self.values, x, side="right") / self.n
+        self.cum = np.arange(1, n + 1, dtype=np.float64)
+        self.cum /= n
 
     def sup_distance(self, cdf) -> float:
         """Kolmogorov-style sup distance to a reference CDF callable."""
-        ref = np.asarray([float(cdf(v)) for v in self.values])
-        steps = np.arange(1, self.n + 1, dtype=np.float64) / self.n
-        upper = np.abs(steps - ref).max()
-        lower = np.abs(steps - 1.0 / self.n - ref).max()
+        ref = np.asarray([float(cdf(v)) for v in self.xs])
+        upper = np.abs(self.cum - ref).max()
+        lower = np.abs(self.cum - 1.0 / self.xs.size - ref).max()
         return float(max(upper, lower))
 
 

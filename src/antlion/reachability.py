@@ -56,8 +56,16 @@ class ReachQuery:
     def __post_init__(self) -> None:
         if not (0 < self.alpha < 1):
             raise ValueError(f"reachability requires 0 < alpha < 1, got {self.alpha}")
+        if not math.isfinite(self.r):
+            raise ValueError(f"target r must be finite, got {self.r}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if self.epsilon * (1.0 - self.alpha) == 0.0:
+            # The greedy witness depth is log(epsilon * (1 - alpha)) / log(alpha).
+            raise ValueError(
+                f"epsilon={self.epsilon} is too small for alpha={self.alpha}: "
+                "epsilon * (1 - alpha) underflows to zero"
+            )
 
 
 @dataclass(frozen=True)
@@ -138,6 +146,16 @@ def _greedy_witness(alpha: float, r: float, eps: float) -> Tuple[int, ...]:
     return tuple(reversed(zeta))
 
 
+def _witnessed(alpha: float, r: float, eps: float, witness: Tuple[int, ...]) -> ReachResult:
+    # Soundness check by replay; an explicit raise so that ``python -O`` keeps it.
+    if not abs(replay_forward(alpha, witness) - r) < eps:
+        raise RuntimeError(
+            f"the depth-{len(witness)} witness for r={r} replays farther than "
+            f"epsilon={eps}; this is a bug"
+        )
+    return ReachResult(True, witness=witness)
+
+
 def is_eps_reachable(query: ReachQuery) -> ReachResult:
     """Decide whether some path endpoint lies strictly within epsilon of r."""
     alpha, r, eps = query.alpha, query.r, query.epsilon
@@ -148,9 +166,7 @@ def is_eps_reachable(query: ReachQuery) -> ReachResult:
         return ReachResult(False, certificate=certificate)
 
     if alpha >= 0.5:
-        witness = _greedy_witness(alpha, r, eps)
-        assert abs(replay_forward(alpha, witness) - r) < eps
-        return ReachResult(True, witness=witness)
+        return _witnessed(alpha, r, eps, _greedy_witness(alpha, r, eps))
 
     gap = (1.0 - 2.0 * alpha) / (1.0 - alpha)
     prefix = []  # coarse-to-fine increments peeled off so far
@@ -159,9 +175,7 @@ def is_eps_reachable(query: ReachQuery) -> ReachResult:
     scale = 1.0  # alpha^len(prefix)
     for _ in range(_MAX_PEELS):
         if abs(rr) < ee:
-            witness = tuple(reversed(prefix))
-            assert abs(replay_forward(alpha, witness) - r) < eps
-            return ReachResult(True, witness=witness)
+            return _witnessed(alpha, r, eps, tuple(reversed(prefix)))
         if abs(rr) > bound and abs(rr) - bound >= ee:
             # Beyond what the remaining tail can span, by at least the scaled
             # tolerance; smaller overshoots keep peeling toward the extreme.

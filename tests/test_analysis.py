@@ -130,6 +130,7 @@ class TestCvmDistance:
         total = sum(r[3] for r in rows) * (6.0 / 600)
         res = cvm_distance(u, normal_cdf)
         assert total == pytest.approx(res.distance, rel=1e-12)
+        assert res.distance == 6.0 / 600 * math.fsum(r[3] for r in rows)
         assert len(rows) == 600
         assert rows[0][0] == pytest.approx(-3.0 + 6.0 / 600)
         assert rows[-1][0] == pytest.approx(3.0)

@@ -105,6 +105,10 @@ class TestErrors:
     def test_bad_alpha(self, tmp_path, capsys):
         assert main(["dist", "--alpha", "3/2", "--t", "2", "--out", str(tmp_path)]) == EXIT_USAGE
         assert "alpha" in capsys.readouterr().err
+        for argv in (["--alpha", "1/0"], ["--alpha", "1/2", "--p", "1/0"]):
+            assert main(["dist", *argv, "--t", "2", "--out", str(tmp_path)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "zero denominator" in err and err.count("\n") == 1
 
     def test_exact_mode_needs_rational(self, tmp_path):
         assert main(["dist", "--alpha", "0.5", "--t", "2", "--mode", "exact", "--out", str(tmp_path)]) == EXIT_USAGE
@@ -238,6 +242,21 @@ class TestReach:
         rows = read_csv(tmp_path / "reach.csv")
         assert rows[0] == ["alpha", "r", "epsilon", "reachable", "witness_depth"]
         assert rows[1][3] == "0"
+
+    @pytest.mark.parametrize(
+        "alpha, r, epsilon, message",
+        [
+            ("0.3", "nan", "0.01", "finite"),
+            ("0.7", "nan", "0.01", "finite"),
+            ("0.7", "0.1", "5e-324", "underflows"),
+        ],
+    )
+    def test_bad_query(self, tmp_path, capsys, alpha, r, epsilon, message):
+        argv = ["reach", "--alpha", alpha, "--r", r, "--epsilon", epsilon]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "reach.csv").exists()
 
     def test_outside_bounds(self, tmp_path):
         code = main(

@@ -21,6 +21,7 @@ from antlion import (
     exact_cdf,
     exact_moments,
     exact_residence_distribution,
+    path_weights,
     position_bounds,
     support_size,
 )
@@ -182,6 +183,16 @@ class TestCdf:
     def test_median_two_steps(self):
         dist = enumerate_distribution(params(Fraction(1, 2), t=2))
         assert exact_cdf(dist, 0.0) == 0.5
+
+    @pytest.mark.parametrize("p", [Fraction(3, 10), 0.3])
+    def test_float_image_of_weights(self, p):
+        dist = enumerate_distribution(params(Fraction(9, 10), p=p, t=7))
+        probs = [float(dist.point_probability(s)) for s in sorted(dist.entries)]
+        xs, float_probs = dist.float_law()
+        assert float_probs == probs
+        assert xs.tolist() == [float(x) for x in dist.support_fractions()]
+        assert dist.weights == path_weights(p, 7)
+        assert dist.cdf.cum.tolist() == [min(c, 1.0) for c in itertools.accumulate(probs)]
 
     def test_monotone(self):
         dist = enumerate_distribution(params(Fraction(9, 10), p=0.3, t=7))

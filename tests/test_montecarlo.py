@@ -144,6 +144,13 @@ class TestEcdf:
         with pytest.raises(ValueError):
             Ecdf([])
 
+    def test_cumulative_column_is_exact(self):
+        # (i + 1) / n, not a running sum of 1/n, which drifts already at n = 7.
+        e = Ecdf([3.0, 1.0, 2.0, 7.0, 5.0, 4.0, 6.0])
+        assert e.xs.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        assert e.cum.tolist() == [(i + 1) / 7 for i in range(7)]
+        assert [e(x) for x in e.xs] == [(i + 1) / 7 for i in range(7)]
+
     def test_uniform_limit_at_half(self):
         # DKW with n=50k puts the sup-distance well under 0.015 once the
         # walk's law is this close to uniform on [-2, 2].

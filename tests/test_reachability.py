@@ -16,6 +16,7 @@ from antlion import (
     inverse_path_value,
     is_eps_reachable,
 )
+from antlion import reachability
 from antlion.reachability import replay_forward
 
 
@@ -168,3 +169,19 @@ class TestReachability:
             ReachQuery(alpha=1.0, r=0.0, epsilon=0.1)
         with pytest.raises(ValueError):
             ReachQuery(alpha=0.5, r=0.0, epsilon=0.0)
+        for alpha in (0.3, 0.7):
+            for r in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ValueError, match="finite"):
+                    ReachQuery(alpha=alpha, r=r, epsilon=0.01)
+        # 5e-324 * (1 - 0.7) underflows to zero, so no greedy depth exists.
+        with pytest.raises(ValueError, match="underflows"):
+            ReachQuery(alpha=0.7, r=0.1, epsilon=5e-324)
+        assert is_eps_reachable(ReachQuery(alpha=0.3, r=0.0, epsilon=5e-324)).reachable
+
+    @pytest.mark.parametrize("alpha, r", [(0.7, 0.3), (0.3, 1.3)])
+    def test_unsound_witness_raises(self, alpha, r, monkeypatch):
+        # Replay is the soundness check on both decision branches; it must
+        # raise, not assert, so that python -O keeps it.
+        monkeypatch.setattr(reachability, "replay_forward", lambda a, xi: r + 1.0)
+        with pytest.raises(RuntimeError, match="witness"):
+            is_eps_reachable(ReachQuery(alpha=alpha, r=r, epsilon=1e-3))
