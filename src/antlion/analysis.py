@@ -33,6 +33,7 @@ __all__ = [
     "exact_standardized_cdf",
     "simple_rw_exact_cdf",
     "cvm_distance",
+    "cvm_from_grid",
     "cvm_grid_table",
     "binomial_pmf",
     "compare_residence_to_binomial",
@@ -121,9 +122,13 @@ def cvm_distance(
     The sum runs over the squared differences of :func:`cvm_grid_table` in
     grid order (fsum), so results do not depend on evaluation scheduling.
     """
-    rows = cvm_grid_table(cdf_u, cdf_v, m1, m2, n)
-    total = math.fsum(row[3] for row in rows)
-    return CvmResult((m2 - m1) / n * total, m1, m2, n)
+    return cvm_from_grid(cvm_grid_table(cdf_u, cdf_v, m1, m2, n), m1, m2, n)
+
+
+def cvm_from_grid(rows, m1: float, m2: float, n: int) -> CvmResult:
+    """The distance of :func:`cvm_distance` from the rows of
+    :func:`cvm_grid_table` on the same grid."""
+    return CvmResult((m2 - m1) / n * math.fsum(row[3] for row in rows), m1, m2, n)
 
 
 def cvm_grid_table(

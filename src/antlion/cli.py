@@ -28,6 +28,7 @@ from . import __version__
 from .analysis import (
     compare_residence_to_binomial,
     cvm_distance,
+    cvm_from_grid,
     cvm_grid_table,
     exact_standardized_cdf,
     normal_cdf,
@@ -255,10 +256,13 @@ def _cmd_cvm(args):
             else:
                 cdf = _cvm_srw_cdf(t, args.mode, args.n, args.seed)
             key = (target, str(alpha), t)
-            rows.append((*key, cvm_distance(cdf, normal_cdf, m1, m2, grid_n).distance))
             if args.grid_table:
                 grid = cvm_grid_table(cdf, normal_cdf, m1, m2, grid_n)
+                result = cvm_from_grid(grid, m1, m2, grid_n)
                 grid_rows.extend((*key, *row) for row in grid)
+            else:
+                result = cvm_distance(cdf, normal_cdf, m1, m2, grid_n)
+            rows.append((*key, result.distance))
             del cdf  # free this law's arrays before the next one is built
     yield Table("cvm", ["target", "alpha", "t", "distance"], rows)
     if args.grid_table:

@@ -26,6 +26,7 @@ __all__ = [
     "Alpha",
     "WalkParams",
     "DiscreteCdf",
+    "ResourceLimitError",
     "parse_number",
     "sample_step",
     "evolve",
@@ -35,6 +36,10 @@ __all__ = [
 ]
 
 Probability = Union[float, Fraction]
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a computation would exceed a fixed size budget."""
 
 
 def parse_number(text: str) -> Union[Fraction, float]:

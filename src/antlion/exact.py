@@ -1,24 +1,27 @@
-"""Exact distribution of the walk by big-integer path enumeration.
+"""Exact distribution of the walk on the lattice of its ``2^t`` paths.
 
 For rational ``alpha = m/n`` (reduced, 0 < m < n) the position after ``t``
 steps is ``X_t = S_t / n^(t-1)`` with the integer numerator
 
-    S_t = sum_{s=1..t} m^(t-s) n^(s-1) xi_s,
+    S_t = sum_{s=1..t} m^(t-s) n^(s-1) xi_s.
 
-maintained incrementally as ``S_s = m * S_{s-1} + n^(s-1) * xi_s``. Carrying
-``S_t`` exactly makes position equality decidable, which is what the
-support-size and path-uniqueness checks rely on; floating point cannot
-certify either. Distinct paths land on distinct positions for rational alpha
-in (0, 1), so each support point carries just ``k``, the number of -1 steps
-of its path, and its probability is entry ``k`` of the ``t + 1`` path
-weights ``p^k (1-p)^(t-k)``. The law is therefore exact for any step
-parameter ``p``, including irrational ``p``.
+Path ``i`` takes step ``xi_s = -1`` exactly when bit ``s - 1`` of ``i`` is
+set, so its minus-step count ``k`` is the popcount of ``i``. The law is held
+as arrays in path-index order: ``S`` (Python ints, so position equality stays
+decidable, which floating point cannot certify) and ``k``. The order of
+the support comes from a float sort certified on the exact ints; distinct
+paths land on distinct positions for rational alpha in (0, 1), and a tie
+raises. The probability of a point is entry ``k`` of the ``t + 1`` path
+weights ``p^k (1-p)^(t-k)``, so the law is exact for any step parameter
+``p``, including irrational ``p``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -26,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Alpha, DiscreteCdf, WalkParams
+from .core import Alpha, DiscreteCdf, ResourceLimitError, WalkParams
 
 __all__ = [
     "DEFAULT_HORIZON_CAP",
@@ -52,6 +55,10 @@ DIST_HEADER = ("position_real", "scaled_value", "k_minus_steps", "probability")
 # before they exhaust patience.
 DEFAULT_HORIZON_CAP = 24
 
+# Most pairs `check_path_uniqueness_real` reports; each costs a few hundred
+# bytes, and at alpha = 1 the count grows like 4^t.
+MAX_COLLISION_PAIRS = 1 << 17
+
 
 class HorizonTooLargeError(ValueError):
     """Raised when an enumeration would walk more than 2^cap paths."""
@@ -69,13 +76,6 @@ def path_weights(p, t: int) -> list:
     return [p**k * (1 - p) ** (t - k) for k in range(t + 1)]
 
 
-def _collision(level: int) -> RuntimeError:
-    return RuntimeError(
-        f"two paths share a position at step {level}; "
-        "this cannot happen for rational alpha in (0, 1)"
-    )
-
-
 def _check_cap(t: int, cap: int) -> None:
     if t > cap:
         raise HorizonTooLargeError(
@@ -84,15 +84,119 @@ def _check_cap(t: int, cap: int) -> None:
         )
 
 
+def _levels(m: int, n: int, t: int):
+    """Yield ``(S, k)`` of all ``s``-step paths for ``s = 0..t``, in path-index
+    order, by doubling: step ``s`` is the new top index bit."""
+    scaled = np.zeros(1, dtype=object)
+    k = np.zeros(1, dtype=np.int8)  # t < 128: 2^t paths never fit otherwise
+    yield scaled, k
+    weight = 1  # n^(s-1) at step s
+    for _ in range(t):
+        base = m * scaled
+        scaled = np.concatenate([base + weight, base - weight])
+        k = np.concatenate([k, k + 1])
+        weight *= n
+        yield scaled, k
+
+
+def _float_positions(alpha: float, t: int) -> np.ndarray:
+    """Float positions of all ``2^t`` paths, in path-index order."""
+    x = np.zeros(1)
+    for _ in range(t):
+        y = alpha * x
+        x = np.concatenate([y + 1.0, y - 1.0])
+    return x
+
+
+def _float_tolerance(alpha: Fraction, t: int) -> float:
+    """A float above twice the error of ``_float_positions(float(alpha), t)``.
+
+    With ``u = 2^-53`` and every |position| below ``B = 1/(1 - alpha)``, each
+    step's roundings of alpha, the product and the sum add less than
+    ``4 u B`` to alpha times the previous error. As ``sum_{i<t} alpha^i <=
+    min(t, B)``, each float lies within ``4 u B min(t, B)`` of its exact
+    position, and this returns ``16 u B min(t, B)``.
+    """
+    bound = float(1 / (1 - alpha))
+    return 2.0**-49 * bound * min(t, bound)
+
+
+def _exact_order(scaled: np.ndarray, approx: np.ndarray, tolerance: float) -> np.ndarray:
+    """Indices that sort the exact ints ``scaled`` strictly increasingly.
+
+    ``approx[i]`` must lie within ``tolerance / 2`` of ``scaled[i] / c`` for
+    one positive ``c``. Two points can then be out of order after the float
+    sort only inside a run of sorted neighbours at most ``tolerance`` apart,
+    and every point of a run is exactly below every point of the next one;
+    so sorting the points of all runs on the ints, in place, sorts the whole.
+    Equal ints raise ``RuntimeError``: two paths share a position.
+    """
+    order = np.argsort(approx)
+    near = np.diff(approx[order]) <= tolerance
+    in_run = np.flatnonzero(np.concatenate([near, [False]]) | np.concatenate([[False], near]))
+    paths = order[in_run]
+    values = scaled[paths]
+    # Timsort (kind="stable") takes the run-after-run order in about one compare a point.
+    by_value = np.argsort(values, kind="stable")
+    values = values[by_value]
+    if np.any(values[1:] == values[:-1]):
+        raise RuntimeError(
+            "two paths share a position; this cannot happen for rational alpha in (0, 1)"
+        )
+    order[in_run] = paths[by_value]
+    return order
+
+
+class PathLattice(Mapping):
+    """The endpoints of all ``2^t`` paths, as arrays in path-index order.
+
+    ``scaled`` holds the exact numerators ``S`` (Python ints), ``k`` the
+    minus-step counts and ``order`` the path indices by increasing position.
+    As a read-only mapping it sends each scaled value to its ``k``, iterating
+    in increasing order; a lookup is a binary search.
+    """
+
+    def __init__(self, scaled: np.ndarray, k: np.ndarray, order: np.ndarray):
+        self.scaled = scaled
+        self.k = k
+        self.order = order
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __iter__(self):
+        return iter(self.scaled[self.order])
+
+    def __getitem__(self, scaled: int) -> int:
+        i = bisect_left(self.order, scaled, key=self.scaled.__getitem__)
+        if i == len(self.order) or self.scaled[self.order[i]] != scaled:
+            raise KeyError(scaled)
+        return int(self.k[self.order[i]])
+
+
+def _path_lattice(alpha: Fraction, t: int) -> PathLattice:
+    m, n = alpha.numerator, alpha.denominator
+    half = t // 2
+    *_, (low, low_k) = _levels(m, n, half)
+    *_, (high, high_k) = _levels(m, n, t - half)
+    # S_t = m^(t-h) S_h(steps 1..h) + n^h S_(t-h)(steps h+1..t); the later
+    # steps are the high index bits, so they index the rows of the outer sum.
+    scaled = np.add.outer(n**half * high, m ** (t - half) * low).ravel()
+    k = np.add.outer(high_k, low_k).ravel()
+    order = _exact_order(scaled, _float_positions(float(alpha), t), _float_tolerance(alpha, t))
+    return PathLattice(scaled, k, order)
+
+
 class ExactDistribution:
     """Exact law of ``X_t``: support as scaled integers with symbolic weights.
 
-    ``entries`` maps the scaled integer position ``S = X_t * n^(t-1)`` to
-    ``k``, the number of -1 steps of the one path that lands there; its
+    ``entries`` is the :class:`PathLattice` of the ``2^t`` paths; as a
+    mapping it sends the scaled integer position ``S = X_t * n^(t-1)`` to
+    ``k``, the number of -1 steps of the one path that lands there, whose
     probability is ``weights[k]``.
     """
 
-    def __init__(self, t: int, alpha: Fraction, p, entries: dict):
+    def __init__(self, t: int, alpha: Fraction, p, entries: PathLattice):
         self.t = t
         self.alpha = alpha
         self.p = p
@@ -120,26 +224,36 @@ class ExactDistribution:
     def rows(self):
         """Yield ``(position, scaled, k, probability)`` per support point, the
         columns of ``DIST_HEADER``, in increasing position order."""
-        den = self.scale_denominator
+        lattice = self.entries
         weights = [float(w) for w in self.weights]
-        for scaled in sorted(self.entries):
-            k = self.entries[scaled]
-            yield scaled / den, scaled, k, weights[k]
+        xs = self.float_law()[0]
+        for x, s, k in zip(xs, lattice.scaled[lattice.order], lattice.k[lattice.order]):
+            yield float(x), s, int(k), weights[k]
 
     def support_fractions(self) -> list:
         den = self.scale_denominator
-        return [Fraction(s, den) for s in sorted(self.entries)]
+        return [Fraction(s, den) for s in self.entries]
 
     def float_law(self) -> tuple:
-        """``(positions, probabilities)`` as floats, in increasing position order."""
+        """``(positions, probabilities)`` as float arrays in increasing
+        position order. Each position is ``S / n^(t-1)`` rounded once, by
+        Python's exactly rounded int division."""
+        lattice = self.entries
         den = self.scale_denominator
-        weights = [float(w) for w in self.weights]
-        scaled = sorted(self.entries)
-        xs = np.array([s / den for s in scaled], dtype=float)
-        return xs, [weights[self.entries[s]] for s in scaled]
+        m, n = self.alpha.numerator, self.alpha.denominator
+        if max(den, (n**self.t - m**self.t) // (n - m)) <= 2**53:
+            # Both operands are exact doubles, and a float division of exact
+            # doubles rounds exactly once, as the int division does.
+            xs = lattice.scaled.astype(float) / den
+        else:
+            # Divided in path order, which reads the ints in allocation order.
+            xs = np.fromiter((s / den for s in lattice.scaled), float, count=len(lattice))
+        probs = np.array([float(w) for w in self.weights])[lattice.k]
+        return xs[lattice.order], probs[lattice.order]
 
     def total_probability(self):
-        return sum(self.weights[k] for k in self.entries.values())
+        paths = np.bincount(self.entries.k, minlength=self.t + 1).tolist()
+        return sum(count * w for count, w in zip(paths, self.weights))
 
     @cached_property
     def cdf(self) -> DiscreteCdf:
@@ -180,27 +294,15 @@ def enumerate_distribution(
 ) -> ExactDistribution:
     """Enumerate the exact law of ``X_t`` for rational alpha.
 
-    Walks all ``2^t`` increment sequences via a level-by-level sweep with the
-    scaled-integer update, in a map keyed on the scaled value. Raises
+    Builds the scaled numerators of all ``2^t`` paths as one outer sum of the
+    two half-horizon lattices, each built by level doubling, and orders them
+    by a float sort certified on the exact ints. Raises
     :class:`HorizonTooLargeError` past the cap, and ``RuntimeError`` if two
-    paths ever shared a position.
+    paths shared a position.
     """
     frac = _require_exact_alpha(params.alpha)
     _check_cap(params.t, cap)
-    m, n = frac.numerator, frac.denominator
-    entries: dict = {0: 0}
-    weight = 1  # n^(s-1) at step s
-    for level in range(1, params.t + 1):
-        nxt: dict = {}
-        for scaled, k in entries.items():
-            base = m * scaled
-            nxt[base + weight] = k
-            nxt[base - weight] = k + 1
-        if len(nxt) != 2 * len(entries):
-            raise _collision(level)
-        entries = nxt
-        weight *= n
-    return ExactDistribution(params.t, frac, params.p, entries)
+    return ExactDistribution(params.t, frac, params.p, _path_lattice(frac, params.t))
 
 
 def support_size(dist: ExactDistribution) -> int:
@@ -221,15 +323,17 @@ def exact_moments(dist: ExactDistribution):
     is. Returns Fractions when ``p`` is a Fraction, floats otherwise (the
     float path still evaluates the rational sum exactly and rounds once).
     """
-    sums1: dict = {}
-    sums2: dict = {}
-    for scaled, k in dist.entries.items():
-        sums1[k] = sums1.get(k, 0) + scaled
-        sums2[k] = sums2.get(k, 0) + scaled * scaled
+    lattice = dist.entries
+    by_k = np.argsort(lattice.k, kind="stable")
+    # Every k in 0..t has C(t, k) >= 1 paths, so the groups start strictly in turn.
+    starts = np.searchsorted(lattice.k[by_k], np.arange(dist.t + 1))
+    scaled = lattice.scaled[by_k]
+    sums1 = np.add.reduceat(scaled, starts).tolist()
+    sums2 = np.add.reduceat(scaled * scaled, starts).tolist()
     scale = Fraction(dist.scale_denominator)
     weights = path_weights(Fraction(dist.p), dist.t)
-    mean = sum(weights[k] * s for k, s in sums1.items()) / scale
-    ex2 = sum(weights[k] * s for k, s in sums2.items()) / (scale * scale)
+    mean = sum(w * s for w, s in zip(weights, sums1)) / scale
+    ex2 = sum(w * s for w, s in zip(weights, sums2)) / (scale * scale)
     var = ex2 - mean * mean
     if isinstance(dist.p, Fraction):
         return mean, var
@@ -274,16 +378,8 @@ def check_path_uniqueness_exact(
     return CollisionReport([])
 
 
-def _positions_all_paths(alpha: float, t: int) -> np.ndarray:
-    """Positions of all 2^t paths; index bit ``s-1`` set means ``xi_s = +1``."""
-    x = np.zeros(1)
-    for _ in range(t):
-        x = np.concatenate([alpha * x - 1.0, alpha * x + 1.0])
-    return x
-
-
 def _path_from_index(index: int, t: int) -> tuple:
-    return tuple(1 if (index >> s) & 1 else -1 for s in range(t))
+    return tuple(-1 if (index >> s) & 1 else 1 for s in range(t))
 
 
 def check_path_uniqueness_real(
@@ -294,21 +390,33 @@ def check_path_uniqueness_real(
 
     Algebraic alphas can genuinely collide (the golden-ratio conjugate sends
     ``(+1, +1, -1)`` and ``(-1, -1, +1)`` to the same point); rational alphas
-    must produce an empty report, which the exact checker certifies.
+    must produce an empty report, which the exact checker certifies. Raises
+    :class:`ResourceLimitError` when more than ``MAX_COLLISION_PAIRS`` pairs
+    could qualify, before any is built.
     """
     if not (0 < alpha <= 1):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     _check_cap(t, cap)
-    positions = _positions_all_paths(alpha, t)
+    positions = _float_positions(alpha, t)
     order = np.argsort(positions, kind="stable")
     sorted_pos = positions[order]
+    # Every pair below has sorted_pos[j] <= sorted_pos[i] + tolerance, so
+    # ends[i] bounds its j.
+    ends = np.searchsorted(sorted_pos, sorted_pos + tolerance, side="right")
+    candidates = ends - np.arange(1, sorted_pos.size + 1)
+    bound = int(candidates.sum())
+    if bound > MAX_COLLISION_PAIRS:
+        raise ResourceLimitError(
+            f"up to {bound} path pairs lie within {tolerance} at t={t}; "
+            f"the report is capped at {MAX_COLLISION_PAIRS}"
+        )
     collisions = []
-    size = sorted_pos.size
-    for i in range(size):
-        j = i + 1
-        while j < size and sorted_pos[j] - sorted_pos[i] < tolerance:
+    for i in np.flatnonzero(candidates).tolist():
+        for j in range(i + 1, int(ends[i])):
+            if not sorted_pos[j] - sorted_pos[i] < tolerance:
+                break
             a = _path_from_index(int(order[i]), t)
             b = _path_from_index(int(order[j]), t)
             first, second = (a, b) if a <= b else (b, a)
@@ -320,7 +428,6 @@ def check_path_uniqueness_real(
                     t,
                 )
             )
-            j += 1
     return CollisionReport(collisions)
 
 
@@ -336,28 +443,16 @@ def exact_residence_distribution(
     """
     frac = _require_exact_alpha(params.alpha)
     _check_cap(params.t, cap)
-    m, n = frac.numerator, frac.denominator
     t = params.t
-    # scaled -> (nonnegative-visit count, minus-step count); the scaled value
-    # determines the whole prefix for rational alpha.
-    state: dict = {0: (0, 0)}
-    weight = 1
-    for level in range(1, t + 1):
-        nxt: dict = {}
-        for scaled, (cnt, k) in state.items():
-            base = m * scaled
-            up, down = base + weight, base - weight
-            nxt[up] = (cnt + (up >= 0), k)
-            nxt[down] = (cnt + (down >= 0), k + 1)
-        if len(nxt) != 2 * len(state):
-            raise _collision(level)
-        state = nxt
-        weight *= n
-    cells: dict = {}
-    for cell in state.values():
-        cells[cell] = cells.get(cell, 0) + 1
+    levels = _levels(frac.numerator, frac.denominator, t)
+    _, k = next(levels)
+    visits = np.zeros(1, dtype=np.int8)  # nonnegative steps of each path so far
+    for scaled, k in levels:
+        # A path's prefix of s - 1 steps is its index without the top bit.
+        visits = np.concatenate([visits, visits]) + (scaled >= 0)
+    cells = np.bincount(visits.astype(np.intp) * (t + 1) + k, minlength=(t + 1) ** 2)
     weights = path_weights(Fraction(params.p), t)
-    pmf = {j: Fraction(0) for j in range(t + 1)}
-    for (cnt, k), paths in cells.items():
-        pmf[cnt] += paths * weights[k]
-    return pmf
+    return {
+        j: sum(paths * w for paths, w in zip(row, weights))
+        for j, row in enumerate(cells.reshape(t + 1, t + 1).tolist())
+    }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alpha, DiscreteCdf, WalkParams
+from .core import Alpha, DiscreteCdf, ResourceLimitError, WalkParams
 
 __all__ = [
     "STREAM_CHUNK",
@@ -35,10 +35,6 @@ DEFAULT_WALKERS = 50_000
 
 # n_walkers * (t + 1) guard; 2e8 float64 values is ~1.6 GB.
 DEFAULT_ELEMENT_LIMIT = 200_000_000
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a simulation would exceed the element budget."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from antlion import analysis, cli
 from antlion.cli import EXIT_HORIZON, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
 
@@ -182,6 +184,24 @@ class TestCvm:
         total = sum(float(r[6]) for r in rows[1:]) * (6.0 / 60)
         dist_row = read_csv(tmp_path / "cvm.csv")[1]
         assert total == pytest.approx(float(dist_row[3]), rel=1e-9)
+
+    def test_grid_table_evaluates_each_grid_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return grid_table(*args)
+
+        grid_table = analysis.cvm_grid_table
+        monkeypatch.setattr(analysis, "cvm_grid_table", counted)
+        monkeypatch.setattr(cli, "cvm_grid_table", counted)
+        argv = ["cvm", "--targets", "arw,srw", "--alpha", "2/3", "--t", "4,7", "--mode", "exact"]
+        assert main([*argv, "--grid=-3,3,60", "--grid-table", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(calls) == 4
+        grid = read_csv(tmp_path / "cvm_grid.csv")[1:]
+        for i, row in enumerate(read_csv(tmp_path / "cvm.csv")[1:]):
+            sq_diffs = [float(r[6]) for r in grid[60 * i : 60 * (i + 1)]]
+            assert float(row[3]) == 6.0 / 60 * math.fsum(sq_diffs)
 
 
 class TestResidence:

@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from antlion import (
     Alpha,
     HorizonTooLargeError,
+    ResourceLimitError,
     WalkParams,
     check_path_uniqueness_exact,
     check_path_uniqueness_real,
@@ -25,10 +27,16 @@ from antlion import (
     position_bounds,
     support_size,
 )
+from antlion.exact import _exact_order, _float_positions, _float_tolerance
 
 GOLDEN = (-1 + math.sqrt(5)) / 2
 
 ALPHAS = [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)]
+
+# Every reduced m/n with n <= 12, and two alphas whose float positions tie.
+LATTICE_ALPHAS = [
+    Fraction(m, n) for n in range(2, 13) for m in range(1, n) if math.gcd(m, n) == 1
+] + [Fraction(1, 10**6), Fraction(10**6 - 1, 10**6)]
 
 
 def params(alpha, p=Fraction(1, 2), t=0):
@@ -37,18 +45,26 @@ def params(alpha, p=Fraction(1, 2), t=0):
     return WalkParams(alpha=alpha, p=p, t=t)
 
 
+def brute_paths(alpha: Fraction, t: int) -> list:
+    """Oracle: ``(index, position, k, nonnegative steps)`` of every path, walked
+    in exact arithmetic; bit ``s - 1`` of the index is set when step ``s`` is -1."""
+    paths = []
+    for signs in itertools.product((-1, 1), repeat=t):
+        x = Fraction(0)
+        visits = 0
+        for s in signs:
+            x = alpha * x + s
+            visits += x >= 0
+        index = sum(1 << s for s, sign in enumerate(signs) if sign == -1)
+        paths.append((index, x, signs.count(-1), visits))
+    return paths
+
+
 def brute_residence_pmf(alpha: Fraction, p: Fraction, t: int) -> dict:
     """Oracle: walk every path in exact arithmetic, counting X_s >= 0."""
     pmf = {j: Fraction(0) for j in range(t + 1)}
-    for signs in itertools.product((-1, 1), repeat=t):
-        x = Fraction(0)
-        cnt = 0
-        prob = Fraction(1)
-        for s in signs:
-            x = alpha * x + s
-            cnt += x >= 0
-            prob *= p if s == -1 else 1 - p
-        pmf[cnt] += prob
+    for _, _, k, visits in brute_paths(alpha, t):
+        pmf[visits] += p**k * (1 - p) ** (t - k)
     return pmf
 
 
@@ -138,6 +154,54 @@ class TestEnumerate:
             assert lo < fracs[0] and fracs[-1] < hi
 
 
+class TestLatticeDifferential:
+    @pytest.mark.parametrize("alpha", LATTICE_ALPHAS, ids=str)
+    def test_matches_brute_force(self, alpha):
+        p = Fraction(1, 3)
+        for t in range(9):
+            paths = brute_paths(alpha, t)
+            dist = enumerate_distribution(params(alpha, p=p, t=t))
+            lattice, den = dist.entries, dist.scale_denominator
+            support = sorted(x for _, x, _, _ in paths)
+            assert dist.support_fractions() == support
+            assert dist.float_law()[0].tolist() == [float(x) for x in support]
+            assert {Fraction(s, den): k for s, k in lattice.items()} == {
+                x: k for _, x, k, _ in paths
+            }
+            approx = _float_positions(float(alpha), t)
+            half_tolerance = Fraction(_float_tolerance(alpha, t)) / 2
+            for index, x, k, _ in paths:
+                assert Fraction(lattice.scaled[index], den) == x
+                assert lattice.k[index] == k
+                assert abs(Fraction(approx[index]) - x) <= half_tolerance
+            residence = exact_residence_distribution(params(alpha, p=p, t=t))
+            assert residence == brute_residence_pmf(alpha, p, t)
+
+
+    @pytest.mark.parametrize("alpha, t", [(Fraction(9, 10), 16), (Fraction(11, 12), 16)])
+    def test_float_law_rounds_once(self, alpha, t):
+        # 9/10 keeps every numerator and the scale within 2^53; 11/12 does not.
+        dist = enumerate_distribution(params(alpha, t=t))
+        assert dist.float_law()[0].tolist() == [float(x) for x in dist.support_fractions()]
+
+
+class TestExactOrder:
+    def test_exact_ints_decide_near_floats(self):
+        big = 2**60
+        scaled = np.array([3, big + 1, 1, big, 2, 3 * big], dtype=object)
+        # scaled / 2^60 to within 5e-16: three ties at 0.0, and big and
+        # big + 1 in the wrong float order.
+        approx = np.array([0.0, 1.0, 0.0, 1.0 + 2**-52, 0.0, 3.0])
+        order = _exact_order(scaled, approx, 1e-15)
+        assert order.tolist() == [2, 4, 0, 3, 1, 5]
+
+    def test_equal_ints_raise(self):
+        scaled = np.array([7, 1, 7], dtype=object)
+        approx = np.array([0.5, 0.1, 0.5 + 2**-53])
+        with pytest.raises(RuntimeError, match="share a position"):
+            _exact_order(scaled, approx, 1e-15)
+
+
 class TestSupportSize:
     @pytest.mark.parametrize("alpha, t, expected", [
         (Fraction(1, 2), 5, 32),
@@ -172,6 +236,11 @@ class TestPathUniqueness:
     def test_real_single_step(self):
         assert check_path_uniqueness_real(0.37, 1).empty
 
+    def test_real_pair_blow_up_guarded(self):
+        # At alpha = 1 the 2^16 paths fall on 17 integers: ~3e8 pairs.
+        with pytest.raises(ResourceLimitError):
+            check_path_uniqueness_real(1.0, 16)
+
 
 class TestCdf:
     def test_tails(self):
@@ -189,7 +258,7 @@ class TestCdf:
         dist = enumerate_distribution(params(Fraction(9, 10), p=p, t=7))
         probs = [float(dist.point_probability(s)) for s in sorted(dist.entries)]
         xs, float_probs = dist.float_law()
-        assert float_probs == probs
+        assert float_probs.tolist() == probs
         assert xs.tolist() == [float(x) for x in dist.support_fractions()]
         assert dist.weights == path_weights(p, 7)
         assert dist.cdf.cum.tolist() == [min(c, 1.0) for c in itertools.accumulate(probs)]
