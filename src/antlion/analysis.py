@@ -32,6 +32,7 @@ __all__ = [
     "uniform_cdf",
     "exact_standardized_cdf",
     "simple_rw_exact_cdf",
+    "check_cvm_grid",
     "cvm_distance",
     "cvm_from_grid",
     "cvm_grid_table",
@@ -131,15 +132,21 @@ def cvm_from_grid(rows, m1: float, m2: float, n: int) -> CvmResult:
     return CvmResult((m2 - m1) / n * math.fsum(row[3] for row in rows), m1, m2, n)
 
 
+def check_cvm_grid(m1: float, m2: float, n: int) -> None:
+    """Raise ``ValueError`` unless ``m1 < m2`` with a finite width and ``n >= 1``."""
+    # A finite m2 - m1 also rules out an infinite or NaN bound.
+    if not (m1 < m2 and math.isfinite(m2 - m1)):
+        raise ValueError(f"the CvM grid requires finite m1 < m2, got {m1}, {m2}")
+    if n < 1:
+        raise ValueError("the CvM grid requires n >= 1")
+
+
 def cvm_grid_table(
     cdf_u: CdfFn, cdf_v: CdfFn, m1: float = -3.0, m2: float = 3.0, n: int = 600
 ):
     """Rows ``(u_k, F_U(u_k), F_V(u_k), squared difference)`` at
     ``u_k = m1 + (m2 - m1) k / n`` for ``k = 1..n``."""
-    if not m1 < m2:
-        raise ValueError("the CvM grid requires m1 < m2")
-    if n < 1:
-        raise ValueError("the CvM grid requires n >= 1")
+    check_cvm_grid(m1, m2, n)
     width = m2 - m1
     rows = []
     for k in range(1, n + 1):

@@ -118,10 +118,18 @@ class BanditConfig:
             raise ValueError("reward probabilities must lie in [0, 1]")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.k <= 0 or self.delta <= 0 or self.omega <= 0:
-            raise ValueError("k, delta, omega must be positive")
+        if not all(0 < v < math.inf for v in (self.k, self.delta, self.omega)):
+            raise ValueError("k, delta, omega must be positive and finite")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
+        # |X| stays below max(delta, omega) * sum_{i < horizon} alpha^i.
+        steps = self.horizon if self.alpha == 1.0 else min(self.horizon, 1 / (1 - self.alpha))
+        x_bound = max(self.delta, self.omega) * steps
+        if math.isinf(x_bound) or math.isinf(self.k * x_bound):
+            raise ValueError(
+                f"step sizes k={self.k}, delta={self.delta}, omega={self.omega} overflow "
+                f"the adjuster or its threshold within {self.horizon} steps at alpha={self.alpha}"
+            )
         if self.swap_at is not None and self.swap_at < 0:
             raise ValueError("swap_at must be nonnegative")
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    check_cvm_grid,
     compare_residence_to_binomial,
     cvm_distance,
     cvm_from_grid,
@@ -95,8 +96,7 @@ def _parse_grid(text: str):
     if len(parts) != 3:
         raise ValueError("grid must be 'm1,m2,n'")
     m1, m2, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if not m1 < m2 or n < 1:
-        raise ValueError("grid requires m1 < m2 and n >= 1")
+    check_cvm_grid(m1, m2, n)
     return m1, m2, n
 
 

@@ -8,12 +8,14 @@ steps is ``X_t = S_t / n^(t-1)`` with the integer numerator
 Path ``i`` takes step ``xi_s = -1`` exactly when bit ``s - 1`` of ``i`` is
 set, so its minus-step count ``k`` is the popcount of ``i``. The law is held
 as arrays in path-index order: ``S`` (Python ints, so position equality stays
-decidable, which floating point cannot certify) and ``k``. The order of
-the support comes from a float sort certified on the exact ints; distinct
-paths land on distinct positions for rational alpha in (0, 1), and a tie
-raises. The probability of a point is entry ``k`` of the ``t + 1`` path
-weights ``p^k (1-p)^(t-k)``, so the law is exact for any step parameter
-``p``, including irrational ``p``.
+decidable, which floating point cannot certify) and ``k``. The support is
+ordered when first read, by a sort of the exactly rounded positions
+``S / n^(t-1)``: rounding is monotone, so only points with equal floats can
+be out of order, and those are sorted on the ints. Distinct paths land on
+distinct positions for rational alpha in (0, 1), and a tie raises. The
+probability of a point is entry ``k`` of the ``t + 1`` path weights
+``p^k (1-p)^(t-k)``, so the law is exact for any step parameter ``p``,
+including irrational ``p``.
 """
 
 from __future__ import annotations
@@ -108,32 +110,20 @@ def _float_positions(alpha: float, t: int) -> np.ndarray:
     return x
 
 
-def _float_tolerance(alpha: Fraction, t: int) -> float:
-    """A float above twice the error of ``_float_positions(float(alpha), t)``.
+def _exact_order(scaled: np.ndarray, xs: np.ndarray) -> tuple:
+    """``(order, xs[order])``, where ``order`` sorts the exact ints ``scaled``
+    strictly increasingly.
 
-    With ``u = 2^-53`` and every |position| below ``B = 1/(1 - alpha)``, each
-    step's roundings of alpha, the product and the sum add less than
-    ``4 u B`` to alpha times the previous error. As ``sum_{i<t} alpha^i <=
-    min(t, B)``, each float lies within ``4 u B min(t, B)`` of its exact
-    position, and this returns ``16 u B min(t, B)``.
+    ``xs[i]`` must be ``scaled[i] / c`` rounded to nearest, for one positive
+    ``c``. Rounding is monotone, so only runs of equal floats can be out of
+    order after the float sort; sorting the points of all runs on the ints,
+    in place, sorts the whole and leaves ``xs[order]`` as it was. Equal ints
+    raise ``RuntimeError``: two paths share a position.
     """
-    bound = float(1 / (1 - alpha))
-    return 2.0**-49 * bound * min(t, bound)
-
-
-def _exact_order(scaled: np.ndarray, approx: np.ndarray, tolerance: float) -> np.ndarray:
-    """Indices that sort the exact ints ``scaled`` strictly increasingly.
-
-    ``approx[i]`` must lie within ``tolerance / 2`` of ``scaled[i] / c`` for
-    one positive ``c``. Two points can then be out of order after the float
-    sort only inside a run of sorted neighbours at most ``tolerance`` apart,
-    and every point of a run is exactly below every point of the next one;
-    so sorting the points of all runs on the ints, in place, sorts the whole.
-    Equal ints raise ``RuntimeError``: two paths share a position.
-    """
-    order = np.argsort(approx)
-    near = np.diff(approx[order]) <= tolerance
-    in_run = np.flatnonzero(np.concatenate([near, [False]]) | np.concatenate([[False], near]))
+    order = np.argsort(xs)
+    positions = xs[order]
+    tie = positions[1:] == positions[:-1]
+    in_run = np.flatnonzero(np.concatenate([tie, [False]]) | np.concatenate([[False], tie]))
     paths = order[in_run]
     values = scaled[paths]
     # Timsort (kind="stable") takes the run-after-run order in about one compare a point.
@@ -144,34 +134,46 @@ def _exact_order(scaled: np.ndarray, approx: np.ndarray, tolerance: float) -> np
             "two paths share a position; this cannot happen for rational alpha in (0, 1)"
         )
     order[in_run] = paths[by_value]
-    return order
+    return order, positions
 
 
 class PathLattice(Mapping):
     """The endpoints of all ``2^t`` paths, as arrays in path-index order.
 
-    ``scaled`` holds the exact numerators ``S`` (Python ints), ``k`` the
-    minus-step counts and ``order`` the path indices by increasing position.
-    As a read-only mapping it sends each scaled value to its ``k``, iterating
-    in increasing order; a lookup is a binary search.
+    ``scaled`` holds the exact numerators ``S`` (Python ints) of the
+    positions ``S / den``, and ``k`` the minus-step counts. As a read-only
+    mapping it sends each scaled value to its ``k``, iterating in increasing
+    order; a lookup is a binary search.
     """
 
-    def __init__(self, scaled: np.ndarray, k: np.ndarray, order: np.ndarray):
+    def __init__(self, scaled: np.ndarray, k: np.ndarray, den: int):
         self.scaled = scaled
         self.k = k
-        self.order = order
+        self.den = den
+
+    @cached_property
+    def ordered(self) -> tuple:
+        """``(order, positions)``, read-only: the path indices by increasing
+        position, and each position ``S / den`` rounded once, in that order."""
+        den = self.den
+        # Divided in path order, which reads the ints in allocation order.
+        xs = np.fromiter((s / den for s in self.scaled), float, count=self.scaled.size)
+        order, positions = _exact_order(self.scaled, xs)
+        order.flags.writeable = positions.flags.writeable = False
+        return order, positions
 
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.ordered[0])
 
     def __iter__(self):
-        return iter(self.scaled[self.order])
+        return iter(self.scaled[self.ordered[0]])
 
     def __getitem__(self, scaled: int) -> int:
-        i = bisect_left(self.order, scaled, key=self.scaled.__getitem__)
-        if i == len(self.order) or self.scaled[self.order[i]] != scaled:
+        order = self.ordered[0]
+        i = bisect_left(order, scaled, key=self.scaled.__getitem__)
+        if i == len(order) or self.scaled[order[i]] != scaled:
             raise KeyError(scaled)
-        return int(self.k[self.order[i]])
+        return int(self.k[order[i]])
 
 
 def _path_lattice(alpha: Fraction, t: int) -> PathLattice:
@@ -183,8 +185,7 @@ def _path_lattice(alpha: Fraction, t: int) -> PathLattice:
     # steps are the high index bits, so they index the rows of the outer sum.
     scaled = np.add.outer(n**half * high, m ** (t - half) * low).ravel()
     k = np.add.outer(high_k, low_k).ravel()
-    order = _exact_order(scaled, _float_positions(float(alpha), t), _float_tolerance(alpha, t))
-    return PathLattice(scaled, k, order)
+    return PathLattice(scaled, k, n ** max(t - 1, 0))
 
 
 class ExactDistribution:
@@ -210,7 +211,7 @@ class ExactDistribution:
 
     @property
     def scale_denominator(self) -> int:
-        return self.alpha.denominator ** max(self.t - 1, 0)
+        return self.entries.den
 
     @cached_property
     def weights(self) -> list:
@@ -226,8 +227,8 @@ class ExactDistribution:
         columns of ``DIST_HEADER``, in increasing position order."""
         lattice = self.entries
         weights = [float(w) for w in self.weights]
-        xs = self.float_law()[0]
-        for x, s, k in zip(xs, lattice.scaled[lattice.order], lattice.k[lattice.order]):
+        order, xs = lattice.ordered
+        for x, s, k in zip(xs, lattice.scaled[order], lattice.k[order]):
             yield float(x), s, int(k), weights[k]
 
     def support_fractions(self) -> list:
@@ -237,19 +238,9 @@ class ExactDistribution:
     def float_law(self) -> tuple:
         """``(positions, probabilities)`` as float arrays in increasing
         position order. Each position is ``S / n^(t-1)`` rounded once, by
-        Python's exactly rounded int division."""
-        lattice = self.entries
-        den = self.scale_denominator
-        m, n = self.alpha.numerator, self.alpha.denominator
-        if max(den, (n**self.t - m**self.t) // (n - m)) <= 2**53:
-            # Both operands are exact doubles, and a float division of exact
-            # doubles rounds exactly once, as the int division does.
-            xs = lattice.scaled.astype(float) / den
-        else:
-            # Divided in path order, which reads the ints in allocation order.
-            xs = np.fromiter((s / den for s in lattice.scaled), float, count=len(lattice))
-        probs = np.array([float(w) for w in self.weights])[lattice.k]
-        return xs[lattice.order], probs[lattice.order]
+        Python's exactly rounded int division; the positions are read-only."""
+        order, xs = self.entries.ordered
+        return xs, np.array([float(w) for w in self.weights])[self.entries.k[order]]
 
     def total_probability(self):
         paths = np.bincount(self.entries.k, minlength=self.t + 1).tolist()
@@ -295,10 +286,11 @@ def enumerate_distribution(
     """Enumerate the exact law of ``X_t`` for rational alpha.
 
     Builds the scaled numerators of all ``2^t`` paths as one outer sum of the
-    two half-horizon lattices, each built by level doubling, and orders them
-    by a float sort certified on the exact ints. Raises
-    :class:`HorizonTooLargeError` past the cap, and ``RuntimeError`` if two
-    paths shared a position.
+    two half-horizon lattices, each built by level doubling. The support is
+    ordered when first read, by a sort of the exactly rounded positions whose
+    equal-float runs are sorted on the ints; that raises ``RuntimeError`` if
+    two paths shared a position. Raises :class:`HorizonTooLargeError` past
+    the cap.
     """
     frac = _require_exact_alpha(params.alpha)
     _check_cap(params.t, cap)
@@ -369,12 +361,12 @@ def check_path_uniqueness_exact(
 
     Distinct paths reach distinct positions for every rational alpha in
     (0, 1), so the report is always empty; the scan is performed anyway so it
-    doubles as a regression oracle for the enumeration engine, which raises
-    ``RuntimeError`` on a collision.
+    doubles as a regression oracle for the enumeration engine, whose support
+    ordering raises ``RuntimeError`` on a collision.
     """
     if isinstance(alpha, Fraction):
         alpha = Alpha.from_fraction(alpha)
-    enumerate_distribution(WalkParams(alpha=alpha, p=0.5, t=t), cap=cap)
+    support_size(enumerate_distribution(WalkParams(alpha=alpha, p=0.5, t=t), cap=cap))
     return CollisionReport([])
 
 

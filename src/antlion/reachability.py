@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .core import evolve
+from .core import ResourceLimitError, evolve
 
 __all__ = [
     "ReachQuery",
@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 _MAX_PEELS = 10_000
+
+# Deepest greedy witness built; building and replaying one takes about
+# 0.3 s per million levels, and the depth grows like log(eps) / log(alpha).
+MAX_WITNESS_DEPTH = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,11 @@ def _greedy_witness(alpha: float, r: float, eps: float) -> Tuple[int, ...]:
     while alpha**depth >= target:
         depth += 1
     depth += 1
+    if depth > MAX_WITNESS_DEPTH:
+        raise ResourceLimitError(
+            f"a witness within epsilon={eps} at alpha={alpha} needs {depth} steps; "
+            f"the depth is capped at {MAX_WITNESS_DEPTH}"
+        )
     zeta = []
     y = 0.0
     w = 1.0

@@ -163,6 +163,10 @@ class TestCvmDistance:
             cvm_distance(normal_cdf, normal_cdf, m1=1.0, m2=-1.0)
         with pytest.raises(ValueError):
             cvm_distance(normal_cdf, normal_cdf, n=0)
+        # An infinite bound, or a width that overflows, leaves NaN distances.
+        for m1, m2 in ((-math.inf, 3.0), (-3.0, math.nan), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="finite"):
+                cvm_distance(normal_cdf, normal_cdf, m1=m1, m2=m2)
 
 
 class TestBinomialPmf:

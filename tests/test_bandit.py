@@ -127,6 +127,16 @@ class TestRunBandit:
             Ar1Signal(1.0)
         with pytest.raises(ValueError):
             UniformSignal(2, 2)
+        for bad in ({"k": math.nan}, {"k": math.inf}, {"delta": math.inf}, {"omega": math.nan}):
+            with pytest.raises(ValueError, match="finite"):
+                config(**bad)
+        # The adjuster or the threshold would overflow to inf within the horizon.
+        for big in ({"delta": 1e308, "omega": 1e308}, {"k": 1e-10, "delta": 1e308}):
+            with pytest.raises(ValueError, match="overflow"):
+                config(**big)
+        with pytest.raises(ValueError, match="overflow"):
+            config(alpha=0.5, k=1e300, delta=1e10)
+        config(alpha=0.5, delta=1e307)  # |X| < 2e307 whatever the horizon
 
 
 class TestSweep:

@@ -118,18 +118,14 @@ class TestErrors:
     def test_horizon_cap(self, tmp_path):
         assert main(["dist", "--alpha", "1/2", "--t", "30", "--out", str(tmp_path)]) == EXIT_HORIZON
 
-    def test_resource_guard(self, tmp_path):
-        code = main(
-            [
-                "dist",
-                "--alpha", "0.5",
-                "--t", "1000000",
-                "--mode", "mc",
-                "--n", "1000000",
-                "--out", str(tmp_path),
-            ]
-        )
-        assert code == EXIT_RESOURCE
+    def test_resource_guard(self, tmp_path, capsys):
+        for argv in (
+            ["dist", "--alpha", "0.5", "--t", "1000000", "--mode", "mc", "--n", "1000000"],
+            # A greedy witness of about 1.8e6 levels.
+            ["reach", "--alpha", "0.99999", "--r", "0", "--epsilon", "0.001"],
+        ):
+            assert main([*argv, "--out", str(tmp_path)]) == EXIT_RESOURCE
+            assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestCvm:
@@ -164,6 +160,14 @@ class TestCvm:
         assert main(argv + ["--out", str(a_dir)]) == EXIT_OK
         assert main(argv + ["--out", str(b_dir)]) == EXIT_OK
         assert (a_dir / "cvm.csv").read_text() == (b_dir / "cvm.csv").read_text()
+
+    @pytest.mark.parametrize("grid", ["-inf,3,10", "-1e308,1e308,10"])
+    def test_bad_grid(self, tmp_path, capsys, grid):
+        argv = ["cvm", "--targets", "srw", "--t", "4", f"--grid={grid}", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "finite" in err and err.count("\n") == 1
+        assert not (tmp_path / "cvm.csv").exists()
 
     def test_grid_table(self, tmp_path):
         code = main(
@@ -354,6 +358,22 @@ class TestBandit:
         assert code == EXIT_OK
         rows = read_csv(tmp_path / "bandit_trace.csv")
         assert all(float(r[1]) == int(float(r[1])) for r in rows[1:])
+
+    @pytest.mark.parametrize(
+        "step_sizes, message",
+        [
+            (["--delta", "inf"], "finite"),
+            (["--delta", "1e308", "--omega", "1e308"], "overflow"),
+            (["--k", "nan"], "finite"),
+            (["--k", "inf"], "finite"),
+        ],
+    )
+    def test_bad_step_sizes(self, tmp_path, capsys, step_sizes, message):
+        argv = ["bandit", "--pa", "0.8", "--pb", "0.2", "--horizon", "100", *step_sizes]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "bandit_trace.csv").exists()
 
 
 class TestMoments:

@@ -27,7 +27,7 @@ from antlion import (
     position_bounds,
     support_size,
 )
-from antlion.exact import _exact_order, _float_positions, _float_tolerance
+from antlion.exact import _exact_order
 
 GOLDEN = (-1 + math.sqrt(5)) / 2
 
@@ -168,38 +168,40 @@ class TestLatticeDifferential:
             assert {Fraction(s, den): k for s, k in lattice.items()} == {
                 x: k for _, x, k, _ in paths
             }
-            approx = _float_positions(float(alpha), t)
-            half_tolerance = Fraction(_float_tolerance(alpha, t)) / 2
             for index, x, k, _ in paths:
                 assert Fraction(lattice.scaled[index], den) == x
                 assert lattice.k[index] == k
-                assert abs(Fraction(approx[index]) - x) <= half_tolerance
             residence = exact_residence_distribution(params(alpha, p=p, t=t))
             assert residence == brute_residence_pmf(alpha, p, t)
 
 
-    @pytest.mark.parametrize("alpha, t", [(Fraction(9, 10), 16), (Fraction(11, 12), 16)])
+    @pytest.mark.parametrize(
+        "alpha, t", [(Fraction(9, 10), 16), (Fraction(11, 12), 16), (Fraction(1, 10**6), 12)]
+    )
     def test_float_law_rounds_once(self, alpha, t):
-        # 9/10 keeps every numerator and the scale within 2^53; 11/12 does not.
         dist = enumerate_distribution(params(alpha, t=t))
-        assert dist.float_law()[0].tolist() == [float(x) for x in dist.support_fractions()]
+        xs = dist.float_law()[0]
+        fracs = dist.support_fractions()
+        assert xs.tolist() == [float(x) for x in fracs]
+        assert all(a < b for a, b in zip(fracs, fracs[1:]))
+        if alpha == Fraction(1, 10**6):
+            # Sorted neighbours on equal floats, which the ints order.
+            assert np.count_nonzero(xs[1:] == xs[:-1]) == 4088
 
 
 class TestExactOrder:
     def test_exact_ints_decide_near_floats(self):
         big = 2**60
-        scaled = np.array([3, big + 1, 1, big, 2, 3 * big], dtype=object)
-        # scaled / 2^60 to within 5e-16: three ties at 0.0, and big and
-        # big + 1 in the wrong float order.
-        approx = np.array([0.0, 1.0, 0.0, 1.0 + 2**-52, 0.0, 3.0])
-        order = _exact_order(scaled, approx, 1e-15)
+        scaled = np.array([big + 3, 2 * big + 1, big + 1, 2 * big, big + 2, 3 * big], dtype=object)
+        # Rounded, scaled / 2^60 ties three ways at 1.0 and two ways at 2.0.
+        order, xs = _exact_order(scaled, np.array([s / big for s in scaled]))
         assert order.tolist() == [2, 4, 0, 3, 1, 5]
+        assert xs.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]
 
     def test_equal_ints_raise(self):
         scaled = np.array([7, 1, 7], dtype=object)
-        approx = np.array([0.5, 0.1, 0.5 + 2**-53])
         with pytest.raises(RuntimeError, match="share a position"):
-            _exact_order(scaled, approx, 1e-15)
+            _exact_order(scaled, np.array([s / 10 for s in scaled]))
 
 
 class TestSupportSize:
@@ -287,6 +289,17 @@ class TestMoments:
         mean, var = exact_moments(enumerate_distribution(prm))
         assert mean == pytest.approx(closed_form_mean(prm), abs=1e-12)
         assert var == pytest.approx(closed_form_variance(prm), abs=1e-12)
+
+    def test_support_never_ordered(self, monkeypatch):
+        # The moments and the total mass read S and k alone.
+        def refuse(*args):
+            raise AssertionError("the support was ordered")
+
+        monkeypatch.setattr("antlion.exact._exact_order", refuse)
+        prm = params(Fraction(9, 10), p=Fraction(3, 10), t=10)
+        dist = enumerate_distribution(prm)
+        assert exact_moments(dist) == (closed_form_mean(prm), closed_form_variance(prm))
+        assert dist.total_probability() == 1
 
     def test_all_minus(self):
         alpha = Fraction(2, 3)

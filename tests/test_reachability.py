@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from antlion import (
     Alpha,
     ReachQuery,
+    ResourceLimitError,
     WalkParams,
     central_gap,
     enumerate_distribution,
@@ -177,6 +178,12 @@ class TestReachability:
         with pytest.raises(ValueError, match="underflows"):
             ReachQuery(alpha=0.7, r=0.1, epsilon=5e-324)
         assert is_eps_reachable(ReachQuery(alpha=0.3, r=0.0, epsilon=5e-324)).reachable
+
+    def test_witness_depth_guarded(self):
+        # About 1.8e6 greedy levels, past MAX_WITNESS_DEPTH; alpha = 0.9999999999
+        # at the same epsilon would need 3e11.
+        with pytest.raises(ResourceLimitError, match="1842060 steps"):
+            is_eps_reachable(ReachQuery(alpha=1 - 1e-5, r=0.0, epsilon=1e-3))
 
     @pytest.mark.parametrize("alpha, r", [(0.7, 0.3), (0.3, 1.3)])
     def test_unsound_witness_raises(self, alpha, r, monkeypatch):
