@@ -163,8 +163,12 @@ class BanditTrace:
         return np.cumsum(self.correct) / steps
 
     def correct_rate(self, last: Optional[int] = None) -> float:
+        """Fraction of correct choices over the run, or over its ``last``
+        steps (all of them when ``last`` exceeds the horizon)."""
         if last is None:
             return float(self.correct.mean())
+        if last < 1:
+            raise ValueError(f"last must be at least 1, got {last}")
         return float(self.correct[-last:].mean())
 
 
@@ -230,6 +234,53 @@ class AlphaSweepRow:
     last_window_rate: float
 
 
+def _lockstep_correct(
+    config: BanditConfig, alphas: Sequence[float], n_seeds: int, seed_base: int
+) -> np.ndarray:
+    """``correct[i, a, j]`` of ``run_bandit`` at ``alphas[a]`` and stream ``j``.
+
+    All ``len(alphas) * n_seeds`` runs advance together, one vector op per
+    step over every lane. Lane ``(a, j)`` draws from ``SeedSequence(seed_base,
+    spawn_key=(j,))`` and does the same float operations in the same order as
+    ``run_bandit``, so its trace is the same bit for bit.
+    """
+    h = config.horizon
+    signal = np.empty((h, n_seeds))
+    reward_u = np.empty((h, n_seeds))
+    for j in range(n_seeds):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed_base, spawn_key=(j,)))
+        )
+        signal[:, j] = config.signal.generate(rng, h)
+        reward_u[:, j] = rng.random(h)
+    swapped = np.zeros(h, dtype=bool)
+    if config.swap_at is not None:
+        swapped[config.swap_at :] = True
+    pa = np.where(swapped, config.p_b, config.p_a)[:, None]
+    pb = np.where(swapped, config.p_a, config.p_b)[:, None]
+    # The adjuster's step for each arm, decided by the reward draw alone.
+    xi_a = np.where(reward_u < pa, -config.delta, config.omega)
+    xi_b = np.where(reward_u < pb, config.delta, -config.omega)
+
+    k = config.k
+    alpha = np.asarray(alphas, dtype=np.float64)[:, None]
+    x = np.zeros((len(alphas), n_seeds))
+    theta = np.zeros_like(x)
+    play_a = np.empty((h, *x.shape), dtype=bool)
+    for i in range(h):
+        play = np.greater_equal(signal[i], theta, out=play_a[i])
+        x *= alpha
+        x += np.where(play, xi_a[i], xi_b[i])
+        # nearest_integer: trunc(x + 0.5) = floor(x + 0.5) for x >= 0 and
+        # trunc(x - 0.5) = ceil(x - 0.5) for x < 0, in three ops, not six.
+        np.copysign(0.5, x, out=theta)
+        theta += x
+        np.trunc(theta, out=theta)
+        theta *= k
+    better_a = (pa > pb)[:, :, None]
+    return (play_a == better_a) | (pa == pb)[:, :, None]
+
+
 def sweep_alpha(
     config: BanditConfig,
     alphas: Sequence[float],
@@ -240,29 +291,33 @@ def sweep_alpha(
     """Average correct-selection trajectories over seeds, one row per alpha.
 
     Run ``j`` for every alpha uses the stream ``SeedSequence(seed_base,
-    spawn_key=(j,))``, so trajectories are seed-matched across alphas.
+    spawn_key=(j,))``, so trajectories are seed-matched across alphas. The
+    runs advance in lockstep (``_lockstep_correct``); each one matches
+    ``run_bandit`` with the same config and stream.
     """
     if not alphas:
         raise ValueError("alphas must be nonempty")
     if n_seeds < 1:
         raise ValueError("n_seeds must be at least 1")
-    window = min(last_window, config.horizon)
-    rows = []
+    if last_window < 1:
+        raise ValueError("last_window must be at least 1")
     for a in alphas:
-        cfg = replace(config, alpha=a)
-        acc = np.zeros(config.horizon)
-        last_acc = 0.0
-        for j in range(n_seeds):
-            ss = np.random.SeedSequence(entropy=seed_base, spawn_key=(j,))
-            trace = run_bandit(cfg, ss)
-            acc += trace.correct_rate_over_time()
-            last_acc += trace.correct_rate(last=window)
-        rows.append(
-            AlphaSweepRow(
-                alpha=float(a),
-                mean_correct_trajectory=acc / n_seeds,
-                final_rate=float(acc[-1] / n_seeds),
-                last_window_rate=float(last_acc / n_seeds),
-            )
+        replace(config, alpha=a)  # validates each alpha with the step sizes
+    correct = _lockstep_correct(config, alphas, n_seeds, seed_base)
+    window = min(last_window, config.horizon)
+    steps = np.arange(1, config.horizon + 1, dtype=np.float64)
+    # Per seed in order, as a loop over run_bandit traces would add them up.
+    acc = np.zeros((config.horizon, len(alphas)))
+    last_acc = np.zeros(len(alphas))
+    for j in range(n_seeds):
+        acc += np.cumsum(correct[:, :, j], axis=0) / steps[:, None]
+        last_acc += correct[-window:, :, j].sum(axis=0) / window
+    return [
+        AlphaSweepRow(
+            alpha=float(a),
+            mean_correct_trajectory=acc[:, col] / n_seeds,
+            final_rate=float(acc[-1, col] / n_seeds),
+            last_window_rate=float(last_acc[col] / n_seeds),
         )
-    return rows
+        for col, a in enumerate(alphas)
+    ]

@@ -130,7 +130,7 @@ class Table(NamedTuple):
     """One output table, written in the ``--format`` of the run.
 
     ``rows`` is any iterable of row tuples, consumed only while the table is
-    written; only the JSON format collects it into one record list first.
+    written, one row at a time in every format.
     """
 
     name: str
@@ -168,11 +168,29 @@ def _write_table(out_dir: Path, table: Table, fmt: str) -> Path:
             for row in table.rows:
                 fh.write(" ".join(_fmt_cell(v) for v in row) + "\n")
     elif fmt == "json":
-        records = [dict(zip(table.header, row)) for row in table.rows]
-        path = _write_json(out_dir, table.name, records)
+        path = out_dir / f"{table.name}.json"
+        with open(path, "w") as fh:
+            _write_records(fh, table.header, table.rows)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     return path
+
+
+def _write_records(fh, header: Sequence[str], rows: Iterable) -> None:
+    """Write ``[dict(zip(header, row)) for row in rows]`` one record at a
+    time, in the bytes ``json.dump(records, fh, indent=2)`` writes.
+
+    Cells must be JSON scalars (numbers, strings, bools, None) and the header
+    names distinct; each cell goes through the C encoder on its own.
+    """
+    encode = json.JSONEncoder().encode
+    prefixes = [f"\n    {encode(name)}: " for name in header]
+    opening = "[\n  "
+    for row in rows:
+        body = ",".join(prefix + encode(v) for prefix, v in zip(prefixes, row))
+        fh.write(f"{opening}{{{body}\n  }}" if body else f"{opening}{{}}")
+        opening = ",\n  "
+    fh.write("[]" if opening == "[\n  " else "\n]")
 
 
 def _write_json(out_dir: Path, name: str, payload) -> Path:
@@ -281,7 +299,7 @@ def _cmd_residence(args):
     if args.mode == "exact":
         pmf = exact_residence_distribution(params)
     else:
-        batch = simulate(params, n_walkers=args.n, seed=args.seed, mode="paths")
+        batch = simulate(params, n_walkers=args.n, seed=args.seed, mode="residence")
         counts = np.bincount(residence_times(batch), minlength=t + 1)
         pmf = {j: counts[j] / batch.n_walkers for j in range(t + 1)}
     summary = compare_residence_to_binomial(pmf, t, p, alpha.as_float)

@@ -1,6 +1,7 @@
 """Bandit threshold model: reduction, sign rules, determinism, sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from antlion import (
     run_bandit,
     sweep_alpha,
 )
+from antlion.bandit import _lockstep_correct
 
 
 class TestNearestInteger:
@@ -179,3 +181,71 @@ class TestSweep:
     def test_requires_alphas(self):
         with pytest.raises(ValueError):
             sweep_alpha(config(), [], n_seeds=1)
+
+    def test_window_must_be_positive(self):
+        for window in (0, -5):
+            with pytest.raises(ValueError, match="last_window"):
+                sweep_alpha(config(horizon=50), [0.9], n_seeds=1, last_window=window)
+
+    def test_window_longer_than_horizon_is_whole_run(self):
+        rows = sweep_alpha(config(horizon=40), [0.9, 1.0], n_seeds=2, last_window=10_000)
+        assert all(row.last_window_rate == row.final_rate for row in rows)
+
+
+class TestCorrectRateWindow:
+    def test_window_must_be_positive(self):
+        trace = run_bandit(config(horizon=20), seed=1)
+        for last in (0, -5):
+            with pytest.raises(ValueError, match="last"):
+                trace.correct_rate(last=last)
+
+    def test_window_is_the_tail(self):
+        trace = run_bandit(config(horizon=20, swap_at=10), seed=1)
+        assert trace.correct_rate(last=5) == trace.correct[-5:].mean()
+        assert trace.correct_rate(last=20) == trace.correct_rate() == trace.correct_rate(last=99)
+
+
+class TestLockstep:
+    """Each lockstep lane is the ``run_bandit`` trace of its alpha and seed."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            config(horizon=600, signal=NormalSignal()),
+            config(horizon=600, signal=UniformSignal(-5, 5), p_a=0.2, p_b=0.8),
+            config(horizon=600, signal=Ar1Signal(-0.6), swap_at=250),
+            config(horizon=600, signal=UniformSignal(-2, 3), k=1.5, delta=0.7, omega=2.5),
+            config(horizon=300, signal=NormalSignal(), k=0.3, delta=3.0, omega=0.25, swap_at=0),
+            config(horizon=200, p_a=0.5, p_b=0.5, swap_at=100),
+        ],
+    )
+    def test_lanes_match_run_bandit(self, cfg):
+        alphas = [0.0, 0.5, 1.0, 0.93]
+        correct = _lockstep_correct(cfg, alphas, n_seeds=3, seed_base=17)
+        assert correct.shape == (cfg.horizon, len(alphas), 3)
+        for a, alpha in enumerate(alphas):
+            for j in range(3):
+                ss = np.random.SeedSequence(entropy=17, spawn_key=(j,))
+                trace = run_bandit(replace(cfg, alpha=alpha), ss)
+                assert np.array_equal(correct[:, a, j], trace.correct)
+
+    def test_sweep_matches_run_bandit_loop(self):
+        cfg = config(horizon=300, signal=UniformSignal(-5, 5), swap_at=120, delta=1.5)
+        # Past 8 seeds a pairwise sum would round differently from the loop.
+        alphas, n_seeds, window = [0.5, 0.9, 1.0], 20, 150
+        rows = sweep_alpha(cfg, alphas, n_seeds, seed_base=3, last_window=window)
+        for row, alpha in zip(rows, alphas):
+            acc, last_acc = np.zeros(cfg.horizon), 0.0
+            for j in range(n_seeds):
+                ss = np.random.SeedSequence(entropy=3, spawn_key=(j,))
+                trace = run_bandit(replace(cfg, alpha=alpha), ss)
+                acc += trace.correct_rate_over_time()
+                last_acc += trace.correct_rate(last=window)
+            assert np.array_equal(row.mean_correct_trajectory, acc / n_seeds)
+            assert row.final_rate == float(acc[-1] / n_seeds)
+            assert row.last_window_rate == float(last_acc / n_seeds)
+
+    def test_each_alpha_validated(self):
+        cfg = config(horizon=10**6, delta=1e303, alpha=0.5)
+        with pytest.raises(ValueError, match="overflow"):
+            sweep_alpha(cfg, [0.5, 1.0], n_seeds=1)

@@ -1,10 +1,12 @@
 """CLI surface: outputs, schemas, determinism, exit codes."""
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from antlion import analysis, cli
@@ -101,6 +103,41 @@ class TestDist:
         assert rows[0] == ["walker_id", "step", "position"]
         assert len(rows) == 1 + 20 * 11
         assert rows[1][:2] == ["0", "0"] and float(rows[1][2]) == 0.0
+
+
+class TestJsonRecords:
+    """The streaming JSON table writer writes ``json.dump(records, indent=2)``."""
+
+    @pytest.mark.parametrize(
+        "header, rows",
+        [
+            (["a", "b"], []),
+            (["x"], [(1,)]),
+            (
+                ["f", "g", "h"],
+                [
+                    (math.nan, math.inf, -math.inf),
+                    (-0.0, 0.0, 1e-310),
+                    (True, False, None),
+                    (10**30, -7, 0.1),
+                ],
+            ),
+            (["s", "quote\"d"], [('tab\t "q" back\\ nl\n', "\u00e9\u2603\U0001f600"), ("", "\x00")]),
+            ([], [(), ()]),
+            (["short", "row"], [(1.5,), (2.5, 3.5, "extra")]),
+        ],
+    )
+    def test_matches_json_dump(self, header, rows):
+        fh = io.StringIO()
+        cli._write_records(fh, header, iter(rows))
+        assert fh.getvalue() == json.dumps([dict(zip(header, r)) for r in rows], indent=2)
+
+    def test_numpy_floats(self):
+        rows = list(zip(range(3), np.array([0.1, -0.0, np.nan])))
+        fh = io.StringIO()
+        cli._write_records(fh, ["i", "v"], rows)
+        expected = json.dumps([{"i": i, "v": v} for i, v in rows], indent=2)
+        assert fh.getvalue() == expected
 
 
 class TestErrors:

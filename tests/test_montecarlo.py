@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, boundedness, agreement with exact laws."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,8 @@ from antlion import (
     standardize_arw,
     uniform_cdf,
 )
-from antlion.montecarlo import STREAM_CHUNK, Ecdf
+from antlion import montecarlo
+from antlion.montecarlo import _TILE, STREAM_CHUNK, Ecdf
 
 
 def params(alpha: float, p=0.5, t=0) -> WalkParams:
@@ -190,3 +192,102 @@ class TestResidenceTimes:
         hist = np.bincount(residence_times(batch), minlength=101)
         window = hist[10:91]
         assert window.max() / max(window.min(), 1) < 3.0
+
+
+def reference_simulate(prm: WalkParams, n: int, seed: int) -> np.ndarray:
+    """The one-step-at-a-time loop: paths ``(n, t+1)``, one chunk after another."""
+    out = np.zeros((n, prm.t + 1))
+    a, p = prm.alpha.as_float, float(prm.p)
+    for start in range(0, n, STREAM_CHUNK):
+        size = min(STREAM_CHUNK, n - start)
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(start // STREAM_CHUNK,))
+        gen = np.random.Generator(np.random.Philox(ss))
+        x = np.zeros(size)
+        for s in range(1, prm.t + 1):
+            u = gen.random(STREAM_CHUNK)[:size]
+            x = a * x + np.where(u < p, -1.0, 1.0)
+            out[start : start + size, s] = x
+    return out
+
+
+def simulate_with_workers(monkeypatch, workers: int, *args, **kwargs):
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda n_chunks: workers)
+    return simulate(*args, **kwargs)
+
+
+class TestWorkers:
+    """Output is the same bits whatever the worker count, tile or tail."""
+
+    @pytest.mark.parametrize("t", [0, 1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
+    @pytest.mark.parametrize("n", [1, STREAM_CHUNK + 1, 2 * STREAM_CHUNK, 2 * STREAM_CHUNK + 77])
+    def test_matches_reference_loop(self, t, n):
+        prm = params(0.7, p=0.4, t=t)
+        expected = reference_simulate(prm, n, seed=3)
+        paths = simulate(prm, n_walkers=n, seed=3, mode="paths")
+        assert np.array_equal(paths.positions, expected)
+        assert np.array_equal(simulate(prm, n_walkers=n, seed=3).positions, expected[:, -1])
+        res = simulate(prm, n_walkers=n, seed=3, mode="residence")
+        assert np.array_equal(res.positions, expected[:, -1])
+        assert np.array_equal(residence_times(res), (expected[:, 1:] >= 0.0).sum(axis=1))
+
+    @pytest.mark.parametrize("mode", ["finals", "paths", "residence"])
+    def test_worker_count_never_changes_a_bit(self, monkeypatch, mode):
+        n = 3 * STREAM_CHUNK + 5  # four chunks, the last of 5 walkers
+        prm = params(0.9, p=0.55, t=2 * _TILE + 1)
+        runs = [
+            simulate_with_workers(monkeypatch, w, prm, n_walkers=n, seed=8, mode=mode)
+            for w in (1, 2, 3, 9)
+        ]
+        for batch in runs[1:]:
+            assert np.array_equal(batch.positions, runs[0].positions)
+            if mode == "residence":
+                assert np.array_equal(batch.nonneg_steps, runs[0].nonneg_steps)
+
+    def test_many_workers_with_short_switch_interval(self, monkeypatch):
+        prm = params(0.6, t=40)
+        n = 10 * STREAM_CHUNK + 1
+        expected = simulate_with_workers(monkeypatch, 1, prm, n_walkers=n, seed=4, mode="paths")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = simulate_with_workers(monkeypatch, 8, prm, n_walkers=n, seed=4, mode="paths")
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(batch.positions, expected.positions)
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        stream = montecarlo._chunk_stream
+
+        def failing(seed, chunk):
+            if chunk == 2:
+                raise MemoryError("chunk 2")
+            return stream(seed, chunk)
+
+        monkeypatch.setattr(montecarlo, "_chunk_stream", failing)
+        for workers in (1, 2, 4):
+            with pytest.raises(MemoryError, match="chunk 2"):
+                simulate_with_workers(
+                    monkeypatch, workers, params(0.5, t=5), n_walkers=4 * STREAM_CHUNK, seed=1
+                )
+
+    def test_worker_count_follows_affinity(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [montecarlo._worker_count(c) for c in (1, 2, 3, 50)] == [1, 2, 3, 3]
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert montecarlo._worker_count(50) == 1
+
+
+class TestResidenceMode:
+    @pytest.mark.parametrize("alpha", [0.98, 1.0])  # at 1.0 many X_s are exactly 0
+    def test_counts_equal_paths_residence(self, alpha):
+        prm = params(alpha, p=0.45, t=60)
+        paths = simulate(prm, n_walkers=STREAM_CHUNK + 300, seed=12, mode="paths")
+        res = simulate(prm, n_walkers=STREAM_CHUNK + 300, seed=12, mode="residence")
+        assert res.positions.shape == (STREAM_CHUNK + 300,)
+        assert np.array_equal(res.finals, paths.finals)
+        assert np.array_equal(residence_times(res), residence_times(paths))
+
+    def test_horizon_zero(self):
+        res = simulate(params(0.5, t=0), n_walkers=10, seed=1, mode="residence")
+        assert np.all(residence_times(res) == 0) and np.all(res.finals == 0.0)
