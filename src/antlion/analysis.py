@@ -16,13 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
+
+import numpy as np
 
 from .core import DiscreteCdf
 from .exact import ExactDistribution
 
 __all__ = [
+    "CvmGrid",
     "CvmResult",
     "ResidenceSummary",
     "DiscreteCdf",
@@ -126,10 +130,10 @@ def cvm_distance(
     return cvm_from_grid(cvm_grid_table(cdf_u, cdf_v, m1, m2, n), m1, m2, n)
 
 
-def cvm_from_grid(rows, m1: float, m2: float, n: int) -> CvmResult:
-    """The distance of :func:`cvm_distance` from the rows of
-    :func:`cvm_grid_table` on the same grid."""
-    return CvmResult((m2 - m1) / n * math.fsum(row[3] for row in rows), m1, m2, n)
+def cvm_from_grid(grid: "CvmGrid", m1: float, m2: float, n: int) -> CvmResult:
+    """The distance of :func:`cvm_distance` from the :func:`cvm_grid_table`
+    of the same grid."""
+    return CvmResult((m2 - m1) / n * math.fsum(grid.sq_diff), m1, m2, n)
 
 
 def check_cvm_grid(m1: float, m2: float, n: int) -> None:
@@ -141,20 +145,43 @@ def check_cvm_grid(m1: float, m2: float, n: int) -> None:
         raise ValueError("the CvM grid requires n >= 1")
 
 
+class CvmGrid(NamedTuple):
+    """A CDF pair tabulated on a CvM grid: one list entry per grid point."""
+
+    u: list
+    f_u: list
+    f_v: list
+    sq_diff: list
+
+
+def _grid(m1: float, m2: float, n: int) -> np.ndarray:
+    # The same floats as ``m1 + (m2 - m1) * k / n`` point by point.
+    return m1 + (m2 - m1) * np.arange(1, n + 1) / n
+
+
+@lru_cache(maxsize=16)
+def _normal_column(m1: float, m2: float, n: int) -> tuple:
+    return tuple(map(normal_cdf, _grid(m1, m2, n).tolist()))
+
+
+def _on_grid(cdf: CdfFn, u: np.ndarray, m1: float, m2: float, n: int) -> list:
+    if isinstance(cdf, DiscreteCdf):
+        return cdf(u).tolist()
+    if cdf is normal_cdf:  # the same column for every law on this grid
+        return list(_normal_column(m1, m2, n))
+    return [float(cdf(x)) for x in u.tolist()]
+
+
 def cvm_grid_table(
     cdf_u: CdfFn, cdf_v: CdfFn, m1: float = -3.0, m2: float = 3.0, n: int = 600
-):
-    """Rows ``(u_k, F_U(u_k), F_V(u_k), squared difference)`` at
+) -> CvmGrid:
+    """Columns ``u_k, F_U(u_k), F_V(u_k)`` and the squared differences, at
     ``u_k = m1 + (m2 - m1) k / n`` for ``k = 1..n``."""
     check_cvm_grid(m1, m2, n)
-    width = m2 - m1
-    rows = []
-    for k in range(1, n + 1):
-        u = m1 + width * k / n
-        fu = float(cdf_u(u))
-        fv = float(cdf_v(u))
-        rows.append((u, fu, fv, (fu - fv) ** 2))
-    return rows
+    u = _grid(m1, m2, n)
+    fu, fv = _on_grid(cdf_u, u, m1, m2, n), _on_grid(cdf_v, u, m1, m2, n)
+    # Python's square, not numpy's: the two can differ in the last bit.
+    return CvmGrid(u.tolist(), fu, fv, [(a - b) ** 2 for a, b in zip(fu, fv)])
 
 
 def binomial_pmf(t: int, q: Union[float, Fraction], k: int):

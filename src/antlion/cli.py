@@ -13,14 +13,12 @@ cap, 4 resource guard, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import time
-from itertools import count
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +61,7 @@ from .montecarlo import (
     simulate_simple_rw,
 )
 from .reachability import ReachQuery, is_eps_reachable
+from .tables import SUFFIXES, Table, transpose, write_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -126,18 +125,6 @@ def _parse_signal(text: str):
     raise ValueError(f"unknown signal source {text!r}")
 
 
-class Table(NamedTuple):
-    """One output table, written in the ``--format`` of the run.
-
-    ``rows`` is any iterable of row tuples, consumed only while the table is
-    written, one row at a time in every format.
-    """
-
-    name: str
-    header: Sequence[str]
-    rows: Iterable
-
-
 class Summary(NamedTuple):
     """One JSON document, written as ``<name>.json`` whatever the format."""
 
@@ -145,52 +132,10 @@ class Summary(NamedTuple):
     payload: dict
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_table(out_dir: Path, table: Table, fmt: str) -> Path:
-    if fmt == "csv":
-        path = out_dir / f"{table.name}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(table.header)
-            for row in table.rows:
-                writer.writerow([_fmt_cell(v) for v in row])
-    elif fmt == "gnuplot":
-        path = out_dir / f"{table.name}.dat"
-        with open(path, "w") as fh:
-            fh.write("# " + " ".join(table.header) + "\n")
-            for row in table.rows:
-                fh.write(" ".join(_fmt_cell(v) for v in row) + "\n")
-    elif fmt == "json":
-        path = out_dir / f"{table.name}.json"
-        with open(path, "w") as fh:
-            _write_records(fh, table.header, table.rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    path = out_dir / f"{table.name}{SUFFIXES[fmt]}"
+    write_table(path, table, fmt)
     return path
-
-
-def _write_records(fh, header: Sequence[str], rows: Iterable) -> None:
-    """Write ``[dict(zip(header, row)) for row in rows]`` one record at a
-    time, in the bytes ``json.dump(records, fh, indent=2)`` writes.
-
-    Cells must be JSON scalars (numbers, strings, bools, None) and the header
-    names distinct; each cell goes through the C encoder on its own.
-    """
-    encode = json.JSONEncoder().encode
-    prefixes = [f"\n    {encode(name)}: " for name in header]
-    opening = "[\n  "
-    for row in rows:
-        body = ",".join(prefix + encode(v) for prefix, v in zip(prefixes, row))
-        fh.write(f"{opening}{{{body}\n  }}" if body else f"{opening}{{}}")
-        opening = ",\n  "
-    fh.write("[]" if opening == "[\n  " else "\n]")
 
 
 def _write_json(out_dir: Path, name: str, payload) -> Path:
@@ -213,7 +158,7 @@ def _manifest(out_dir: Path, subcommand: str, args, outputs, started: float) -> 
         "subcommand": subcommand,
         "parameters": params,
         "outputs": [p.name for p in outputs],
-        "duration_seconds": time.time() - started,
+        "duration_seconds": time.perf_counter() - started,
     }
     return _write_json(out_dir, f"{subcommand}_manifest", payload)
 
@@ -228,16 +173,18 @@ def _cmd_dist(args):
     params = WalkParams(alpha=alpha, p=p, t=args.t)
     if args.mode == "exact":
         dist = enumerate_distribution(params)
-        yield Table("dist", DIST_HEADER, dist.rows())
+        yield Table("dist", DIST_HEADER, dist.columns())
         cdf = dist.cdf
     else:
         batch = simulate(params, n_walkers=args.n, seed=args.seed, mode=args.store)
-        yield Table("dist", ["walker_id", "position"], enumerate(batch.finals))
+        yield Table("dist", ["walker_id", "position"], (range(batch.n_walkers), batch.finals))
         cdf = empirical_cdf(batch)
-    yield Table("dist_cdf", ["position", "cdf"], zip(cdf.xs, cdf.cum))
+    yield Table("dist_cdf", ["position", "cdf"], (cdf.xs, cdf.cum))
     if args.mode == "mc" and args.store == "paths":
-        walks = ((w, s, x) for w, path in enumerate(batch.positions) for s, x in enumerate(path))
-        yield Table("trajectories", ["walker_id", "step", "position"], walks)
+        # Each index is below its axis length, so int32 holds it.
+        walker, step = np.indices(batch.positions.shape, dtype=np.int32)
+        columns = (walker.ravel(), step.ravel(), batch.positions.ravel())
+        yield Table("trajectories", ["walker_id", "step", "position"], columns)
 
 
 def _cvm_arw_cdf(alpha: Alpha, t: int, mode: str, n: int, seed: int):
@@ -266,7 +213,7 @@ def _cmd_cvm(args):
         raise ValueError("target 'arw' requires --alpha")
     cases = [(target, a) for target in targets for a in (alphas if target == "arw" else [""])]
     rows = []
-    grid_rows = []
+    grid = [[] for _ in range(7)]  # the cvm_grid columns
     for t in t_values:
         for target, alpha in cases:
             if target == "arw":
@@ -275,19 +222,18 @@ def _cmd_cvm(args):
                 cdf = _cvm_srw_cdf(t, args.mode, args.n, args.seed)
             key = (target, str(alpha), t)
             if args.grid_table:
-                grid = cvm_grid_table(cdf, normal_cdf, m1, m2, grid_n)
-                result = cvm_from_grid(grid, m1, m2, grid_n)
-                grid_rows.extend((*key, *row) for row in grid)
+                law_grid = cvm_grid_table(cdf, normal_cdf, m1, m2, grid_n)
+                result = cvm_from_grid(law_grid, m1, m2, grid_n)
+                for column, values in zip(grid, [*([v] * grid_n for v in key), *law_grid]):
+                    column.extend(values)  # the key repeated, then the law's grid
             else:
                 result = cvm_distance(cdf, normal_cdf, m1, m2, grid_n)
             rows.append((*key, result.distance))
             del cdf  # free this law's arrays before the next one is built
-    yield Table("cvm", ["target", "alpha", "t", "distance"], rows)
+    yield Table("cvm", ["target", "alpha", "t", "distance"], transpose(rows, 4))
     if args.grid_table:
         yield Table(
-            "cvm_grid",
-            ["target", "alpha", "t", "u", "f_target", "f_normal", "sq_diff"],
-            grid_rows,
+            "cvm_grid", ["target", "alpha", "t", "u", "f_target", "f_normal", "sq_diff"], grid
         )
 
 
@@ -304,12 +250,14 @@ def _cmd_residence(args):
         pmf = {j: counts[j] / batch.n_walkers for j in range(t + 1)}
     summary = compare_residence_to_binomial(pmf, t, p, alpha.as_float)
     q, pv = float(1 - float(p)), float(p)
+    steps = range(t + 1)
     yield Table(
         "residence",
         ["t_plus", "probability", "binomial_probability"],
         (
-            (j, float(pmf.get(j, 0)), float(math.comb(t, j)) * q**j * pv ** (t - j))
-            for j in range(t + 1)
+            steps,
+            [float(pmf.get(j, 0)) for j in steps],
+            [float(math.comb(t, j)) * q**j * pv ** (t - j) for j in steps],
         ),
     )
     yield Summary(
@@ -338,11 +286,17 @@ def _cmd_reach(args):
         raise ValueError("reach needs --r or --sweep")
     else:
         targets = [args.r]
-    rows = []
-    for r in targets:
+    n = len(targets)
+    reachable = np.empty(n, dtype=bool)
+    depth = np.empty(n, dtype=np.int64)
+    for i, r in enumerate(targets):
         result = is_eps_reachable(ReachQuery(alpha=alpha, r=float(r), epsilon=args.epsilon))
-        rows.append((alpha, float(r), args.epsilon, result.reachable, result.witness_depth))
-    yield Table("reach", ["alpha", "r", "epsilon", "reachable", "witness_depth"], rows)
+        reachable[i], depth[i] = result.reachable, result.witness_depth
+    yield Table(
+        "reach",
+        ["alpha", "r", "epsilon", "reachable", "witness_depth"],
+        ([alpha] * n, np.asarray(targets, dtype=float), [args.epsilon] * n, reachable, depth),
+    )
 
 
 def _cmd_bandit(args):
@@ -364,7 +318,7 @@ def _cmd_bandit(args):
         yield Table(
             "bandit_sweep",
             ["alpha", "final_correct_rate", "last_window_correct_rate"],
-            [(row.alpha, row.final_rate, row.last_window_rate) for row in rows],
+            transpose([(row.alpha, row.final_rate, row.last_window_rate) for row in rows], 3),
         )
         stride = max(1, config.horizon // 200)
         yield Summary(
@@ -381,10 +335,10 @@ def _cmd_bandit(args):
         )
     else:
         trace = run_bandit(config, args.seed)
-        arms = ("A" if a else "B" for a in trace.arm_a)
-        columns = (trace.signal, trace.theta, arms, map(int, trace.reward), trace.xi, trace.x)
+        arms, rewards = np.where(trace.arm_a, "A", "B"), trace.reward.view(np.uint8)
+        columns = (range(config.horizon), trace.signal, trace.theta, arms, rewards, trace.xi, trace.x)
         header = ["step", "s", "theta", "arm", "reward", "xi", "x"]
-        yield Table("bandit_trace", header, zip(count(), *columns))
+        yield Table("bandit_trace", header, columns)
         yield Summary(
             "bandit_summary",
             {
@@ -413,9 +367,8 @@ def _cmd_moments(args):
     header = ["t", "mean", "variance"]
     if alpha.exact:
         header += ["exact_mean", "exact_variance"]
-    yield Table(
-        "moments", header, (_moment_row(alpha, p, t) for t in range(1, args.t_max + 1))
-    )
+    rows = [_moment_row(alpha, p, t) for t in range(1, args.t_max + 1)]
+    yield Table("moments", header, transpose(rows, len(header)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

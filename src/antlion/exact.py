@@ -20,7 +20,6 @@ including irrational ``p``.
 
 from __future__ import annotations
 
-import csv
 import json
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -32,6 +31,7 @@ from typing import Union
 import numpy as np
 
 from .core import Alpha, DiscreteCdf, ResourceLimitError, WalkParams
+from .tables import Table, write_table
 
 __all__ = [
     "DEFAULT_HORIZON_CAP",
@@ -50,7 +50,7 @@ __all__ = [
     "path_weights",
 ]
 
-# Columns of the exact law's table, as ``ExactDistribution.rows`` yields them.
+# Columns of the exact law's table, as ``ExactDistribution.columns`` returns them.
 DIST_HEADER = ("position_real", "scaled_value", "k_minus_steps", "probability")
 
 # 2^24 paths is the desk-scale ceiling; larger horizons exhaust memory long
@@ -222,14 +222,13 @@ class ExactDistribution:
         """Probability of one support point, in the arithmetic of ``p``."""
         return self.weights[self.entries[scaled]]
 
-    def rows(self):
-        """Yield ``(position, scaled, k, probability)`` per support point, the
-        columns of ``DIST_HEADER``, in increasing position order."""
-        lattice = self.entries
-        weights = [float(w) for w in self.weights]
-        order, xs = lattice.ordered
-        for x, s, k in zip(xs, lattice.scaled[order], lattice.k[order]):
-            yield float(x), s, int(k), weights[k]
+    def columns(self) -> tuple:
+        """``(positions, scaled, k, probabilities)``, the columns of
+        ``DIST_HEADER``, as arrays in increasing position order; ``scaled``
+        holds the exact ints."""
+        order = self.entries.ordered[0]
+        xs, probs = self.float_law()
+        return xs, self.entries.scaled[order], self.entries.k[order], probs
 
     def support_fractions(self) -> list:
         den = self.scale_denominator
@@ -252,12 +251,11 @@ class ExactDistribution:
         return DiscreteCdf(*self.float_law())
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(DIST_HEADER)
-            writer.writerows((repr(x), s, k, repr(prob)) for x, s, k, prob in self.rows())
+        """Write the law as the csv table of ``antlion dist --mode exact``."""
+        write_table(path, Table("dist", DIST_HEADER, self.columns()), "csv")
 
     def to_json_dict(self) -> dict:
+        xs, scaled, ks, probs = (column.tolist() for column in self.columns())
         return {
             "t": self.t,
             "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
@@ -271,7 +269,7 @@ class ExactDistribution:
                     "multiplicity": 1,
                     "probability": prob,
                 }
-                for x, s, k, prob in self.rows()
+                for x, s, k, prob in zip(xs, scaled, ks, probs)
             ],
         }
 

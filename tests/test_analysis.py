@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from antlion import (
@@ -24,6 +25,7 @@ from antlion import (
     uniform_cdf,
 )
 from antlion.analysis import DiscreteCdf, _trapezoid
+from antlion.montecarlo import Ecdf
 
 # Frozen from a 30-digit quadrature oracle.
 PHI_196 = 0.9750021048517796
@@ -126,14 +128,39 @@ class TestCvmDistance:
 
     def test_grid_table_matches_distance(self):
         u = uniform_cdf(-1.0, 1.0)
-        rows = cvm_grid_table(u, normal_cdf, -3.0, 3.0, 600)
-        total = sum(r[3] for r in rows) * (6.0 / 600)
+        grid = cvm_grid_table(u, normal_cdf, -3.0, 3.0, 600)
+        total = sum(grid.sq_diff) * (6.0 / 600)
         res = cvm_distance(u, normal_cdf)
         assert total == pytest.approx(res.distance, rel=1e-12)
-        assert res.distance == 6.0 / 600 * math.fsum(r[3] for r in rows)
-        assert len(rows) == 600
-        assert rows[0][0] == pytest.approx(-3.0 + 6.0 / 600)
-        assert rows[-1][0] == pytest.approx(3.0)
+        assert res.distance == 6.0 / 600 * math.fsum(grid.sq_diff)
+        assert all(len(column) == 600 for column in grid)
+        assert grid.u[0] == pytest.approx(-3.0 + 6.0 / 600)
+        assert grid.u[-1] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize(
+        "m1, m2, n", [(-3.0, 3.0, 600), (-2.5, 4.0, 777), (0, 1, 4), (-1e-3, 2e5, 1000)]
+    )
+    def test_grid_table_matches_point_loop(self, m1, m2, n):
+        prm = WalkParams(alpha=Alpha.from_rational(9, 10), p=Fraction(1, 2), t=15)
+        laws = [
+            exact_standardized_cdf(enumerate_distribution(prm)),
+            simple_rw_exact_cdf(15),
+            Ecdf(np.random.default_rng(2).standard_normal(999)),
+            uniform_cdf(-1.0, 2.0),
+            normal_cdf,
+        ]
+        for cdf_u in laws:
+            for cdf_v in (normal_cdf, laws[0]):
+                rows = []
+                for k in range(1, n + 1):  # the grid point by point
+                    u = m1 + (m2 - m1) * k / n
+                    fu, fv = float(cdf_u(u)), float(cdf_v(u))
+                    rows.append((u, fu, fv, (fu - fv) ** 2))
+                grid = cvm_grid_table(cdf_u, cdf_v, m1, m2, n)
+                assert list(zip(*grid)) == rows
+                assert [math.copysign(1.0, u) for u in grid.u] == [
+                    math.copysign(1.0, r[0]) for r in rows
+                ]
 
     def test_early_time_ordering(self):
         # At t=15 the walk with strong memory is already closer to normal

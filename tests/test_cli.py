@@ -1,16 +1,28 @@
 """CLI surface: outputs, schemas, determinism, exit codes."""
 
 import csv
-import io
+import functools
+import itertools
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from antlion import analysis, cli
+from antlion.analysis import exact_standardized_cdf, normal_cdf, simple_rw_exact_cdf
+from antlion.bandit import BanditConfig, UniformSignal, run_bandit, sweep_alpha
 from antlion.cli import EXIT_HORIZON, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from antlion.core import Alpha, WalkParams
+from antlion.exact import DIST_HEADER, enumerate_distribution, exact_residence_distribution
+from antlion.montecarlo import empirical_cdf, simulate
+from antlion.reachability import ReachQuery, is_eps_reachable
+from antlion.tables import BLOCK_ROWS, SUFFIXES, Table, transpose, write_table
 
 
 def read_csv(path: Path):
@@ -105,8 +117,47 @@ class TestDist:
         assert rows[1][:2] == ["0", "0"] and float(rows[1][2]) == 0.0
 
 
+def old_cell(value) -> str:
+    """The former per-cell rule of the csv and gnuplot writers."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def write_rows(path, header, rows, fmt) -> None:
+    """Row-at-a-time oracle of the table writer."""
+    if fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([old_cell(v) for v in row])
+    elif fmt == "gnuplot":
+        with open(path, "w") as fh:
+            fh.write("# " + " ".join(header) + "\n")
+            for row in rows:
+                fh.write(" ".join(old_cell(v) for v in row) + "\n")
+    else:
+        with open(path, "w") as fh:
+            fh.write(json.dumps([dict(zip(header, row)) for row in rows], indent=2))
+
+
+def assert_same_table(tmp_path, header, columns, fmt):
+    """The columnar writer writes the bytes of the row oracle, which reads a
+    numpy column as its Python scalars."""
+    write_table(tmp_path / "columns", Table("t", header, columns), fmt)
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    write_rows(tmp_path / "rows", header, list(zip(*cells)), fmt)
+    assert (tmp_path / "columns").read_bytes() == (tmp_path / "rows").read_bytes()
+
+
+FORMATS = ("csv", "gnuplot", "json")
+
+
 class TestJsonRecords:
-    """The streaming JSON table writer writes ``json.dump(records, indent=2)``."""
+    """The json table writer writes ``json.dump(records, indent=2)``."""
 
     @pytest.mark.parametrize(
         "header, rows",
@@ -123,21 +174,116 @@ class TestJsonRecords:
                 ],
             ),
             (["s", "quote\"d"], [('tab\t "q" back\\ nl\n', "\u00e9\u2603\U0001f600"), ("", "\x00")]),
-            ([], [(), ()]),
-            (["short", "row"], [(1.5,), (2.5, 3.5, "extra")]),
         ],
     )
-    def test_matches_json_dump(self, header, rows):
-        fh = io.StringIO()
-        cli._write_records(fh, header, iter(rows))
-        assert fh.getvalue() == json.dumps([dict(zip(header, r)) for r in rows], indent=2)
+    def test_matches_json_dump(self, tmp_path, header, rows):
+        columns = transpose(rows, len(header))
+        write_table(tmp_path / "t.json", Table("t", header, columns), "json")
+        expected = json.dumps([dict(zip(header, r)) for r in rows], indent=2)
+        assert (tmp_path / "t.json").read_text() == expected
 
-    def test_numpy_floats(self):
-        rows = list(zip(range(3), np.array([0.1, -0.0, np.nan])))
-        fh = io.StringIO()
-        cli._write_records(fh, ["i", "v"], rows)
-        expected = json.dumps([{"i": i, "v": v} for i, v in rows], indent=2)
-        assert fh.getvalue() == expected
+    def test_numpy_floats(self, tmp_path):
+        columns = (range(3), np.array([0.1, -0.0, np.nan]))
+        write_table(tmp_path / "t.json", Table("t", ["i", "v"], columns), "json")
+        expected = json.dumps([{"i": i, "v": v} for i, v in zip(*columns)], indent=2)
+        assert (tmp_path / "t.json").read_text() == expected
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_no_columns(self, tmp_path, fmt):
+        # A table without columns has no rows, whatever its format.
+        assert_same_table(tmp_path, [], [], fmt)
+        if fmt == "json":
+            assert (tmp_path / "columns").read_text() == "[]"
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5, 0.1]
+)
+_ints = st.integers() | st.sampled_from([2**63, -(2**63) - 1, 10**30])
+_text = st.text() | st.sampled_from(["", ",", '"', 'a "b", c', "line\nbreak", "cr\r", " x ", "%s"])
+_scalars = _floats | _ints | st.booleans() | _text | st.none()
+# One column: its values, the cell strategy they came from, and whether it is a
+# numpy array; a column cycles through its values up to the row count.
+_column_values = st.one_of(
+    st.tuples(st.lists(_floats, min_size=1, max_size=6), st.just("float")),
+    st.tuples(st.lists(_ints, min_size=1, max_size=6), st.just("int")),
+    st.tuples(st.lists(st.booleans(), min_size=1, max_size=6), st.just("bool")),
+    st.tuples(st.lists(_text, min_size=1, max_size=6), st.just("str")),
+    st.tuples(st.lists(_scalars, min_size=1, max_size=6), st.just("mixed")),
+)
+_NUMPY = {"float": np.float64, "int": np.int64, "bool": bool, "str": str}
+
+
+@st.composite
+def column_tables(draw):
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(st.text(), min_size=width, max_size=width, unique=True))
+    n_rows = draw(st.sampled_from([0, 1, 2, 7, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]))
+    columns = []
+    for _ in range(width):
+        values, kind = draw(_column_values)
+        column = [values[i % len(values)] for i in range(n_rows)]
+        fits = kind in _NUMPY and (kind != "int" or all(-(2**63) <= v < 2**63 for v in values))
+        if fits and draw(st.booleans()):
+            column = np.array(column, dtype=_NUMPY[kind])
+        columns.append(column)
+    return header, columns
+
+
+class TestColumnWriter:
+    """Each format's columnar writer against a row-at-a-time oracle."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=column_tables())
+    def test_matches_row_oracle(self, tmp_path, fmt, table):
+        header, columns = table
+        assert_same_table(tmp_path, header, columns, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_block_edges(self, tmp_path, fmt, n_rows):
+        values = np.arange(n_rows) / 7.0
+        values[::5] = -values[::5]
+        assert_same_table(tmp_path, ["i", "x"], (range(n_rows), values), fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_lone_empty_string(self, tmp_path, fmt):
+        assert_same_table(tmp_path, ["s"], (["", "a", "", ","],), fmt)
+        if fmt == "csv":
+            assert (tmp_path / "columns").read_bytes() == b's\r\n""\r\na\r\n""\r\n","\r\n'
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_quoted_strings(self, tmp_path, fmt):
+        cells = ["a,b", 'say "hi"', "cr\rhere", "nl\nhere", "tab\there", " pad ", "%s", ""]
+        assert_same_table(tmp_path, ["s", "i"], (cells, range(len(cells))), fmt)
+        assert_same_table(tmp_path, ["mixed"], ([*cells, 1.5, None, True],), fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_unequal_columns_raise(self, tmp_path, fmt):
+        with pytest.raises(ValueError, match="unequal|lengths"):
+            write_table(tmp_path / "t", Table("t", ["a", "b"], ([1.5], [2.5, 3.5])), fmt)
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t", Table("t", ["a", "b"], ([1.5],)), fmt)
+
+    def test_unknown_format(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown format"):
+            write_table(tmp_path / "t", Table("t", ["a"], ([1],)), "xml")
+
+    def test_peak_memory_is_one_block(self, tmp_path):
+        # 2^18 records of about 39 bytes: the traced peak is a block's text and
+        # cells, not the table's. (Tracing every allocation makes this slow.)
+        column = np.random.default_rng(5).standard_normal(1 << 18)
+        path = tmp_path / "big.json"
+        tracemalloc.start()
+        try:
+            write_table(path, Table("big", ["x"], [column]), "json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 9_000_000
+        assert peak < size / 20
 
 
 class TestErrors:
@@ -442,3 +588,153 @@ class TestMoments:
         for r in rows[1:]:
             t, var = int(r[0]), float(r[2])
             assert var <= 4 * 0.3 * 0.7 * t + 1e-12
+
+
+# Row oracles of the table-writing commands: the rows each command wrote one
+# at a time before tables became columns, built from the library directly.
+
+
+def _dist_exact_rows():
+    dist = enumerate_distribution(WalkParams(alpha=Alpha.parse("9/10"), p=Fraction(1, 3), t=6))
+    den = dist.scale_denominator
+    rows = [(s / den, s, dist.entries[s], float(dist.point_probability(s))) for s in dist.entries]
+    cdf = dist.cdf
+    return {
+        "dist": (DIST_HEADER, rows),
+        "dist_cdf": (["position", "cdf"], list(zip(cdf.xs, cdf.cum))),
+    }
+
+
+def _dist_mc_rows():
+    params = WalkParams(alpha=Alpha.parse("0.7"), p=0.5, t=5)
+    batch = simulate(params, n_walkers=7, seed=3, mode="paths")
+    cdf = empirical_cdf(batch)
+    walks = [(w, s, x) for w, path in enumerate(batch.positions) for s, x in enumerate(path)]
+    return {
+        "dist": (["walker_id", "position"], list(enumerate(batch.finals))),
+        "dist_cdf": (["position", "cdf"], list(zip(cdf.xs, cdf.cum))),
+        "trajectories": (["walker_id", "step", "position"], walks),
+    }
+
+
+def _bandit_config(**kwargs):
+    return BanditConfig(p_a=0.7, p_b=0.4, horizon=50, **kwargs)
+
+
+def _bandit_trace_rows():
+    trace = run_bandit(_bandit_config(alpha=0.9, signal=UniformSignal(-3, 3)), 2)
+    arms = ("A" if a else "B" for a in trace.arm_a)
+    columns = (trace.signal, trace.theta, arms, map(int, trace.reward), trace.xi, trace.x)
+    header = ["step", "s", "theta", "arm", "reward", "xi", "x"]
+    return {"bandit_trace": (header, list(zip(itertools.count(), *columns)))}
+
+
+def _bandit_sweep_rows():
+    sweep = sweep_alpha(_bandit_config(), [0.5, 1.0], 2, seed_base=4)
+    rows = [(row.alpha, row.final_rate, row.last_window_rate) for row in sweep]
+    return {"bandit_sweep": (["alpha", "final_correct_rate", "last_window_correct_rate"], rows)}
+
+
+def _reach_rows():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=1)))
+    rows = []
+    for r in rng.uniform(-2.0, 2.0, size=40):
+        result = is_eps_reachable(ReachQuery(alpha=0.5, r=float(r), epsilon=0.01))
+        rows.append((0.5, float(r), 0.01, result.reachable, result.witness_depth))
+    return {"reach": (["alpha", "r", "epsilon", "reachable", "witness_depth"], rows)}
+
+
+def _moments_rows():
+    alpha = Alpha.parse("1/2")
+    rows = [cli._moment_row(alpha, Fraction(1, 2), t) for t in range(1, 22)]
+    assert rows[-1][3:] == ("", "")  # past the exact columns' horizon
+    return {"moments": (["t", "mean", "variance", "exact_mean", "exact_variance"], rows)}
+
+
+def _residence_rows():
+    t, p = 6, Fraction(1, 3)
+    pmf = exact_residence_distribution(WalkParams(alpha=Alpha.parse("1/2"), p=p, t=t))
+    q, pv = 1 - float(p), float(p)
+    rows = [
+        (j, float(pmf.get(j, 0)), float(math.comb(t, j)) * q**j * pv ** (t - j))
+        for j in range(t + 1)
+    ]
+    return {"residence": (["t_plus", "probability", "binomial_probability"], rows)}
+
+
+def _cvm_grid_rows():
+    m1, m2, n = -3.0, 3.0, 50
+    rows, grid_rows = [], []
+    for t in (4, 5):
+        for target in ("arw", "srw"):
+            if target == "arw":
+                alpha = Alpha.parse("9/10")
+                params = WalkParams(alpha=alpha, p=0.5, t=t)
+                cdf = exact_standardized_cdf(enumerate_distribution(params))
+            else:
+                alpha, cdf = "", simple_rw_exact_cdf(t)
+            key = (target, str(alpha), t)
+            sq_diffs = []
+            for k in range(1, n + 1):  # the grid point by point
+                u = m1 + (m2 - m1) * k / n
+                fu, fv = float(cdf(u)), normal_cdf(u)
+                sq_diffs.append((fu - fv) ** 2)
+                grid_rows.append((*key, u, fu, fv, sq_diffs[-1]))
+            rows.append((*key, (m2 - m1) / n * math.fsum(sq_diffs)))
+    grid_header = ["target", "alpha", "t", "u", "f_target", "f_normal", "sq_diff"]
+    return {
+        "cvm": (["target", "alpha", "t", "distance"], rows),
+        "cvm_grid": (grid_header, grid_rows),
+    }
+
+
+GOLDEN = {
+    "dist exact": (
+        "dist --alpha 9/10 --p 1/3 --t 6 --mode exact",
+        _dist_exact_rows,
+    ),
+    "dist mc paths": (
+        "dist --alpha 0.7 --t 5 --mode mc --n 7 --seed 3 --store paths",
+        _dist_mc_rows,
+    ),
+    "bandit trace": (
+        "bandit --alpha 0.9 --pa 0.7 --pb 0.4 --horizon 50 --signal uniform:-3,3 --seed 2",
+        _bandit_trace_rows,
+    ),
+    "bandit sweep": (
+        "bandit --pa 0.7 --pb 0.4 --horizon 50 --sweep-alphas 0.5,1.0 --seeds 2 --seed 4",
+        _bandit_sweep_rows,
+    ),
+    "reach sweep": ("reach --alpha 0.5 --sweep 40 --epsilon 0.01 --seed 1", _reach_rows),
+    "moments": ("moments --alpha 1/2 --p 1/2 --t-max 21", _moments_rows),
+    "residence": ("residence --alpha 1/2 --p 1/3 --t 6 --mode exact", _residence_rows),
+    "cvm grid": (
+        "cvm --targets arw,srw --alpha 9/10 --t 4,5 --mode exact --grid=-3,3,50 --grid-table",
+        _cvm_grid_rows,
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def golden_rows(case: str) -> dict:
+    return GOLDEN[case][1]()
+
+
+class TestGolden:
+    """Every table a command writes equals its row oracle, in every format."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("case", GOLDEN)
+    def test_tables_match_row_oracle(self, tmp_path, case, fmt):
+        out = tmp_path / "out"
+        assert main([*GOLDEN[case][0].split(), "--format", fmt, "--out", str(out)]) == EXIT_OK
+        for name, (header, rows) in golden_rows(case).items():
+            write_rows(tmp_path / name, header, rows, fmt)
+            written = out / f"{name}{SUFFIXES[fmt]}"
+            assert written.read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_manifest_duration_is_monotonic(tmp_path):
+    assert main(["dist", "--alpha", "1/2", "--t", "3", "--out", str(tmp_path)]) == EXIT_OK
+    duration = json.loads((tmp_path / "dist_manifest.json").read_text())["duration_seconds"]
+    assert math.isfinite(duration) and duration >= 0.0
