@@ -39,6 +39,7 @@ from .bandit import (
 )
 from .core import (
     Alpha,
+    ResourceLimitError,
     WalkParams,
     closed_form_mean,
     closed_form_variance,
@@ -54,7 +55,6 @@ from .exact import (
     check_path_uniqueness_exact,
     check_path_uniqueness_real,
     enumerate_distribution,
-    exact_cdf,
     exact_moments,
     exact_residence_distribution,
     path_weights,
@@ -62,7 +62,6 @@ from .exact import (
 )
 from .montecarlo import (
     Ecdf,
-    ResourceLimitError,
     TrajectoryBatch,
     empirical_cdf,
     residence_times,
@@ -94,7 +93,6 @@ __all__ = [
     "support_size",
     "check_path_uniqueness_exact",
     "check_path_uniqueness_real",
-    "exact_cdf",
     "exact_moments",
     "exact_residence_distribution",
     "path_weights",

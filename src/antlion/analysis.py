@@ -22,7 +22,7 @@ from typing import Callable, Mapping, NamedTuple, Union
 
 import numpy as np
 
-from .core import DiscreteCdf
+from .core import DiscreteCdf, check_elements
 from .exact import ExactDistribution
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "cvm_from_grid",
     "cvm_grid_table",
     "binomial_pmf",
+    "residence_binomial",
     "compare_residence_to_binomial",
     "cvm_lower_bound",
 ]
@@ -137,12 +138,14 @@ def cvm_from_grid(grid: "CvmGrid", m1: float, m2: float, n: int) -> CvmResult:
 
 
 def check_cvm_grid(m1: float, m2: float, n: int) -> None:
-    """Raise ``ValueError`` unless ``m1 < m2`` with a finite width and ``n >= 1``."""
+    """Raise ``ValueError`` unless ``m1 < m2`` with a finite width and ``n >= 1``,
+    and ``ResourceLimitError`` when the grid table's columns would not fit."""
     # A finite m2 - m1 also rules out an infinite or NaN bound.
     if not (m1 < m2 and math.isfinite(m2 - m1)):
         raise ValueError(f"the CvM grid requires finite m1 < m2, got {m1}, {m2}")
     if n < 1:
         raise ValueError("the CvM grid requires n >= 1")
+    check_elements(4 * n, f"a CvM grid table of {n} points")
 
 
 class CvmGrid(NamedTuple):
@@ -191,6 +194,14 @@ def binomial_pmf(t: int, q: Union[float, Fraction], k: int):
     return comb(t, k) * q**k * (1 - q) ** (t - k)
 
 
+def residence_binomial(t: int, p: Union[float, Fraction], num=float) -> list:
+    """``[C(t, j) q^j p^(t-j) for j in 0..t]``, ``q = 1 - p``: the pmf of
+    ``B(t, 1-p)`` in the arithmetic of ``num`` (``float`` or ``Fraction``)."""
+    p = num(p)
+    q = 1 - p
+    return [comb(t, j) * q**j * p ** (t - j) for j in range(t + 1)]
+
+
 @dataclass(frozen=True)
 class ResidenceSummary:
     """Residence-time law versus its binomial reference.
@@ -220,21 +231,22 @@ def compare_residence_to_binomial(
     pmf is compared in float arithmetic.
     """
     num = Fraction if all(isinstance(v, Fraction) for v in pmf.values()) else float
-    pv = num(p)
-    q = 1 - pv
-    tv = sum(
-        abs(num(pmf.get(j, 0)) - comb(t, j) * q**j * pv ** (t - j)) for j in range(t + 1)
-    ) / 2
+    binomial = residence_binomial(t, p, num)
+    tv = sum(abs(num(pmf.get(j, 0)) - b) for j, b in enumerate(binomial)) / 2
     condition = alpha <= 0.5 or alpha**t - 2.0 * alpha + 1.0 > 0.0
-    return ResidenceSummary(t, dict(pmf), q, tv, condition)
+    return ResidenceSummary(t, dict(pmf), 1 - num(p), tv, condition)
 
 
-def cvm_lower_bound(alpha: float, *, tol: float = 1e-10) -> float:
+_LOWER_BOUND_TOL = 1e-10
+
+
+def cvm_lower_bound(alpha: float) -> float:
     """Tail lower bound ``2 * integral_{-inf}^{-1/sqrt(1-alpha)} Phi(u)^2 du``.
 
     Adaptive trapezoid with interval doubling and Richardson extrapolation,
-    refined until successive extrapolants agree within ``tol``; the lower
-    limit is cut at -40 where the integrand is far below double precision.
+    refined until successive extrapolants agree within ``_LOWER_BOUND_TOL``;
+    the lower limit is cut at -40 where the integrand is far below double
+    precision.
     """
     if not (0 < alpha < 1):
         raise ValueError(f"cvm_lower_bound requires 0 < alpha < 1, got {alpha}")
@@ -254,7 +266,7 @@ def cvm_lower_bound(alpha: float, *, tol: float = 1e-10) -> float:
         n *= 2
         trap_cur = _trapezoid(integrand, lower, upper, n)
         extrap_cur = (4.0 * trap_cur - trap_prev) / 3.0
-        if extrap_prev is not None and abs(extrap_cur - extrap_prev) <= tol:
+        if extrap_prev is not None and abs(extrap_cur - extrap_prev) <= _LOWER_BOUND_TOL:
             return 2.0 * extrap_cur
         trap_prev, extrap_prev = trap_cur, extrap_cur
     return 2.0 * extrap_prev

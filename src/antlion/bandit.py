@@ -25,6 +25,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .core import check_elements, philox_stream
+
 __all__ = [
     "UniformSignal",
     "NormalSignal",
@@ -180,14 +182,10 @@ def run_bandit(
     Signal values and reward uniforms are drawn up front (one of each per
     step) so runs with matched seeds stay draw-aligned across alphas.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-        seed_label = -1
-    else:
-        ss = np.random.SeedSequence(entropy=seed)
-        seed_label = int(seed)
-    rng = np.random.Generator(np.random.Philox(ss))
     h = config.horizon
+    check_elements(8 * h, f"a bandit run of {h} steps")  # the 8 per-step arrays below
+    seed_label = -1 if isinstance(seed, np.random.SeedSequence) else int(seed)
+    rng = philox_stream(seed)
     sig = config.signal.generate(rng, h)
     reward_u = rng.random(h)
 
@@ -248,9 +246,7 @@ def _lockstep_correct(
     signal = np.empty((h, n_seeds))
     reward_u = np.empty((h, n_seeds))
     for j in range(n_seeds):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed_base, spawn_key=(j,)))
-        )
+        rng = philox_stream(seed_base, j)
         signal[:, j] = config.signal.generate(rng, h)
         reward_u[:, j] = rng.random(h)
     swapped = np.zeros(h, dtype=bool)
@@ -303,11 +299,15 @@ def sweep_alpha(
         raise ValueError("last_window must be at least 1")
     for a in alphas:
         replace(config, alpha=a)  # validates each alpha with the step sizes
+    h = config.horizon
+    # Four (h, n_seeds) float arrays and two (h, alphas, n_seeds) bool arrays.
+    size = h * n_seeds * (4 + 2 * len(alphas))
+    check_elements(size, f"a sweep of {len(alphas)} alphas * {n_seeds} seeds * {h} steps")
     correct = _lockstep_correct(config, alphas, n_seeds, seed_base)
-    window = min(last_window, config.horizon)
-    steps = np.arange(1, config.horizon + 1, dtype=np.float64)
+    window = min(last_window, h)
+    steps = np.arange(1, h + 1, dtype=np.float64)
     # Per seed in order, as a loop over run_bandit traces would add them up.
-    acc = np.zeros((config.horizon, len(alphas)))
+    acc = np.zeros((h, len(alphas)))
     last_acc = np.zeros(len(alphas))
     for j in range(n_seeds):
         acc += np.cumsum(correct[:, :, j], axis=0) / steps[:, None]

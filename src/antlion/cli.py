@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -31,6 +30,7 @@ from .analysis import (
     cvm_grid_table,
     exact_standardized_cdf,
     normal_cdf,
+    residence_binomial,
     simple_rw_exact_cdf,
     standardize_arw,
     standardize_srw,
@@ -43,7 +43,16 @@ from .bandit import (
     run_bandit,
     sweep_alpha,
 )
-from .core import Alpha, WalkParams, closed_form_mean, closed_form_variance, parse_number
+from .core import (
+    Alpha,
+    ResourceLimitError,
+    WalkParams,
+    check_elements,
+    closed_form_mean,
+    closed_form_variance,
+    parse_number,
+    philox_stream,
+)
 from .exact import (
     DIST_HEADER,
     HorizonTooLargeError,
@@ -54,7 +63,6 @@ from .exact import (
 from .montecarlo import (
     DEFAULT_WALKERS,
     Ecdf,
-    ResourceLimitError,
     empirical_cdf,
     residence_times,
     simulate,
@@ -249,16 +257,11 @@ def _cmd_residence(args):
         counts = np.bincount(residence_times(batch), minlength=t + 1)
         pmf = {j: counts[j] / batch.n_walkers for j in range(t + 1)}
     summary = compare_residence_to_binomial(pmf, t, p, alpha.as_float)
-    q, pv = float(1 - float(p)), float(p)
     steps = range(t + 1)
     yield Table(
         "residence",
         ["t_plus", "probability", "binomial_probability"],
-        (
-            steps,
-            [float(pmf.get(j, 0)) for j in steps],
-            [float(math.comb(t, j)) * q**j * pv ** (t - j) for j in steps],
-        ),
+        (steps, [float(pmf.get(j, 0)) for j in steps], residence_binomial(t, p)),
     )
     yield Summary(
         "residence_summary",
@@ -277,11 +280,9 @@ def _cmd_residence(args):
 def _cmd_reach(args):
     alpha = Alpha.parse(args.alpha).as_float
     if args.sweep is not None:
+        check_elements(5 * args.sweep, f"a reach table of {args.sweep} targets")
         bound = 1.0 / (1.0 - alpha)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=args.seed))
-        )
-        targets = rng.uniform(-bound, bound, size=args.sweep)
+        targets = philox_stream(args.seed).uniform(-bound, bound, size=args.sweep)
     elif args.r is None:
         raise ValueError("reach needs --r or --sweep")
     else:
@@ -313,7 +314,7 @@ def _cmd_bandit(args):
         swap_at=args.swap_at,
     )
     if args.sweep_alphas:
-        alphas = [float(a) for a in args.sweep_alphas.split(",")]
+        alphas = [Alpha.parse(a).as_float for a in args.sweep_alphas.split(",")]
         rows = sweep_alpha(config, alphas, args.seeds, seed_base=args.seed)
         yield Table(
             "bandit_sweep",
@@ -364,6 +365,8 @@ def _moment_row(alpha: Alpha, p, t: int) -> tuple:
 def _cmd_moments(args):
     alpha = Alpha.parse(args.alpha)
     p = _parse_prob(args.p)
+    if args.t_max < 1:
+        raise ValueError(f"--t-max must be at least 1, got {args.t_max}")
     header = ["t", "mean", "variance"]
     if alpha.exact:
         header += ["exact_mean", "exact_variance"]

@@ -27,6 +27,9 @@ __all__ = [
     "WalkParams",
     "DiscreteCdf",
     "ResourceLimitError",
+    "DEFAULT_ELEMENT_LIMIT",
+    "check_elements",
+    "philox_stream",
     "parse_number",
     "sample_step",
     "evolve",
@@ -40,6 +43,29 @@ Probability = Union[float, Fraction]
 
 class ResourceLimitError(RuntimeError):
     """Raised when a computation would exceed a fixed size budget."""
+
+
+# The one size budget: most values one computation may hold; 2e8 float64
+# values is ~1.6 GB.
+DEFAULT_ELEMENT_LIMIT = 200_000_000
+
+
+def check_elements(count: int, what: str) -> None:
+    """Raise :class:`ResourceLimitError` when ``count`` values exceed
+    ``DEFAULT_ELEMENT_LIMIT`` (read at call time); call it before allocating."""
+    if count > DEFAULT_ELEMENT_LIMIT:
+        raise ResourceLimitError(
+            f"{what} would hold {count} values, over the limit of {DEFAULT_ELEMENT_LIMIT}"
+        )
+
+
+def philox_stream(seed, *spawn_key: int) -> np.random.Generator:
+    """The one stream convention of the package, part of its determinism
+    contract: Philox on ``SeedSequence(entropy=seed, spawn_key=spawn_key)``.
+    A ``SeedSequence`` seed is used as it is."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def parse_number(text: str) -> Union[Fraction, float]:

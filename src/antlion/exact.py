@@ -20,7 +20,6 @@ including irrational ``p``.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -31,7 +30,6 @@ from typing import Union
 import numpy as np
 
 from .core import Alpha, DiscreteCdf, ResourceLimitError, WalkParams
-from .tables import Table, write_table
 
 __all__ = [
     "DEFAULT_HORIZON_CAP",
@@ -44,7 +42,6 @@ __all__ = [
     "support_size",
     "check_path_uniqueness_exact",
     "check_path_uniqueness_real",
-    "exact_cdf",
     "exact_moments",
     "exact_residence_distribution",
     "path_weights",
@@ -54,7 +51,7 @@ __all__ = [
 DIST_HEADER = ("position_real", "scaled_value", "k_minus_steps", "probability")
 
 # 2^24 paths is the desk-scale ceiling; larger horizons exhaust memory long
-# before they exhaust patience.
+# before they exhaust patience. Read at call time.
 DEFAULT_HORIZON_CAP = 24
 
 # Most pairs `check_path_uniqueness_real` reports; each costs a few hundred
@@ -63,7 +60,7 @@ MAX_COLLISION_PAIRS = 1 << 17
 
 
 class HorizonTooLargeError(ValueError):
-    """Raised when an enumeration would walk more than 2^cap paths."""
+    """Raised when an enumeration would walk more than 2^DEFAULT_HORIZON_CAP paths."""
 
 
 def _require_exact_alpha(alpha: Alpha) -> Fraction:
@@ -78,11 +75,10 @@ def path_weights(p, t: int) -> list:
     return [p**k * (1 - p) ** (t - k) for k in range(t + 1)]
 
 
-def _check_cap(t: int, cap: int) -> None:
-    if t > cap:
+def _check_cap(t: int) -> None:
+    if t > DEFAULT_HORIZON_CAP:
         raise HorizonTooLargeError(
-            f"horizon t={t} exceeds the enumeration cap {cap} (2^{t} paths); "
-            f"raise the cap explicitly if you really want this"
+            f"horizon t={t} exceeds the enumeration cap {DEFAULT_HORIZON_CAP} (2^{t} paths)"
         )
 
 
@@ -250,37 +246,8 @@ class ExactDistribution:
         """``x -> P(X_t <= x)``, evaluated against the float image of the support."""
         return DiscreteCdf(*self.float_law())
 
-    def to_csv(self, path) -> None:
-        """Write the law as the csv table of ``antlion dist --mode exact``."""
-        write_table(path, Table("dist", DIST_HEADER, self.columns()), "csv")
 
-    def to_json_dict(self) -> dict:
-        xs, scaled, ks, probs = (column.tolist() for column in self.columns())
-        return {
-            "t": self.t,
-            "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
-            "p": float(self.p),
-            "scale_denominator": str(self.scale_denominator),
-            "points": [
-                {
-                    "position": x,
-                    "scaled_value": str(s),
-                    "k_minus_steps": k,
-                    "multiplicity": 1,
-                    "probability": prob,
-                }
-                for x, s, k, prob in zip(xs, scaled, ks, probs)
-            ],
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-
-
-def enumerate_distribution(
-    params: WalkParams, *, cap: int = DEFAULT_HORIZON_CAP
-) -> ExactDistribution:
+def enumerate_distribution(params: WalkParams) -> ExactDistribution:
     """Enumerate the exact law of ``X_t`` for rational alpha.
 
     Builds the scaled numerators of all ``2^t`` paths as one outer sum of the
@@ -291,18 +258,13 @@ def enumerate_distribution(
     the cap.
     """
     frac = _require_exact_alpha(params.alpha)
-    _check_cap(params.t, cap)
+    _check_cap(params.t)
     return ExactDistribution(params.t, frac, params.p, _path_lattice(frac, params.t))
 
 
 def support_size(dist: ExactDistribution) -> int:
     """Number of distinct support points."""
     return len(dist.entries)
-
-
-def exact_cdf(dist: ExactDistribution, x: float) -> float:
-    """P(X_t <= x) summed over the support."""
-    return dist.cdf(x)
 
 
 def exact_moments(dist: ExactDistribution):
@@ -352,9 +314,7 @@ class CollisionReport:
         return not self.collisions
 
 
-def check_path_uniqueness_exact(
-    alpha: Union[Alpha, Fraction], t: int, *, cap: int = DEFAULT_HORIZON_CAP
-) -> CollisionReport:
+def check_path_uniqueness_exact(alpha: Union[Alpha, Fraction], t: int) -> CollisionReport:
     """Scan all ``2^t`` paths for position collisions in exact arithmetic.
 
     Distinct paths reach distinct positions for every rational alpha in
@@ -364,7 +324,7 @@ def check_path_uniqueness_exact(
     """
     if isinstance(alpha, Fraction):
         alpha = Alpha.from_fraction(alpha)
-    support_size(enumerate_distribution(WalkParams(alpha=alpha, p=0.5, t=t), cap=cap))
+    support_size(enumerate_distribution(WalkParams(alpha=alpha, p=0.5, t=t)))
     return CollisionReport([])
 
 
@@ -372,9 +332,7 @@ def _path_from_index(index: int, t: int) -> tuple:
     return tuple(-1 if (index >> s) & 1 else 1 for s in range(t))
 
 
-def check_path_uniqueness_real(
-    alpha: float, t: int, tolerance: float = 1e-9, *, cap: int = DEFAULT_HORIZON_CAP
-) -> CollisionReport:
+def check_path_uniqueness_real(alpha: float, t: int, tolerance: float = 1e-9) -> CollisionReport:
     """Report all pairs of length-``t`` paths whose positions differ by less
     than ``tolerance`` under float arithmetic.
 
@@ -388,7 +346,7 @@ def check_path_uniqueness_real(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    _check_cap(t, cap)
+    _check_cap(t)
     positions = _float_positions(alpha, t)
     order = np.argsort(positions, kind="stable")
     sorted_pos = positions[order]
@@ -421,9 +379,7 @@ def check_path_uniqueness_real(
     return CollisionReport(collisions)
 
 
-def exact_residence_distribution(
-    params: WalkParams, *, cap: int = DEFAULT_HORIZON_CAP
-) -> dict:
+def exact_residence_distribution(params: WalkParams) -> dict:
     """Exact law of the positive-side residence time ``T_+(t)``.
 
     ``T_+`` counts the steps ``s in 1..t`` with ``X_s >= 0``; a position of
@@ -432,7 +388,7 @@ def exact_residence_distribution(
     a float ``p`` uses its binary value).
     """
     frac = _require_exact_alpha(params.alpha)
-    _check_cap(params.t, cap)
+    _check_cap(params.t)
     t = params.t
     levels = _levels(frac.numerator, frac.denominator, t)
     _, k = next(levels)

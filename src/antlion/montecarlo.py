@@ -24,12 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Alpha, DiscreteCdf, ResourceLimitError, WalkParams
+from .core import Alpha, DiscreteCdf, WalkParams, check_elements, philox_stream
 
 __all__ = [
     "STREAM_CHUNK",
     "DEFAULT_WALKERS",
-    "ResourceLimitError",
     "TrajectoryBatch",
     "Ecdf",
     "simulate",
@@ -47,9 +46,6 @@ DEFAULT_WALKERS = 50_000
 _TILE = 16
 
 _MODES = ("finals", "paths", "residence")
-
-# n_walkers * (t + 1) guard; 2e8 float64 values is ~1.6 GB.
-DEFAULT_ELEMENT_LIMIT = 200_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,11 +77,6 @@ class TrajectoryBatch:
         return self.positions
 
 
-def _chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _worker_count(n_chunks: int) -> int:
     """One worker per CPU this process may run on, at most one per chunk."""
     try:
@@ -112,7 +103,7 @@ def _simulate_chunks(claim, seed, a, p, t, out, counts) -> None:
         start = chunk * STREAM_CHUNK
         stop = min(start + STREAM_CHUNK, n)
         size = stop - start
-        gen = _chunk_stream(seed, chunk)
+        gen = philox_stream(seed, chunk)
         x = np.zeros(size)
         for s0 in range(0, t, _TILE):
             m = min(_TILE, t - s0)
@@ -144,8 +135,6 @@ def simulate(
     n_walkers: int = DEFAULT_WALKERS,
     seed: int = 0,
     mode: str = "finals",
-    *,
-    element_limit: int = DEFAULT_ELEMENT_LIMIT,
 ) -> TrajectoryBatch:
     """Simulate ``n_walkers`` independent walks from ``X_0 = 0``.
 
@@ -159,11 +148,7 @@ def simulate(
     if n_walkers < 1:
         raise ValueError("n_walkers must be at least 1")
     t = params.t
-    if n_walkers * (t + 1) > element_limit:
-        raise ResourceLimitError(
-            f"n_walkers * (t+1) = {n_walkers * (t + 1)} exceeds the element "
-            f"limit {element_limit}"
-        )
+    check_elements(n_walkers * (t + 1), f"{n_walkers} walkers over {t + 1} positions")
     out = np.empty((n_walkers, t + 1) if mode == "paths" else n_walkers)
     counts = np.zeros(n_walkers, dtype=np.int64) if mode == "residence" else None
     n_chunks = -(-n_walkers // STREAM_CHUNK)
@@ -197,12 +182,10 @@ def simulate_simple_rw(
     n_walkers: int = DEFAULT_WALKERS,
     seed: int = 0,
     mode: str = "finals",
-    *,
-    element_limit: int = DEFAULT_ELEMENT_LIMIT,
 ) -> TrajectoryBatch:
     """Symmetric simple random walk (the alpha = 1 reduction)."""
     params = WalkParams(alpha=Alpha.from_real(1.0), p=0.5, t=t)
-    return simulate(params, n_walkers, seed, mode, element_limit=element_limit)
+    return simulate(params, n_walkers, seed, mode)
 
 
 class Ecdf(DiscreteCdf):

@@ -24,7 +24,7 @@ from antlion import (
     standardize_srw,
     uniform_cdf,
 )
-from antlion.analysis import DiscreteCdf, _trapezoid
+from antlion.analysis import DiscreteCdf, _trapezoid, residence_binomial
 from antlion.montecarlo import Ecdf
 
 # Frozen from a 30-digit quadrature oracle.
@@ -210,6 +210,21 @@ class TestBinomialPmf:
     def test_domain(self):
         with pytest.raises(ValueError):
             binomial_pmf(5, 0.5, 6)
+
+
+class TestResidenceBinomial:
+    @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(7, 10)])
+    def test_exact(self, p):
+        pmf = residence_binomial(9, p, Fraction)
+        assert pmf == [binomial_pmf(9, 1 - p, j) for j in range(10)]
+        assert sum(pmf) == 1
+
+    @pytest.mark.parametrize("p", [0.3, Fraction(1, 3), 0.0, 1.0])
+    def test_float_rounds_q_first(self, p):
+        # The binomial column the CLI has always written, bit for bit.
+        q, pv = 1 - float(p), float(p)
+        expected = [float(math.comb(30, j)) * q**j * pv ** (30 - j) for j in range(31)]
+        assert residence_binomial(30, p) == expected
 
 
 class TestResidenceComparison:

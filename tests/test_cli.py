@@ -306,6 +306,16 @@ class TestErrors:
             ["dist", "--alpha", "0.5", "--t", "1000000", "--mode", "mc", "--n", "1000000"],
             # A greedy witness of about 1.8e6 levels.
             ["reach", "--alpha", "0.99999", "--r", "0", "--epsilon", "0.001"],
+            ["reach", "--alpha", "0.5", "--sweep", "1000000000000", "--epsilon", "0.01"],
+            ["bandit", "--pa", "0.8", "--pb", "0.2", "--horizon", "100000000000"],
+            [
+                "bandit", "--pa", "0.8", "--pb", "0.2", "--horizon", "100",
+                "--sweep-alphas", "0.5", "--seeds", "100000000000",
+            ],
+            [
+                "cvm", "--alpha", "0.5", "--t", "5", "--mode", "mc", "--n", "100",
+                "--grid=-3,3,100000000000",
+            ],
         ):
             assert main([*argv, "--out", str(tmp_path)]) == EXIT_RESOURCE
             assert capsys.readouterr().err.count("\n") == 1
@@ -527,6 +537,15 @@ class TestBandit:
         traj = json.loads((tmp_path / "bandit_sweep_trajectories.json").read_text())
         assert set(traj["trajectories"]) == {"0.5", "0.9", "1.0"}
 
+    def test_sweep_alphas_take_fractions(self, tmp_path):
+        argv = ["bandit", "--pa", "0.8", "--pb", "0.2", "--horizon", "300", "--seeds", "2"]
+        tables = []
+        for i, alphas in enumerate(("1/2,9/10", "0.5,0.9")):
+            out = tmp_path / str(i)
+            assert main([*argv, "--sweep-alphas", alphas, "--out", str(out)]) == EXIT_OK
+            tables.append((out / "bandit_sweep.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_uniform_signal_flag(self, tmp_path):
         code = main(
             [
@@ -577,6 +596,14 @@ class TestMoments:
         assert code == EXIT_OK
         rows = read_csv(tmp_path / "moments.csv")
         assert float(rows[3][1]) == 1.75
+
+    @pytest.mark.parametrize("t_max", ["0", "-3"])
+    def test_t_max_below_one(self, tmp_path, capsys, t_max):
+        argv = ["moments", "--alpha", "1/2", "--t-max", t_max, "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--t-max" in err and err.count("\n") == 1
+        assert not (tmp_path / "moments.csv").exists()
 
     def test_subdiffusion_column(self, tmp_path):
         code = main(

@@ -1,7 +1,6 @@
 """Exact enumeration engine: support, probabilities, uniqueness, residence."""
 
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -20,14 +19,15 @@ from antlion import (
     closed_form_mean,
     closed_form_variance,
     enumerate_distribution,
-    exact_cdf,
     exact_moments,
     exact_residence_distribution,
     path_weights,
     position_bounds,
     support_size,
 )
-from antlion.exact import _exact_order
+from antlion import exact
+from antlion.exact import DIST_HEADER, _exact_order
+from antlion.tables import Table, write_table
 
 GOLDEN = (-1 + math.sqrt(5)) / 2
 
@@ -115,10 +115,18 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_distribution(WalkParams(alpha=Alpha.from_real(0.5), t=3))
 
-    def test_horizon_cap(self):
-        with pytest.raises(HorizonTooLargeError):
-            enumerate_distribution(params(Fraction(1, 2), t=6), cap=5)
-        enumerate_distribution(params(Fraction(1, 2), t=6), cap=6)
+    def test_horizon_cap(self, monkeypatch):
+        monkeypatch.setattr(exact, "DEFAULT_HORIZON_CAP", 5)
+        half = Fraction(1, 2)
+        for call in (
+            lambda t: enumerate_distribution(params(half, t=t)),
+            lambda t: exact_residence_distribution(params(half, t=t)),
+            lambda t: check_path_uniqueness_exact(half, t),
+            lambda t: check_path_uniqueness_real(0.5, t),
+        ):
+            call(5)
+            with pytest.raises(HorizonTooLargeError, match="cap 5"):
+                call(6)
 
     def test_probabilities_sum_to_one(self):
         dist = enumerate_distribution(params(Fraction(2, 3), p=Fraction(7, 10), t=9))
@@ -247,13 +255,13 @@ class TestPathUniqueness:
 class TestCdf:
     def test_tails(self):
         dist = enumerate_distribution(params(Fraction(1, 2), t=6))
-        assert exact_cdf(dist, 2.0) == 1.0
-        assert exact_cdf(dist, 5.0) == 1.0
-        assert exact_cdf(dist, -2.0) == 0.0
+        assert dist.cdf(2.0) == 1.0
+        assert dist.cdf(5.0) == 1.0
+        assert dist.cdf(-2.0) == 0.0
 
     def test_median_two_steps(self):
         dist = enumerate_distribution(params(Fraction(1, 2), t=2))
-        assert exact_cdf(dist, 0.0) == 0.5
+        assert dist.cdf(0.0) == 0.5
 
     @pytest.mark.parametrize("p", [Fraction(3, 10), 0.3])
     def test_float_image_of_weights(self, p):
@@ -268,7 +276,7 @@ class TestCdf:
     def test_monotone(self):
         dist = enumerate_distribution(params(Fraction(9, 10), p=0.3, t=7))
         xs = [-12, -3, -1, -0.2, 0, 0.4, 1, 3, 12]
-        vals = [exact_cdf(dist, x) for x in xs]
+        vals = [dist.cdf(x) for x in xs]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
@@ -346,17 +354,7 @@ class TestSerialization:
     def test_csv(self, tmp_path):
         dist = enumerate_distribution(params(Fraction(1, 2), t=3))
         target = tmp_path / "dist.csv"
-        dist.to_csv(target)
+        write_table(target, Table("dist", DIST_HEADER, dist.columns()), "csv")
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "position_real,scaled_value,k_minus_steps,probability"
         assert len(lines) == 1 + 8
-
-    def test_json(self, tmp_path):
-        dist = enumerate_distribution(params(Fraction(1, 2), t=2))
-        target = tmp_path / "dist.json"
-        dist.to_json(target)
-        doc = json.loads(target.read_text())
-        assert doc["t"] == 2
-        assert doc["alpha"] == "1/2"
-        assert len(doc["points"]) == 4
-        assert doc["points"][0]["position"] == -1.5

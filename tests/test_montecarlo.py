@@ -21,7 +21,7 @@ from antlion import (
     standardize_arw,
     uniform_cdf,
 )
-from antlion import montecarlo
+from antlion import core, montecarlo
 from antlion.montecarlo import _TILE, STREAM_CHUNK, Ecdf
 
 
@@ -100,9 +100,16 @@ class TestSimulate:
             standardized = standardize_arw(batch.finals, alpha, 80)
             assert standardized.min() > -math.sqrt((1 + alpha) / (1 - alpha))
 
-    def test_resource_guard(self):
+    def test_resource_guard(self, monkeypatch):
         with pytest.raises(ResourceLimitError):
             simulate(params(0.5, t=10**6), n_walkers=10**6, seed=0)
+        monkeypatch.setattr(core, "DEFAULT_ELEMENT_LIMIT", 10 * 8)  # 10 walkers, t = 7
+        simulate(params(0.5, t=7), n_walkers=10, seed=0)
+        simulate_simple_rw(7, n_walkers=10, seed=0)
+        with pytest.raises(ResourceLimitError, match="10 walkers over 9 positions"):
+            simulate(params(0.5, t=8), n_walkers=10, seed=0)
+        with pytest.raises(ResourceLimitError, match="11 walkers over 8 positions"):
+            simulate_simple_rw(7, n_walkers=11, seed=0)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -256,14 +263,14 @@ class TestWorkers:
         assert np.array_equal(batch.positions, expected.positions)
 
     def test_worker_error_reaches_caller(self, monkeypatch):
-        stream = montecarlo._chunk_stream
+        stream = montecarlo.philox_stream
 
-        def failing(seed, chunk):
-            if chunk == 2:
+        def failing(seed, *spawn_key):
+            if spawn_key == (2,):
                 raise MemoryError("chunk 2")
-            return stream(seed, chunk)
+            return stream(seed, *spawn_key)
 
-        monkeypatch.setattr(montecarlo, "_chunk_stream", failing)
+        monkeypatch.setattr(montecarlo, "philox_stream", failing)
         for workers in (1, 2, 4):
             with pytest.raises(MemoryError, match="chunk 2"):
                 simulate_with_workers(
