@@ -6,16 +6,24 @@ steps is ``X_t = S_t / n^(t-1)`` with the integer numerator
     S_t = sum_{s=1..t} m^(t-s) n^(s-1) xi_s.
 
 Path ``i`` takes step ``xi_s = -1`` exactly when bit ``s - 1`` of ``i`` is
-set, so its minus-step count ``k`` is the popcount of ``i``. The law is held
-as arrays in path-index order: ``S`` (Python ints, so position equality stays
-decidable, which floating point cannot certify) and ``k``. The support is
-ordered when first read, by a sort of the exactly rounded positions
-``S / n^(t-1)``: rounding is monotone, so only points with equal floats can
-be out of order, and those are sorted on the ints. Distinct paths land on
-distinct positions for rational alpha in (0, 1), and a tie raises. The
-probability of a point is entry ``k`` of the ``t + 1`` path weights
-``p^k (1-p)^(t-k)``, so the law is exact for any step parameter ``p``,
-including irrational ``p``.
+set, so its minus-step count ``k`` is the popcount of ``i``. With ``h =
+t // 2``, ``S`` of path ``i * 2^h + j`` is ``high[i] + low[j]``: the first
+``h`` steps give ``low`` and the rest ``high``, two half lattices of about
+``2^(t/2)`` Python ints each (ints, so position equality stays decidable,
+which floating point cannot certify). Over all ``2^t`` paths only ``k`` is
+built eagerly; the moments convolve per-``k`` sums of the halves.
+
+The support is ordered when first read, by a sort of the exactly rounded
+positions ``S / n^(t-1)``. Each is composed in floats from double-double
+splits of the halves and certified against a proved error bound; the few
+that fail the test, such as exact rounding midpoints, are divided in ints.
+Rounding is monotone, so only points with equal floats can be out of order,
+and those are sorted on their ints, the only ``S`` the ordering computes.
+The full array of ``S`` is built only when something reads the ints.
+Distinct paths land on distinct positions for rational alpha in (0, 1), and
+a tie raises. The probability of a point is entry ``k`` of the ``t + 1``
+path weights ``p^k (1-p)^(t-k)``, so the law is exact for any step
+parameter ``p``, including irrational ``p``.
 """
 
 from __future__ import annotations
@@ -106,22 +114,107 @@ def _float_positions(alpha: float, t: int) -> np.ndarray:
     return x
 
 
-def _exact_order(scaled: np.ndarray, xs: np.ndarray) -> tuple:
-    """``(order, xs[order])``, where ``order`` sorts the exact ints ``scaled``
-    strictly increasingly.
+def _split(values: np.ndarray, den: int) -> tuple:
+    """Each ``v / den`` as a double-double ``hi + lo``: ``hi`` rounded to
+    nearest, and ``lo`` the remainder ``v / den - hi`` rounded to nearest."""
+    values = values.tolist()
+    hi = [v / den for v in values]
+    lo = []
+    for v, x in zip(values, hi):
+        num, scale = x.as_integer_ratio()  # hi = num / scale exactly
+        lo.append((v * scale - num * den) / (den * scale))
+    return np.array(hi), np.array(lo)
 
-    ``xs[i]`` must be ``scaled[i] / c`` rounded to nearest, for one positive
-    ``c``. Rounding is monotone, so only runs of equal floats can be out of
-    order after the float sort; sorting the points of all runs on the ints,
-    in place, sorts the whole and leaves ``xs[order]`` as it was. Equal ints
-    raise ``RuntimeError``: two paths share a position.
+
+def _two_sum(a, b, s, err, tmp) -> None:
+    """``s + err = a + b`` exactly, with ``s`` rounded to nearest (Knuth's
+    TwoSum), written into ``s`` and ``err``; ``tmp`` is scratch."""
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=tmp)
+    np.subtract(s, tmp, out=err)
+    np.subtract(a, err, out=err)
+    np.subtract(b, tmp, out=tmp)
+    err += tmp
+
+
+# Sums composed per block of rows: the block's temporaries stay in cache.
+_BLOCK = 1 << 14
+
+
+def _positions(high: np.ndarray, low: np.ndarray, den: int) -> tuple:
+    """``(xs, fallback)``: ``xs[i * len(low) + j]`` is ``(high[i] + low[j]) / den``
+    rounded to nearest, exactly as Python's int division rounds it, and
+    ``fallback`` the flat indices that took that int division.
+
+    Each half is split into a double-double. A sum is the TwoSum of the two
+    ``hi`` plus a tail, rounded once to ``x`` with its exact rounding error
+    ``err``. The true quotient lies within ``margin`` of ``x + err``, so
+    ``x`` is its rounding if ``|err| + margin`` is below half the gap from
+    ``|x|`` to the next float towards zero: that gap is the smaller of the
+    two around ``x``, halved below a power of two. Every point that fails
+    the test, among them the exact midpoints, is divided in ints.
+
+    With ``u = 2^-53``, the margin adds ``4u |lo|`` per half (the rounding
+    of ``lo`` and its share of rounding ``lo_a + lo_b``), ``2u |tail|``
+    (rounding the tail) and ``2^-1073`` per half (a ``lo`` in the subnormal
+    range, where rounding is absolute). Each term is at least twice the
+    error it covers, which absorbs the rounding of the margin itself.
+    ``|err|`` is added last: rounding is monotone, so a true ``|err| +
+    margin`` at or above the half gap, itself a float, never rounds below it.
+    """
+    a_hi, a_lo = _split(high, den)
+    b_hi, b_lo = _split(low, den)
+    a_err = np.abs(a_lo) * 2.0**-51 + 2.0**-1073
+    b_err = np.abs(b_lo) * 2.0**-51 + 2.0**-1073
+    xs = np.empty((a_hi.size, b_hi.size))
+    rows = max(1, _BLOCK // b_hi.size)
+    shape = (min(rows, a_hi.size), b_hi.size)
+    buffers = [np.empty(shape) for _ in range(4)] + [np.empty(shape, dtype=bool)]
+    fallback = []
+    for start in range(0, a_hi.size, rows):
+        block = slice(start, start + rows)
+        x = xs[block]
+        s, e, tail, tmp, ok = (buf[: len(x)] for buf in buffers)
+        _two_sum(a_hi[block, None], b_hi, s, e, tmp)
+        np.add(a_lo[block, None], b_lo, out=tail)
+        tail += e
+        _two_sum(s, tail, x, e, tmp)
+        margin = np.abs(tail, out=tail)
+        margin *= 2.0**-52
+        margin += np.add(a_err[block, None], b_err, out=tmp)
+        bound = np.abs(e, out=e)
+        bound += margin
+        bound *= 2.0
+        gap = np.abs(x, out=tail)
+        gap -= np.nextafter(gap, 0.0, out=tmp)
+        np.less(bound, gap, out=ok)
+        if not ok.all():
+            fallback.append(np.flatnonzero(~ok) + start * b_hi.size)
+    xs = xs.ravel()
+    fallback = np.concatenate(fallback) if fallback else np.zeros(0, dtype=np.intp)
+    for f in fallback.tolist():
+        i, j = divmod(f, low.size)
+        xs[f] = (high[i] + low[j]) / den
+    return xs, fallback
+
+
+def _exact_order(xs: np.ndarray, numerators) -> tuple:
+    """``(order, xs[order])``, where ``order`` sorts the exact ints
+    ``numerators(paths)`` of the paths strictly increasingly.
+
+    ``xs[i]`` must be the numerator of path ``i`` over one positive ``c``,
+    rounded to nearest. Rounding is monotone, so only runs of equal floats
+    can be out of order after the float sort; sorting the points of all
+    runs on their ints, in place, sorts the whole and leaves ``xs[order]``
+    as it was. Only the run members' ints are computed. Equal ints raise
+    ``RuntimeError``: two paths share a position.
     """
     order = np.argsort(xs)
     positions = xs[order]
     tie = positions[1:] == positions[:-1]
     in_run = np.flatnonzero(np.concatenate([tie, [False]]) | np.concatenate([[False], tie]))
     paths = order[in_run]
-    values = scaled[paths]
+    values = numerators(paths)
     # Timsort (kind="stable") takes the run-after-run order in about one compare a point.
     by_value = np.argsort(values, kind="stable")
     values = values[by_value]
@@ -134,27 +227,38 @@ def _exact_order(scaled: np.ndarray, xs: np.ndarray) -> tuple:
 
 
 class PathLattice(Mapping):
-    """The endpoints of all ``2^t`` paths, as arrays in path-index order.
+    """The endpoints of all ``2^t`` paths, held as their two half lattices.
 
-    ``scaled`` holds the exact numerators ``S`` (Python ints) of the
-    positions ``S / den``, and ``k`` the minus-step counts. As a read-only
-    mapping it sends each scaled value to its ``k``, iterating in increasing
-    order; a lookup is a binary search.
+    Path ``i * len(low) + j`` has the exact numerator ``high[i] + low[j]``
+    (Python ints) of its position over ``den``, and ``k[i * len(low) + j] =
+    high_k[i] + low_k[j]`` minus steps. Only ``k`` and, on first read, the
+    ordered positions are built over all paths; ``scaled``, every numerator
+    in path-index order, is built when something reads the ints. As a
+    read-only mapping it sends each scaled value to its ``k``, iterating in
+    increasing order; a lookup is a binary search.
     """
 
-    def __init__(self, scaled: np.ndarray, k: np.ndarray, den: int):
-        self.scaled = scaled
-        self.k = k
+    def __init__(self, high, high_k, low, low_k, den: int):
+        self.high, self.high_k = high, high_k
+        self.low, self.low_k = low, low_k
+        self.k = np.add.outer(high_k, low_k).ravel()
         self.den = den
+
+    @cached_property
+    def scaled(self) -> np.ndarray:
+        """Every numerator ``S``, in path-index order."""
+        return np.add.outer(self.high, self.low).ravel()
+
+    def _numerators(self, paths: np.ndarray) -> np.ndarray:
+        rows, cols = np.divmod(paths, self.low.size)
+        return self.high[rows] + self.low[cols]
 
     @cached_property
     def ordered(self) -> tuple:
         """``(order, positions)``, read-only: the path indices by increasing
         position, and each position ``S / den`` rounded once, in that order."""
-        den = self.den
-        # Divided in path order, which reads the ints in allocation order.
-        xs = np.fromiter((s / den for s in self.scaled), float, count=self.scaled.size)
-        order, positions = _exact_order(self.scaled, xs)
+        xs, _ = _positions(self.high, self.low, self.den)
+        order, positions = _exact_order(xs, self._numerators)
         order.flags.writeable = positions.flags.writeable = False
         return order, positions
 
@@ -179,9 +283,7 @@ def _path_lattice(alpha: Fraction, t: int) -> PathLattice:
     *_, (high, high_k) = _levels(m, n, t - half)
     # S_t = m^(t-h) S_h(steps 1..h) + n^h S_(t-h)(steps h+1..t); the later
     # steps are the high index bits, so they index the rows of the outer sum.
-    scaled = np.add.outer(n**half * high, m ** (t - half) * low).ravel()
-    k = np.add.outer(high_k, low_k).ravel()
-    return PathLattice(scaled, k, n ** max(t - 1, 0))
+    return PathLattice(n**half * high, high_k, m ** (t - half) * low, low_k, n ** max(t - 1, 0))
 
 
 class ExactDistribution:
@@ -232,8 +334,8 @@ class ExactDistribution:
 
     def float_law(self) -> tuple:
         """``(positions, probabilities)`` as float arrays in increasing
-        position order. Each position is ``S / n^(t-1)`` rounded once, by
-        Python's exactly rounded int division; the positions are read-only."""
+        position order. Each position is ``S / n^(t-1)`` rounded once, bit for
+        bit as Python's int division rounds it; the positions are read-only."""
         order, xs = self.entries.ordered
         return xs, np.array([float(w) for w in self.weights])[self.entries.k[order]]
 
@@ -250,8 +352,8 @@ class ExactDistribution:
 def enumerate_distribution(params: WalkParams) -> ExactDistribution:
     """Enumerate the exact law of ``X_t`` for rational alpha.
 
-    Builds the scaled numerators of all ``2^t`` paths as one outer sum of the
-    two half-horizon lattices, each built by level doubling. The support is
+    Builds the two half-horizon lattices of scaled numerators, each by level
+    doubling, and the minus-step counts of all ``2^t`` paths. The support is
     ordered when first read, by a sort of the exactly rounded positions whose
     equal-float runs are sorted on the ints; that raises ``RuntimeError`` if
     two paths shared a position. Raises :class:`HorizonTooLargeError` past
@@ -267,23 +369,38 @@ def support_size(dist: ExactDistribution) -> int:
     return len(dist.entries)
 
 
+def _moment_sums(values: np.ndarray, k: np.ndarray, size: int) -> list:
+    """``[count, sum, sum of squares]`` of ``values`` by minus-step count."""
+    sums = [[0, 0, 0] for _ in range(size)]
+    for v, j in zip(values.tolist(), k.tolist()):
+        row = sums[j]
+        row[0] += 1
+        row[1] += v
+        row[2] += v * v
+    return sums
+
+
 def exact_moments(dist: ExactDistribution):
     """Probability-weighted mean and variance of the support.
 
-    Computed exactly by grouping support points on their minus-step count, so
-    only ``t + 1`` rational terms are summed no matter how large the support
-    is. Returns Fractions when ``p`` is a Fraction, floats otherwise (the
-    float path still evaluates the rational sum exactly and rounds once).
+    The sums of ``S`` and ``S^2`` over the paths with ``k`` minus steps come
+    from the two half lattices: a path's ``S`` is ``high + low`` and its ``k``
+    the sum of theirs, so the per-``k`` count, sum and sum of squares of
+    each half convolve over ``k``. That is ``O(2^(t/2) + t^2)`` big-int
+    operations, and only ``t + 1`` rational terms are weighted. Returns
+    Fractions when ``p`` is a Fraction, floats otherwise (the float path
+    still evaluates the rational sum exactly and rounds once).
     """
-    lattice = dist.entries
-    by_k = np.argsort(lattice.k, kind="stable")
-    # Every k in 0..t has C(t, k) >= 1 paths, so the groups start strictly in turn.
-    starts = np.searchsorted(lattice.k[by_k], np.arange(dist.t + 1))
-    scaled = lattice.scaled[by_k]
-    sums1 = np.add.reduceat(scaled, starts).tolist()
-    sums2 = np.add.reduceat(scaled * scaled, starts).tolist()
+    lattice, t = dist.entries, dist.t
+    sums1, sums2 = [0] * (t + 1), [0] * (t + 1)
+    highs = _moment_sums(lattice.high, lattice.high_k, t + 1)
+    lows = _moment_sums(lattice.low, lattice.low_k, t + 1)
+    for i, (count_a, sum_a, square_a) in enumerate(highs):
+        for j, (count_b, sum_b, square_b) in enumerate(lows[: t + 1 - i]):
+            sums1[i + j] += sum_a * count_b + count_a * sum_b
+            sums2[i + j] += square_a * count_b + 2 * sum_a * sum_b + count_a * square_b
     scale = Fraction(dist.scale_denominator)
-    weights = path_weights(Fraction(dist.p), dist.t)
+    weights = path_weights(Fraction(dist.p), t)
     mean = sum(w * s for w, s in zip(weights, sums1)) / scale
     ex2 = sum(w * s for w, s in zip(weights, sums2)) / (scale * scale)
     var = ex2 - mean * mean

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from antlion import (
     support_size,
 )
 from antlion import exact
+from antlion.analysis import exact_standardized_cdf
 from antlion.exact import DIST_HEADER, _exact_order
 from antlion.tables import Table, write_table
 
@@ -33,10 +35,15 @@ GOLDEN = (-1 + math.sqrt(5)) / 2
 
 ALPHAS = [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)]
 
-# Every reduced m/n with n <= 12, and two alphas whose float positions tie.
-LATTICE_ALPHAS = [
-    Fraction(m, n) for n in range(2, 13) for m in range(1, n) if math.gcd(m, n) == 1
-] + [Fraction(1, 10**6), Fraction(10**6 - 1, 10**6)]
+# Every reduced m/n with n <= 12.
+SMALL_ALPHAS = [Fraction(m, n) for n in range(2, 13) for m in range(1, n) if math.gcd(m, n) == 1]
+# And four alphas whose float positions tie; near 1 the two halves cancel.
+LATTICE_ALPHAS = SMALL_ALPHAS + [
+    Fraction(1, 10**6),
+    Fraction(10**6 - 1, 10**6),
+    Fraction(1, 10**14),
+    Fraction(10**14 - 1, 10**14),
+]
 
 
 def params(alpha, p=Fraction(1, 2), t=0):
@@ -58,6 +65,27 @@ def brute_paths(alpha: Fraction, t: int) -> list:
         index = sum(1 << s for s, sign in enumerate(signs) if sign == -1)
         paths.append((index, x, signs.count(-1), visits))
     return paths
+
+
+def reduceat_moments(dist):
+    """Oracle: the mean and variance from per-``k`` sums of ``S`` and ``S^2``
+    over every path of the lattice."""
+    lattice = dist.entries
+    by_k = np.argsort(lattice.k, kind="stable")
+    starts = np.searchsorted(lattice.k[by_k], np.arange(dist.t + 1))
+    scaled = lattice.scaled[by_k]
+    sums1 = np.add.reduceat(scaled, starts).tolist()
+    sums2 = np.add.reduceat(scaled * scaled, starts).tolist()
+    scale = Fraction(dist.scale_denominator)
+    weights = path_weights(Fraction(dist.p), dist.t)
+    mean = sum(w * s for w, s in zip(weights, sums1)) / scale
+    ex2 = sum(w * s for w, s in zip(weights, sums2)) / (scale * scale)
+    return mean, ex2 - mean * mean
+
+
+def division_bits(numerators, den) -> np.ndarray:
+    """Oracle: the bits of each ``S / den`` by Python's int division."""
+    return np.array([s / den for s in numerators], dtype=float).view(np.int64)
 
 
 def brute_residence_pmf(alpha: Fraction, p: Fraction, t: int) -> dict:
@@ -183,6 +211,24 @@ class TestLatticeDifferential:
             assert residence == brute_residence_pmf(alpha, p, t)
 
 
+    @pytest.mark.parametrize("alpha", LATTICE_ALPHAS, ids=str)
+    def test_float_bits_match_int_division(self, alpha):
+        for t in range(11):
+            dist = enumerate_distribution(params(alpha, t=t))
+            lattice = dist.entries
+            expected = division_bits(sorted(lattice.scaled.tolist()), lattice.den)
+            assert np.array_equal(dist.float_law()[0].view(np.int64), expected)
+
+    @pytest.mark.parametrize("alpha", SMALL_ALPHAS, ids=str)
+    def test_moments_match_full_lattice_sums(self, alpha):
+        for p in (Fraction(1, 3), 0.3):
+            for t in range(9):
+                dist = enumerate_distribution(params(alpha, p=p, t=t))
+                mean, var = reduceat_moments(dist)
+                if isinstance(p, float):
+                    mean, var = float(mean), float(var)
+                assert exact_moments(dist) == (mean, var)
+
     @pytest.mark.parametrize(
         "alpha, t", [(Fraction(9, 10), 16), (Fraction(11, 12), 16), (Fraction(1, 10**6), 12)]
     )
@@ -197,19 +243,87 @@ class TestLatticeDifferential:
             assert np.count_nonzero(xs[1:] == xs[:-1]) == 4088
 
 
+class TestCertifiedRounding:
+    """``exact._positions`` composes each quotient in floats and certifies
+    it; every result must be Python's exactly rounded int division."""
+
+    @staticmethod
+    def targets():
+        """Exact rationals at and near rounding midpoints and powers of two,
+        for floats near 1, 2^10, 2^-1000 and in the subnormal range."""
+        floats = [1.0, 2.0**10, 0.75, math.nextafter(1.0, 0.0), math.nextafter(2.0, 0.0)]
+        floats += [2.0**-1000, math.nextafter(2.0**-1000, 1.0), 5 * 2.0**-1074]
+        for f in floats:
+            yield Fraction(f), False
+            yield Fraction(f) + Fraction(math.ulp(f)) / 2, True
+            yield Fraction(f) - Fraction(math.ulp(math.nextafter(f, 0.0))) / 2, True
+
+    @staticmethod
+    def compose(a, b, den):
+        xs, fallback = exact._positions(
+            np.array([a], dtype=object), np.array([b], dtype=object), den
+        )
+        return xs[0], fallback.size
+
+    def test_rounding_certificate(self):
+        composed = certified = 0
+        for den in (3 * 2**100, 3 * 2**1100, 7**40 * 2**1100):
+            for target, midpoint in self.targets():
+                centre = target * den
+                if centre.denominator != 1:
+                    continue  # den cannot hold this target exactly
+                centre = int(centre)
+                near = max(1, centre >> 100)  # about 2^-100 of the target
+                for offset in (0, 1, -1, near, -near):
+                    for sign in (1, -1):
+                        total = sign * (centre + offset)
+                        cancel = den * 2**60 + 12345
+                        splits = [(total, 0), (0, total), (total // 3, total - total // 3)]
+                        # A low half far below the high half's last bit.
+                        splits += [(total - (total >> g), total >> g) for g in (20, 60)]
+                        splits += [(total + cancel, -cancel), (-cancel, total + cancel)]
+                        for a, b in splits:
+                            x, fallback = self.compose(a, b, den)
+                            assert x == total / den, (den, a, b)
+                            if midpoint and offset == 0:
+                                assert fallback == 1
+                            composed += 1
+                            certified += not fallback
+        # Both ways are taken; about a third are certified in floats.
+        assert composed > 1000 and composed / 4 < certified < composed
+
+    def test_subnormal_lo(self):
+        den = 3 * 2**1100
+        # hi = 2^-1000 and lo about 2^-1062: a remainder in the subnormal range.
+        a = 3 * 2**100 + 2**40 + 1
+        hi, lo = exact._split(np.array([a], dtype=object), den)
+        assert hi[0] == 2.0**-1000 and 0 < lo[0] < 2.0**-1022
+        midpoint = 3 * 2**100 + 3 * 2**47
+        for b in (midpoint - a, midpoint - a + 1, midpoint - a - 1, -a - 1, 2**40):
+            assert self.compose(a, b, den)[0] == (a + b) / den
+
+    def test_int_division_fallback(self):
+        # Near 1 the halves cancel to positions near 1e-18, which the float
+        # composition cannot certify.
+        lattice = enumerate_distribution(params(Fraction(10**6 - 1, 10**6), t=12)).entries
+        xs, fallback = exact._positions(lattice.high, lattice.low, lattice.den)
+        assert fallback.size >= 1
+        assert np.array_equal(xs.view(np.int64), division_bits(lattice.scaled, lattice.den))
+
+
 class TestExactOrder:
     def test_exact_ints_decide_near_floats(self):
         big = 2**60
         scaled = np.array([big + 3, 2 * big + 1, big + 1, 2 * big, big + 2, 3 * big], dtype=object)
         # Rounded, scaled / 2^60 ties three ways at 1.0 and two ways at 2.0.
-        order, xs = _exact_order(scaled, np.array([s / big for s in scaled]))
+        order, xs = _exact_order(np.array([s / big for s in scaled]), scaled.__getitem__)
         assert order.tolist() == [2, 4, 0, 3, 1, 5]
         assert xs.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]
 
     def test_equal_ints_raise(self):
         scaled = np.array([7, 1, 7], dtype=object)
         with pytest.raises(RuntimeError, match="share a position"):
-            _exact_order(scaled, np.array([s / 10 for s in scaled]))
+            _exact_order(np.array([s / 10 for s in scaled]), scaled.__getitem__)
 
 
 class TestSupportSize:
@@ -299,15 +413,32 @@ class TestMoments:
         assert var == pytest.approx(closed_form_variance(prm), abs=1e-12)
 
     def test_support_never_ordered(self, monkeypatch):
-        # The moments and the total mass read S and k alone.
+        # The moments and the total mass read the halves and k alone.
         def refuse(*args):
             raise AssertionError("the support was ordered")
 
         monkeypatch.setattr("antlion.exact._exact_order", refuse)
+        monkeypatch.setattr(exact.PathLattice, "scaled", property(refuse))
         prm = params(Fraction(9, 10), p=Fraction(3, 10), t=10)
         dist = enumerate_distribution(prm)
         assert exact_moments(dist) == (closed_form_mean(prm), closed_form_variance(prm))
         assert dist.total_probability() == 1
+
+    @pytest.mark.parametrize("alpha, t", [(Fraction(9, 10), 10), (Fraction(1, 10**6), 12)])
+    def test_cdf_never_builds_the_ints(self, monkeypatch, alpha, t):
+        # The CDF reads the certified positions; at 1/10^6 the ordering
+        # computes ints only for the runs of equal floats.
+        def refuse(self):
+            raise AssertionError("the 2^t ints were built")
+
+        dist = enumerate_distribution(params(alpha, t=t))
+        with monkeypatch.context() as patch:
+            patch.setattr(exact.PathLattice, "scaled", property(refuse))
+            cdf = exact_standardized_cdf(dist)
+        lattice = dist.entries
+        expected = division_bits(sorted(lattice.scaled.tolist()), lattice.den)
+        assert np.array_equal(dist.float_law()[0].view(np.int64), expected)
+        assert cdf.xs.size == 2**t
 
     def test_all_minus(self):
         alpha = Fraction(2, 3)
@@ -348,6 +479,20 @@ class TestResidence:
         alpha, t = Fraction(9, 10), 5
         pmf = exact_residence_distribution(params(alpha, t=t))
         assert pmf == brute_residence_pmf(alpha, Fraction(1, 2), t)
+
+
+class TestMemory:
+    def test_cdf_build_peak(self):
+        # 2^18 paths: positions, order and the CDF columns at 8 bytes a path,
+        # no 2^t ints and no full-size temporaries of the float composition.
+        prm = params(Fraction(9, 10), p=Fraction(1, 2), t=18)
+        tracemalloc.start()
+        try:
+            exact_standardized_cdf(enumerate_distribution(prm))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
 
 
 class TestSerialization:
