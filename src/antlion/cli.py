@@ -68,7 +68,8 @@ from .montecarlo import (
     simulate,
     simulate_simple_rw,
 )
-from .reachability import ReachQuery, is_eps_reachable
+# is_eps_reachable stays a cli attribute: perfbench/spans.py wraps it.
+from .reachability import decide_lanes, is_eps_reachable, reach_bound  # noqa: F401
 from .tables import SUFFIXES, Table, transpose, write_table
 
 EXIT_OK = 0
@@ -280,23 +281,21 @@ def _cmd_residence(args):
 def _cmd_reach(args):
     alpha = Alpha.parse(args.alpha).as_float
     if args.sweep is not None:
+        if args.sweep < 0:
+            raise ValueError(f"--sweep must be a nonnegative number of targets, got {args.sweep}")
         check_elements(5 * args.sweep, f"a reach table of {args.sweep} targets")
-        bound = 1.0 / (1.0 - alpha)
+        bound = reach_bound(alpha)
         targets = philox_stream(args.seed).uniform(-bound, bound, size=args.sweep)
     elif args.r is None:
         raise ValueError("reach needs --r or --sweep")
     else:
         targets = [args.r]
-    n = len(targets)
-    reachable = np.empty(n, dtype=bool)
-    depth = np.empty(n, dtype=np.int64)
-    for i, r in enumerate(targets):
-        result = is_eps_reachable(ReachQuery(alpha=alpha, r=float(r), epsilon=args.epsilon))
-        reachable[i], depth[i] = result.reachable, result.witness_depth
+    lanes = decide_lanes(alpha, targets, args.epsilon)
+    n = lanes.targets.size
     yield Table(
         "reach",
         ["alpha", "r", "epsilon", "reachable", "witness_depth"],
-        ([alpha] * n, np.asarray(targets, dtype=float), [args.epsilon] * n, reachable, depth),
+        ([alpha] * n, lanes.targets, [args.epsilon] * n, lanes.reachable, lanes.depth),
     )
 
 

@@ -85,14 +85,19 @@ class DiscreteCdf:
     ``xs`` is the support in increasing order and ``cum[i] = P(X <= xs[i])``,
     clamped to 1 against rounding; a call is one ``searchsorted`` on ``xs``.
     This is the one step-CDF type: exact, empirical and simple-RW laws all
-    evaluate through it.
+    evaluate through it. A support already in increasing order, as an exact
+    law's is, is kept as given, without a sort or a copy.
     """
 
     def __init__(self, xs, probs):
         xs = np.asarray(xs, dtype=np.float64)
-        order = np.argsort(xs, kind="stable")
-        self.xs = xs[order]
-        self.cum = np.minimum(np.cumsum(np.asarray(probs, dtype=np.float64)[order]), 1.0)
+        probs = np.asarray(probs, dtype=np.float64)
+        if not np.all(xs[1:] >= xs[:-1]):
+            order = np.argsort(xs, kind="stable")
+            xs, probs = xs[order], probs[order]
+        self.xs = xs
+        self.cum = np.cumsum(probs)
+        np.minimum(self.cum, 1.0, out=self.cum)
 
     def __call__(self, x):
         idx = np.searchsorted(self.xs, x, side="right")

@@ -24,6 +24,11 @@ The decision is the finite relaxation "some time lands strictly within
 targets strictly outside the bounds are unreachable for any epsilon. A
 target that peels to exactly zero is an exact endpoint and counts as
 reachable, the empty prefix standing for landing at the start position.
+
+``decide_lanes`` runs the decision for an array of targets that share
+``alpha`` and ``epsilon``, one vector operation per level over every lane;
+each lane does the float operations of the one-target decision in the same
+order. ``is_eps_reachable`` is its one-lane view.
 """
 
 from __future__ import annotations
@@ -32,21 +37,52 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .core import ResourceLimitError, evolve
+import numpy as np
+
+from .core import ResourceLimitError, check_elements, evolve
 
 __all__ = [
     "ReachQuery",
     "ReachResult",
+    "ReachLanes",
     "central_gap",
+    "decide_lanes",
     "is_eps_reachable",
     "inverse_path_value",
+    "reach_bound",
 ]
 
 _MAX_PEELS = 10_000
 
-# Deepest greedy witness built; building and replaying one takes about
-# 0.3 s per million levels, and the depth grows like log(eps) / log(alpha).
+# Deepest greedy witness built. Building and replaying it costs about 5 s
+# per million levels for a single target on a 2-core Xeon host (a few numpy
+# calls per level, whatever the target count), and the depth grows like
+# log(eps) / log(alpha).
 MAX_WITNESS_DEPTH = 1 << 20
+
+
+def reach_bound(alpha: float) -> float:
+    """``1/(1-alpha)``: every endpoint lies strictly inside ``(-bound, bound)``."""
+    if not (0 < alpha < 1):
+        raise ValueError(f"reachability requires 0 < alpha < 1, got {alpha}")
+    return 1.0 / (1.0 - alpha)
+
+
+def _validate(alpha: float, targets: np.ndarray, epsilon: float) -> float:
+    """Raise ``ValueError`` on a malformed query; return the bound."""
+    bound = reach_bound(alpha)
+    finite = np.isfinite(targets)
+    if not finite.all():
+        raise ValueError(f"target r must be finite, got {targets[~finite][0]}")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    if epsilon * (1.0 - alpha) == 0.0:
+        # The greedy witness depth is log(epsilon * (1 - alpha)) / log(alpha).
+        raise ValueError(
+            f"epsilon={epsilon} is too small for alpha={alpha}: "
+            "epsilon * (1 - alpha) underflows to zero"
+        )
+    return bound
 
 
 @dataclass(frozen=True)
@@ -58,18 +94,7 @@ class ReachQuery:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.alpha < 1):
-            raise ValueError(f"reachability requires 0 < alpha < 1, got {self.alpha}")
-        if not math.isfinite(self.r):
-            raise ValueError(f"target r must be finite, got {self.r}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.epsilon * (1.0 - self.alpha) == 0.0:
-            # The greedy witness depth is log(epsilon * (1 - alpha)) / log(alpha).
-            raise ValueError(
-                f"epsilon={self.epsilon} is too small for alpha={self.alpha}: "
-                "epsilon * (1 - alpha) underflows to zero"
-            )
+        _validate(self.alpha, np.array([self.r], dtype=np.float64), self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -92,6 +117,30 @@ class ReachResult:
     @property
     def witness_depth(self) -> int:
         return len(self.witness) if self.witness is not None else 0
+
+
+@dataclass(frozen=True)
+class ReachLanes:
+    """Decisions for targets sharing ``alpha`` and ``epsilon``, one per lane.
+
+    For a reachable lane ``i``, ``zeta[:depth[i], i]`` is its coarse-to-fine
+    witness and ``zeta[depth[i]:, i]`` is 0; other columns hold no witness.
+    ``certificate[i]`` is the ``(lo, hi)`` interval of an unreachable lane,
+    NaN on reachable ones.
+    """
+
+    targets: np.ndarray
+    reachable: np.ndarray
+    depth: np.ndarray
+    zeta: np.ndarray
+    certificate: np.ndarray
+
+    def result(self, i: int) -> ReachResult:
+        """Lane ``i`` as a :class:`ReachResult`."""
+        if self.reachable[i]:
+            return ReachResult(True, witness=tuple(self.zeta[: self.depth[i], i][::-1].tolist()))
+        lo, hi = self.certificate[i].tolist()
+        return ReachResult(False, certificate=(lo, hi))
 
 
 def central_gap(alpha: float) -> Optional[Tuple[float, float]]:
@@ -123,15 +172,22 @@ def inverse_path_value(alpha: float, zeta: Sequence[int]) -> float:
     return y
 
 
-def replay_forward(alpha: float, xi: Sequence[int]) -> float:
-    """Endpoint of a forward increment sequence from ``X_0 = 0``."""
-    x = 0.0
-    for step in xi:
-        x = evolve(x, alpha, step)
-    return x
+def replay_forward(alpha: float, xi):
+    """Endpoint of a forward increment sequence from ``X_0 = 0``.
+
+    A 2-D ``xi`` holds levels on axis 0 and lanes on axis 1 and gives one
+    endpoint per lane; every lane does ``alpha * x + xi`` per level, as a
+    1-D sequence does. Leading zero increments keep a lane at 0.0 exactly,
+    so a shorter witness replays bit for bit when padded in front with 0.
+    """
+    xi = np.asarray(xi)
+    x = np.zeros(xi.shape[1:])
+    for row in xi:
+        x = evolve(x, alpha, row)
+    return x if x.ndim else float(x)
 
 
-def _greedy_witness(alpha: float, r: float, eps: float) -> Tuple[int, ...]:
+def _greedy_depth(alpha: float, eps: float) -> int:
     # Depth where the uncovered tail alpha^T/(1-alpha) drops below eps; one
     # extra level keeps the strict-inequality margin clear of float noise.
     target = eps * (1.0 - alpha)
@@ -144,61 +200,112 @@ def _greedy_witness(alpha: float, r: float, eps: float) -> Tuple[int, ...]:
             f"a witness within epsilon={eps} at alpha={alpha} needs {depth} steps; "
             f"the depth is capped at {MAX_WITNESS_DEPTH}"
         )
-    zeta = []
-    y = 0.0
+    return depth
+
+
+def _dense(alpha, targets, eps, inside):
+    """Dense phase: every lane inside the bounds is reachable at one depth.
+    Level by level ``zeta_k = sign(r - Y)`` and ``Y += w * zeta_k``, as vector
+    ops over all lanes. Returns ``(reachable, depth, zeta)``."""
+    n = targets.size
+    if not inside.any():
+        return inside, np.zeros(n, dtype=np.int64), np.zeros((0, n), dtype=np.int8)
+    levels = _greedy_depth(alpha, eps)
+    check_elements(n * levels, f"witnesses of {n} targets at depth {levels}")
+    up = np.empty((levels, n), dtype=bool)
+    y = np.zeros(n)
     w = 1.0
-    for _ in range(depth):
-        z = 1 if y < r else -1
-        zeta.append(z)
-        y += w * z
+    for row in up:
+        np.less(y, targets, out=row)
+        y += np.where(row, w, -w)  # w * zeta_k, exact for zeta_k = +-1
         w *= alpha
-    return tuple(reversed(zeta))
+    return inside, np.where(inside, levels, 0), np.where(up, np.int8(1), np.int8(-1))
 
 
-def _witnessed(alpha: float, r: float, eps: float, witness: Tuple[int, ...]) -> ReachResult:
-    # Soundness check by replay; an explicit raise so that ``python -O`` keeps it.
-    if not abs(replay_forward(alpha, witness) - r) < eps:
-        raise RuntimeError(
-            f"the depth-{len(witness)} witness for r={r} replays farther than "
-            f"epsilon={eps}; this is a bug"
-        )
-    return ReachResult(True, witness=witness)
+def _sparse(alpha, targets, eps, bound, inside, certificate):
+    """Sparse phase: peel the leading increment off each live lane until it
+    lands within tolerance or strands in the gap or beyond the bounds, where
+    its ``certificate`` row is filled. Returns ``(reachable, depth, zeta)``."""
+    n = targets.size
+    reachable = np.zeros(n, dtype=bool)
+    depth = np.zeros(n, dtype=np.int64)
+    gap = (1.0 - 2.0 * alpha) / (1.0 - alpha)
+    lanes = np.flatnonzero(inside)
+    rr = targets[lanes]
+    ee = eps
+    scale = 1.0  # alpha^level
+    rows = []  # rows[k][i]: increment peeled off lane i at level k, else 0
+    for level in range(_MAX_PEELS):
+        a = np.abs(rr)
+        hit = a < ee
+        # Beyond what the remaining tail can span, by at least the scaled
+        # tolerance; smaller overshoots keep peeling toward the extreme.
+        over = (a > bound) & (a - bound >= ee)
+        # Stranded in the central gap: nearest endpoints sit at the gap
+        # edge on one side and at the peeled prefix itself on the other
+        # (abs(rr) >= ee holds here, so both margins are at least ee).
+        stranded = (a < gap) & (gap - a >= ee) & ~hit
+        reachable[lanes[hit]] = True
+        depth[lanes[hit]] = level
+        for mask, margin in ((over, a - bound), (stranded, np.minimum(a, gap - a))):
+            if mask.any():
+                radius = scale * margin[mask]
+                r = targets[lanes[mask]]
+                certificate[lanes[mask]] = np.stack([r - radius, r + radius], axis=1)
+        live = ~(hit | over | stranded)
+        lanes, rr = lanes[live], rr[live]
+        if lanes.size == 0:
+            break
+        check_elements(n * (level + 1), f"witnesses of {n} targets at depth {level + 1}")
+        z = np.where(rr > 0, np.int8(1), np.int8(-1))
+        row = np.zeros(n, dtype=np.int8)
+        row[lanes] = z
+        rows.append(row)
+        rr = (rr - z) / alpha
+        ee = ee / alpha
+        scale *= alpha
+    else:
+        raise RuntimeError("peel-back failed to terminate; this is a bug")
+    return reachable, depth, np.array(rows, dtype=np.int8).reshape(len(rows), n)
+
+
+def decide_lanes(alpha: float, targets, epsilon: float) -> ReachLanes:
+    """Decide for each target whether some path endpoint lies strictly
+    within ``epsilon`` of it.
+
+    Each lane's decision, witness and certificate are those of the
+    one-target decision. Every witness is replayed forward before it is
+    returned; a replay that misses raises ``RuntimeError`` (an explicit
+    raise, so ``python -O`` keeps it).
+    """
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1)
+    bound = _validate(alpha, targets, epsilon)
+    inside = ~(np.abs(targets) > bound)
+    certificate = np.full((targets.size, 2), np.nan)
+    # Beyond the bounds the certificate is the open ray past the bound.
+    certificate[~inside] = np.where(
+        (targets[~inside] > 0)[:, None], (bound, math.inf), (-math.inf, -bound)
+    )
+    if alpha >= 0.5:
+        reachable, depth, zeta = _dense(alpha, targets, epsilon, inside)
+    else:
+        reachable, depth, zeta = _sparse(alpha, targets, epsilon, bound, inside, certificate)
+
+    # Soundness check by replay on every witnessed lane.
+    witnessed = np.flatnonzero(reachable)
+    if witnessed.size:
+        forward = zeta[::-1] if witnessed.size == targets.size else zeta[::-1, witnessed]
+        landed = replay_forward(alpha, forward)
+        missed = witnessed[~(np.abs(landed - targets[witnessed]) < epsilon)]
+        if missed.size:
+            i = missed[0]
+            raise RuntimeError(
+                f"the depth-{depth[i]} witness for r={targets[i]} replays farther than "
+                f"epsilon={epsilon}; this is a bug"
+            )
+    return ReachLanes(targets, reachable, depth, zeta, certificate)
 
 
 def is_eps_reachable(query: ReachQuery) -> ReachResult:
     """Decide whether some path endpoint lies strictly within epsilon of r."""
-    alpha, r, eps = query.alpha, query.r, query.epsilon
-    bound = 1.0 / (1.0 - alpha)
-
-    if abs(r) > bound:
-        certificate = (bound, math.inf) if r > 0 else (-math.inf, -bound)
-        return ReachResult(False, certificate=certificate)
-
-    if alpha >= 0.5:
-        return _witnessed(alpha, r, eps, _greedy_witness(alpha, r, eps))
-
-    gap = (1.0 - 2.0 * alpha) / (1.0 - alpha)
-    prefix = []  # coarse-to-fine increments peeled off so far
-    rr = r
-    ee = eps
-    scale = 1.0  # alpha^len(prefix)
-    for _ in range(_MAX_PEELS):
-        if abs(rr) < ee:
-            return _witnessed(alpha, r, eps, tuple(reversed(prefix)))
-        if abs(rr) > bound and abs(rr) - bound >= ee:
-            # Beyond what the remaining tail can span, by at least the scaled
-            # tolerance; smaller overshoots keep peeling toward the extreme.
-            radius = scale * (abs(rr) - bound)
-            return ReachResult(False, certificate=(r - radius, r + radius))
-        if abs(rr) < gap and gap - abs(rr) >= ee:
-            # Stranded in the central gap: nearest endpoints sit at the gap
-            # edge on one side and at the peeled prefix itself on the other
-            # (abs(rr) >= ee held above, so both margins are at least ee).
-            radius = scale * min(abs(rr), gap - abs(rr))
-            return ReachResult(False, certificate=(r - radius, r + radius))
-        z = 1 if rr > 0 else -1
-        prefix.append(z)
-        rr = (rr - z) / alpha
-        ee = ee / alpha
-        scale *= alpha
-    raise RuntimeError("peel-back failed to terminate; this is a bug")
+    return decide_lanes(query.alpha, [query.r], query.epsilon).result(0)

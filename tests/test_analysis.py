@@ -84,6 +84,23 @@ class TestDiscreteCdf:
         assert cdf(0.0) == 0.5
         assert cdf(1.0) == 1.0
 
+    def test_sorted_support_is_not_resorted(self, monkeypatch):
+        # An exact law's support is already increasing: no sort, no copy,
+        # and the same cum as the sorting path.
+        dist = enumerate_distribution(
+            WalkParams(alpha=Alpha.from_rational(9, 10), p=Fraction(1, 3), t=10)
+        )
+        xs, probs = dist.float_law()
+        want = np.minimum(np.cumsum(probs[np.argsort(xs, kind="stable")]), 1.0)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("argsort called on a sorted support")
+
+        monkeypatch.setattr(np, "argsort", no_sort)
+        assert dist.cdf.xs is xs
+        assert dist.cdf.cum.tobytes() == want.tobytes()
+        exact_standardized_cdf(dist)
+
 
 class TestSimpleRwCdf:
     def test_t1(self):

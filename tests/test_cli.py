@@ -287,6 +287,23 @@ class TestColumnWriter:
 
 
 class TestErrors:
+    def test_sweep_guards(self, tmp_path, capsys):
+        # About 3e5 greedy levels for each of 1000 targets: 3e8 witness
+        # increments, over the budget, so exit 4 before any is stored.
+        argv = ["reach", "--alpha", "0.9999", "--sweep", "1000", "--epsilon", "1e-9"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert "witnesses of 1000 targets" in err and err.count("\n") == 1
+        for argv, message in (
+            (["--alpha", "0.5", "--sweep", "-1"], "--sweep"),
+            (["--alpha", "1", "--sweep", "5"], "0 < alpha < 1"),
+        ):
+            code = main(["reach", *argv, "--epsilon", "0.01", "--out", str(tmp_path)])
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "reach.csv").exists()
+
     def test_bad_alpha(self, tmp_path, capsys):
         assert main(["dist", "--alpha", "3/2", "--t", "2", "--out", str(tmp_path)]) == EXIT_USAGE
         assert "alpha" in capsys.readouterr().err
