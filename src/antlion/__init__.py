@@ -14,7 +14,6 @@ from .analysis import (
     CvmResult,
     DiscreteCdf,
     ResidenceSummary,
-    binomial_pmf,
     compare_residence_to_binomial,
     cvm_distance,
     cvm_grid_table,
@@ -114,7 +113,6 @@ __all__ = [
     "simple_rw_exact_cdf",
     "cvm_distance",
     "cvm_grid_table",
-    "binomial_pmf",
     "compare_residence_to_binomial",
     "cvm_lower_bound",
     "ReachQuery",

@@ -40,7 +40,6 @@ __all__ = [
     "cvm_distance",
     "cvm_from_grid",
     "cvm_grid_table",
-    "binomial_pmf",
     "residence_binomial",
     "compare_residence_to_binomial",
     "cvm_lower_bound",
@@ -187,13 +186,6 @@ def cvm_grid_table(
     return CvmGrid(u.tolist(), fu, fv, [(a - b) ** 2 for a, b in zip(fu, fv)])
 
 
-def binomial_pmf(t: int, q: Union[float, Fraction], k: int):
-    """``C(t, k) q^k (1-q)^(t-k)``; exact when ``q`` is a Fraction."""
-    if not 0 <= k <= t:
-        raise ValueError(f"k must lie in 0..{t}, got {k}")
-    return comb(t, k) * q**k * (1 - q) ** (t - k)
-
-
 def residence_binomial(t: int, p: Union[float, Fraction], num=float) -> list:
     """``[C(t, j) q^j p^(t-j) for j in 0..t]``, ``q = 1 - p``: the pmf of
     ``B(t, 1-p)`` in the arithmetic of ``num`` (``float`` or ``Fraction``)."""
@@ -237,43 +229,18 @@ def compare_residence_to_binomial(
     return ResidenceSummary(t, dict(pmf), 1 - num(p), tv, condition)
 
 
-_LOWER_BOUND_TOL = 1e-10
-
-
 def cvm_lower_bound(alpha: float) -> float:
-    """Tail lower bound ``2 * integral_{-inf}^{-1/sqrt(1-alpha)} Phi(u)^2 du``.
+    """Tail lower bound ``2 * integral_{-inf}^{c} Phi(u)^2 du``, ``c = -1/sqrt(1-alpha)``.
 
-    Adaptive trapezoid with interval doubling and Richardson extrapolation,
-    refined until successive extrapolants agree within ``_LOWER_BOUND_TOL``;
-    the lower limit is cut at -40 where the integrand is far below double
-    precision.
+    In closed form, ``2 (c Phi(c)^2 + 2 phi(c) Phi(c) - Phi(sqrt(2) c) / sqrt(pi))``
+    with ``phi`` the standard normal density: differentiate to check. The
+    three terms cancel as ``alpha -> 1`` (relative error about 1e-10 at 0.99),
+    and the bound underflows to 0 past ``alpha`` near 0.998.
     """
     if not (0 < alpha < 1):
         raise ValueError(f"cvm_lower_bound requires 0 < alpha < 1, got {alpha}")
-    upper = -1.0 / math.sqrt(1.0 - alpha)
-    lower = -40.0
-    if upper <= lower:
-        return 0.0
-
-    def integrand(u: float) -> float:
-        phi = normal_cdf(u)
-        return phi * phi
-
-    n = 256
-    trap_prev = _trapezoid(integrand, lower, upper, n)
-    extrap_prev = None
-    while n < 2**20:
-        n *= 2
-        trap_cur = _trapezoid(integrand, lower, upper, n)
-        extrap_cur = (4.0 * trap_cur - trap_prev) / 3.0
-        if extrap_prev is not None and abs(extrap_cur - extrap_prev) <= _LOWER_BOUND_TOL:
-            return 2.0 * extrap_cur
-        trap_prev, extrap_prev = trap_cur, extrap_cur
-    return 2.0 * extrap_prev
-
-
-def _trapezoid(f: Callable[[float], float], a: float, b: float, n: int) -> float:
-    h = (b - a) / n
-    total = 0.5 * (f(a) + f(b))
-    total += math.fsum(f(a + h * i) for i in range(1, n))
-    return h * total
+    c = -1.0 / math.sqrt(1.0 - alpha)
+    cdf = normal_cdf(c)
+    pdf = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+    tail = normal_cdf(math.sqrt(2.0) * c) / math.sqrt(math.pi)
+    return 2.0 * (c * cdf * cdf + 2.0 * pdf * cdf - tail)

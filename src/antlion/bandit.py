@@ -20,8 +20,9 @@ autocorrelated Gaussian surrogates cover the stochastic readings.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,9 +43,7 @@ __all__ = [
 
 def nearest_integer(x: float) -> int:
     """Closest integer with .5 ties rounded away from zero."""
-    if x >= 0:
-        return math.floor(x + 0.5)
-    return math.ceil(x - 0.5)
+    return math.trunc(x + math.copysign(0.5, x))
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,6 @@ class BanditTrace:
     """
 
     config: BanditConfig
-    seed: int
     signal: np.ndarray
     arm_a: np.ndarray
     reward: np.ndarray
@@ -174,6 +172,43 @@ class BanditTrace:
         return float(self.correct[-last:].mean())
 
 
+class _StepRule(NamedTuple):
+    """The rules of every step that do not look at the step before.
+
+    Arrays run over steps on axis 0; trailing axes are lanes and broadcast
+    against the lanes of ``play_a``.
+    """
+
+    xi_a: np.ndarray  # the adjuster's step if arm A is played
+    xi_b: np.ndarray  # ... and if arm B is
+    won_a: np.ndarray
+    won_b: np.ndarray
+    better_a: np.ndarray  # arm A pays more at this step (after any swap)
+    tie: np.ndarray
+
+    def reward(self, play_a: np.ndarray) -> np.ndarray:
+        return np.where(play_a, self.won_a, self.won_b)
+
+    def correct(self, play_a: np.ndarray) -> np.ndarray:
+        return (play_a == self.better_a) | self.tie
+
+
+def _step_rule(config: BanditConfig, reward_u: np.ndarray) -> _StepRule:
+    """The swap, the reward draws and each arm's adjuster step for the
+    reward uniforms ``reward_u`` (one per step, any lane shape)."""
+    swapped = np.zeros(config.horizon, dtype=bool)
+    if config.swap_at is not None:
+        swapped[config.swap_at :] = True
+    per_step = (-1,) + (1,) * (reward_u.ndim - 1)
+    pa = np.where(swapped, config.p_b, config.p_a).reshape(per_step)
+    pb = np.where(swapped, config.p_a, config.p_b).reshape(per_step)
+    won_a, won_b = reward_u < pa, reward_u < pb
+    # A reward pulls the threshold toward the arm played, a failure away.
+    xi_a = np.where(won_a, -config.delta, config.omega)
+    xi_b = np.where(won_b, config.delta, -config.omega)
+    return _StepRule(xi_a, xi_b, won_a, won_b, pa > pb, pa == pb)
+
+
 def run_bandit(
     config: BanditConfig, seed: Union[int, np.random.SeedSequence]
 ) -> BanditTrace:
@@ -183,44 +218,30 @@ def run_bandit(
     step) so runs with matched seeds stay draw-aligned across alphas.
     """
     h = config.horizon
-    check_elements(8 * h, f"a bandit run of {h} steps")  # the 8 per-step arrays below
-    seed_label = -1 if isinstance(seed, np.random.SeedSequence) else int(seed)
+    # The per-step arrays below take under 8 words a step.
+    check_elements(8 * h, f"a bandit run of {h} steps")
     rng = philox_stream(seed)
     sig = config.signal.generate(rng, h)
-    reward_u = rng.random(h)
+    rule = _step_rule(config, rng.random(h))
 
-    arm_a = np.empty(h, dtype=bool)
-    reward = np.empty(h, dtype=bool)
-    xi_arr = np.empty(h, dtype=np.float64)
-    x_arr = np.empty(h, dtype=np.float64)
-    theta_arr = np.empty(h, dtype=np.float64)
-    correct = np.empty(h, dtype=bool)
-
-    k, alpha, delta, omega = config.k, config.alpha, config.delta, config.omega
+    # The threshold recursion on Python floats. C buffers, unlike lists of
+    # float objects, keep the run within its size budget.
+    k, alpha = config.k, config.alpha
     x = 0.0
     theta = k * nearest_integer(0.0)
-    for i in range(h):
-        if config.swap_at is not None and i >= config.swap_at:
-            pa, pb = config.p_b, config.p_a
-        else:
-            pa, pb = config.p_a, config.p_b
-        play_a = sig[i] >= theta
-        if play_a:
-            won = reward_u[i] < pa
-            xi = -delta if won else omega
-        else:
-            won = reward_u[i] < pb
-            xi = delta if won else -omega
-        x = alpha * x + xi
+    plays, xs, thetas = bytearray(), array("d"), array("d")
+    for s, xi_a, xi_b in zip(sig.tolist(), rule.xi_a.tolist(), rule.xi_b.tolist()):
+        play = s >= theta
+        x = alpha * x + (xi_a if play else xi_b)
         theta = k * nearest_integer(x)
-        arm_a[i] = play_a
-        reward[i] = won
-        xi_arr[i] = xi
-        x_arr[i] = x
-        theta_arr[i] = theta
-        correct[i] = True if pa == pb else (play_a == (pa > pb))
+        plays.append(play)
+        xs.append(x)
+        thetas.append(theta)
+    arm_a = np.frombuffer(plays, dtype=bool)
+    xi = np.where(arm_a, rule.xi_a, rule.xi_b)
+    x_arr, theta_arr = np.frombuffer(xs), np.frombuffer(thetas)
     return BanditTrace(
-        config, seed_label, sig, arm_a, reward, xi_arr, x_arr, theta_arr, correct
+        config, sig, arm_a, rule.reward(arm_a), xi, x_arr, theta_arr, rule.correct(arm_a)
     )
 
 
@@ -239,8 +260,8 @@ def _lockstep_correct(
 
     All ``len(alphas) * n_seeds`` runs advance together, one vector op per
     step over every lane. Lane ``(a, j)`` draws from ``SeedSequence(seed_base,
-    spawn_key=(j,))`` and does the same float operations in the same order as
-    ``run_bandit``, so its trace is the same bit for bit.
+    spawn_key=(j,))``, shares ``run_bandit``'s step rule and does the same
+    float operations in the same order, so its trace is the same bit for bit.
     """
     h = config.horizon
     signal = np.empty((h, n_seeds))
@@ -249,14 +270,8 @@ def _lockstep_correct(
         rng = philox_stream(seed_base, j)
         signal[:, j] = config.signal.generate(rng, h)
         reward_u[:, j] = rng.random(h)
-    swapped = np.zeros(h, dtype=bool)
-    if config.swap_at is not None:
-        swapped[config.swap_at :] = True
-    pa = np.where(swapped, config.p_b, config.p_a)[:, None]
-    pb = np.where(swapped, config.p_a, config.p_b)[:, None]
-    # The adjuster's step for each arm, decided by the reward draw alone.
-    xi_a = np.where(reward_u < pa, -config.delta, config.omega)
-    xi_b = np.where(reward_u < pb, config.delta, -config.omega)
+    rule = _step_rule(config, reward_u[:, None, :])  # lanes (1 alpha, n_seeds)
+    xi_a, xi_b = rule.xi_a, rule.xi_b
 
     k = config.k
     alpha = np.asarray(alphas, dtype=np.float64)[:, None]
@@ -267,14 +282,12 @@ def _lockstep_correct(
         play = np.greater_equal(signal[i], theta, out=play_a[i])
         x *= alpha
         x += np.where(play, xi_a[i], xi_b[i])
-        # nearest_integer: trunc(x + 0.5) = floor(x + 0.5) for x >= 0 and
-        # trunc(x - 0.5) = ceil(x - 0.5) for x < 0, in three ops, not six.
+        # nearest_integer, in place.
         np.copysign(0.5, x, out=theta)
         theta += x
         np.trunc(theta, out=theta)
         theta *= k
-    better_a = (pa > pb)[:, :, None]
-    return (play_a == better_a) | (pa == pb)[:, :, None]
+    return rule.correct(play_a)
 
 
 def sweep_alpha(

@@ -229,7 +229,7 @@ def _sparse(alpha, targets, eps, bound, inside, certificate):
     n = targets.size
     reachable = np.zeros(n, dtype=bool)
     depth = np.zeros(n, dtype=np.int64)
-    gap = (1.0 - 2.0 * alpha) / (1.0 - alpha)
+    _, gap = central_gap(alpha)  # alpha < 1/2 here, so the gap exists
     lanes = np.flatnonzero(inside)
     rr = targets[lanes]
     ee = eps

@@ -9,7 +9,6 @@ import pytest
 from antlion import (
     Alpha,
     WalkParams,
-    binomial_pmf,
     compare_residence_to_binomial,
     cvm_distance,
     cvm_grid_table,
@@ -24,13 +23,19 @@ from antlion import (
     standardize_srw,
     uniform_cdf,
 )
-from antlion.analysis import DiscreteCdf, _trapezoid, residence_binomial
+from antlion.analysis import DiscreteCdf, residence_binomial
 from antlion.montecarlo import Ecdf
 
 # Frozen from a 30-digit quadrature oracle.
 PHI_196 = 0.9750021048517796
 LOWER_BOUND_LIMIT = 0.014470153652050423  # 2 * int_{-inf}^{-1} Phi(u)^2 du
 LOWER_BOUND_HALF = 0.003004554392583294  # alpha = 1/2
+# 2 * int_{-inf}^{-1/sqrt(1-alpha)} Phi(u)^2 du, frozen from mpmath at 50 digits.
+LOWER_BOUND_MPMATH = {
+    0.5: 0.0030045543925832940667,
+    0.9: 1.7200314557797166986e-7,
+    0.99: 5.722282293348935697e-48,
+}
 
 
 class TestStandardize:
@@ -213,28 +218,21 @@ class TestCvmDistance:
                 cvm_distance(normal_cdf, normal_cdf, m1=m1, m2=m2)
 
 
-class TestBinomialPmf:
-    def test_degenerate(self):
-        assert binomial_pmf(7, 0.0, 0) == 1.0
-
-    def test_central(self):
-        assert binomial_pmf(10, Fraction(1, 2), 5) == Fraction(63, 256)
-
-    def test_sums_to_one(self):
-        q = Fraction(3, 10)
-        assert sum(binomial_pmf(9, q, k) for k in range(10)) == 1
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            binomial_pmf(5, 0.5, 6)
-
-
 class TestResidenceBinomial:
     @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(7, 10)])
     def test_exact(self, p):
         pmf = residence_binomial(9, p, Fraction)
-        assert pmf == [binomial_pmf(9, 1 - p, j) for j in range(10)]
+        assert pmf == [math.comb(9, j) * (1 - p) ** j * p ** (9 - j) for j in range(10)]
         assert sum(pmf) == 1
+
+    def test_degenerate(self):
+        assert residence_binomial(7, 1.0) == [1.0] + [0.0] * 7
+
+    def test_central(self):
+        assert residence_binomial(10, Fraction(1, 2), Fraction)[5] == Fraction(63, 256)
+
+    def test_sums_to_one(self):
+        assert sum(residence_binomial(9, Fraction(7, 10), Fraction)) == 1
 
     @pytest.mark.parametrize("p", [0.3, Fraction(1, 3), 0.0, 1.0])
     def test_float_rounds_q_first(self, p):
@@ -278,19 +276,28 @@ class TestCvmLowerBound:
     def test_half(self):
         assert cvm_lower_bound(0.5) == pytest.approx(LOWER_BOUND_HALF, abs=1e-8)
 
+    @pytest.mark.parametrize("alpha", sorted(LOWER_BOUND_MPMATH))
+    def test_matches_mpmath(self, alpha):
+        assert cvm_lower_bound(alpha) == pytest.approx(LOWER_BOUND_MPMATH[alpha], rel=1e-9)
+
     def test_self_consistent_with_plain_trapezoid(self):
         # Oracle: fixed-resolution trapezoid at two step counts. Plain
         # trapezoid has O(h^2) error, so the fine run is good to ~1e-8 here.
+        def trapezoid(f, a, b, n):
+            h = (b - a) / n
+            return h * (0.5 * (f(a) + f(b)) + math.fsum(f(a + h * i) for i in range(1, n)))
+
         alpha = 0.3
         upper = -1.0 / math.sqrt(1.0 - alpha)
         f = lambda u: normal_cdf(u) ** 2
-        coarse = 2 * _trapezoid(f, -40.0, upper, 1 << 14)
-        fine = 2 * _trapezoid(f, -40.0, upper, 1 << 15)
+        coarse = 2 * trapezoid(f, -40.0, upper, 1 << 14)
+        fine = 2 * trapezoid(f, -40.0, upper, 1 << 15)
         assert abs(coarse - fine) < 1e-6
         assert cvm_lower_bound(alpha) == pytest.approx(fine, abs=1e-7)
 
     def test_monotone_nonincreasing(self):
-        values = [cvm_lower_bound(a) for a in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        values = [cvm_lower_bound(a) for a in np.linspace(0.005, 0.995, 200)]
+        assert min(values) >= 0.0
         assert all(x >= y for x, y in zip(values, values[1:]))
 
     def test_large_alpha_negligible(self):

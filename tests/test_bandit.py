@@ -1,5 +1,6 @@
 """Bandit threshold model: reduction, sign rules, determinism, sweeps."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -205,20 +206,53 @@ class TestCorrectRateWindow:
         assert trace.correct_rate(last=20) == trace.correct_rate() == trace.correct_rate(last=99)
 
 
+LANE_CONFIGS = [
+    config(horizon=600, signal=NormalSignal()),
+    config(horizon=600, signal=UniformSignal(-5, 5), p_a=0.2, p_b=0.8),
+    config(horizon=600, signal=Ar1Signal(-0.6), swap_at=250),
+    config(horizon=600, signal=UniformSignal(-2, 3), k=1.5, delta=0.7, omega=2.5),
+    config(horizon=300, signal=NormalSignal(), k=0.3, delta=3.0, omega=0.25, swap_at=0),
+    config(horizon=200, p_a=0.5, p_b=0.5, swap_at=100),
+]
+
+# sha256 over the trace arrays of LANE_CONFIGS[c] at alphas 0, 0.5, 0.93 and 1,
+# seeded with the int 17 and with SeedSequence(17, spawn_key=(1,)). Frozen from
+# the per-step Python branches the single run had before it shared the
+# lockstep's step rule, so the two cannot drift together unnoticed.
+TRACE_DIGESTS = [
+    ("7dd3f271d94e5065d963d8100d252b8857b4d9413a1ea997e78ae338fe8f7b91",
+     "f5884412a6435e71660425fa4e35b5581a0768027ec0bc28069ef34ca56172a2"),
+    ("a066bdc1d3925131d62d87c1cce35a01a37d8028bbd4a2dbdde1e64bb863130d",
+     "73a28fa8fb59d0c49c28f1a48a090691e6da74fe42faabfb44dd00bae0cdd65e"),
+    ("2868f06afbf6c23ef06ba43370847c68910b447f14782e6a03c62568e0faf047",
+     "d5062d5474585e9a9ca53af0c0f1e5c66cdfc42632a7afceeba7af8f53363373"),
+    ("357082486ad469787e645f3a5de2d1007dfc89ffc8d531bac4280ebea7c55f5a",
+     "96824c656b89185d5c53b46eec8080c013c27bbc203cb07b9bc8c110feb33947"),
+    ("7e304ed75b2545f365f75eff11e9ff92afd1bab4671d217fbb0bfd5854a19cb1",
+     "bef0e5ea4d5bce488220b1097611059957d6f0d65c2182354291c84d48f1a992"),
+    ("b62557dedc3d7d45dec8c55085a6363d8b958492bc9b177da6180ff64d688e4c",
+     "6946bc7887f0e394b377c19d7f796b1648edc153acd34de09aed1f1f65362dd3"),
+]
+
+
+@pytest.mark.parametrize("c", range(len(LANE_CONFIGS)))
+@pytest.mark.parametrize("kind", ["int", "seed_sequence"])
+def test_run_bandit_frozen_digests(c, kind):
+    seed = 17 if kind == "int" else np.random.SeedSequence(17, spawn_key=(1,))
+    h = hashlib.sha256()
+    for alpha in (0.0, 0.5, 0.93, 1.0):
+        trace = run_bandit(replace(LANE_CONFIGS[c], alpha=alpha), seed)
+        for name in ("signal", "arm_a", "reward", "xi", "x", "theta", "correct"):
+            arr = getattr(trace, name)
+            h.update(arr.dtype.str.encode())
+            h.update(arr.tobytes())
+    assert h.hexdigest() == TRACE_DIGESTS[c][kind == "seed_sequence"]
+
+
 class TestLockstep:
     """Each lockstep lane is the ``run_bandit`` trace of its alpha and seed."""
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            config(horizon=600, signal=NormalSignal()),
-            config(horizon=600, signal=UniformSignal(-5, 5), p_a=0.2, p_b=0.8),
-            config(horizon=600, signal=Ar1Signal(-0.6), swap_at=250),
-            config(horizon=600, signal=UniformSignal(-2, 3), k=1.5, delta=0.7, omega=2.5),
-            config(horizon=300, signal=NormalSignal(), k=0.3, delta=3.0, omega=0.25, swap_at=0),
-            config(horizon=200, p_a=0.5, p_b=0.5, swap_at=100),
-        ],
-    )
+    @pytest.mark.parametrize("cfg", LANE_CONFIGS)
     def test_lanes_match_run_bandit(self, cfg):
         alphas = [0.0, 0.5, 1.0, 0.93]
         correct = _lockstep_correct(cfg, alphas, n_seeds=3, seed_base=17)
