@@ -29,7 +29,6 @@ __all__ = [
     "CvmGrid",
     "CvmResult",
     "ResidenceSummary",
-    "DiscreteCdf",
     "standardize_arw",
     "standardize_srw",
     "normal_cdf",

@@ -85,12 +85,11 @@ class Ar1Signal:
 
     def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
         noise = rng.standard_normal(n) * math.sqrt(1.0 - self.rho * self.rho)
-        out = np.empty(n)
-        prev = rng.standard_normal()
-        for i in range(n):
-            prev = self.rho * prev + noise[i]
-            out[i] = prev
-        return out
+        prev, out = rng.standard_normal(), []
+        for e in noise.tolist():
+            prev = self.rho * prev + e
+            out.append(prev)
+        return np.array(out, dtype=np.float64)
 
 
 SignalSource = Union[UniformSignal, NormalSignal, Ar1Signal]

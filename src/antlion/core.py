@@ -31,11 +31,9 @@ __all__ = [
     "check_elements",
     "philox_stream",
     "parse_number",
-    "sample_step",
     "evolve",
     "closed_form_mean",
     "closed_form_variance",
-    "position_bounds",
 ]
 
 Probability = Union[float, Fraction]
@@ -181,11 +179,6 @@ class WalkParams:
             raise ValueError(f"t must be a nonnegative integer, got {self.t}")
 
 
-def sample_step(p: Probability, rng: np.random.Generator) -> int:
-    """Draw one step: -1 with probability ``p``, +1 with probability ``1 - p``."""
-    return -1 if rng.random() < p else 1
-
-
 def evolve(x, alpha: Union[Alpha, float, Fraction], xi: int):
     """One update ``alpha * x + xi``.
 
@@ -220,15 +213,3 @@ def closed_form_variance(params: WalkParams):
         return 4 * p * (1 - p) * t
     return 4 * p * (1 - p) * (1 - a ** (2 * t)) / (1 - a * a)
 
-
-def position_bounds(alpha: Alpha):
-    """Open bounds ``(-1/(1-alpha), +1/(1-alpha))`` enclosing every position.
-
-    Every realizable position lies strictly inside. Requires 0 < alpha < 1;
-    alpha = 1 has no bound and alpha = 0 is rejected with it.
-    """
-    a = alpha.value
-    if not (0 < a < 1):
-        raise ValueError(f"position bounds require 0 < alpha < 1, got {a}")
-    upper = 1 / (1 - a)
-    return (-upper, upper)

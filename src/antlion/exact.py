@@ -503,16 +503,29 @@ def exact_residence_distribution(params: WalkParams) -> dict:
     exactly zero counts as positive side. Returns ``{j: P(T_+ = j)}`` over
     ``j = 0..t`` with Fraction probabilities (``p`` is converted exactly, so
     a float ``p`` uses its binary value).
+
+    The ``s``-step paths are two half lattices, as in :func:`_path_lattice`:
+    ``S_s = high[i] + low[j]`` is nonnegative exactly when ``low[j] >=
+    -high[i]``, so with ``low`` ranked once on its ints every sign is an
+    int comparison of ``rank[j]`` with the first rank at or above
+    ``-high[i]``. Only levels up to ``t - t // 2`` are walked.
     """
     frac = _require_exact_alpha(params.alpha)
     _check_cap(params.t)
     t = params.t
-    levels = _levels(frac.numerator, frac.denominator, t)
-    _, k = next(levels)
+    m, n = frac.numerator, frac.denominator
+    levels = [scaled for scaled, _ in _levels(m, n, t - t // 2)]
     visits = np.zeros(1, dtype=np.int8)  # nonnegative steps of each path so far
-    for scaled, k in levels:
+    for s in range(1, t + 1):
+        h = s // 2
+        low = m ** (s - h) * levels[h]
+        order = np.argsort(low)
+        rank = np.empty(low.size, dtype=np.intp)
+        rank[order] = np.arange(low.size)
+        first = np.searchsorted(low[order], -(n**h) * levels[s - h])
         # A path's prefix of s - 1 steps is its index without the top bit.
-        visits = np.concatenate([visits, visits]) + (scaled >= 0)
+        visits = np.concatenate([visits, visits]) + (rank >= first[:, None]).ravel()
+    k = _path_lattice(frac, t).k
     cells = np.bincount(visits.astype(np.intp) * (t + 1) + k, minlength=(t + 1) ** 2)
     weights = path_weights(Fraction(params.p), t)
     return {

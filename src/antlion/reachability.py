@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "central_gap",
     "decide_lanes",
     "is_eps_reachable",
-    "inverse_path_value",
     "reach_bound",
 ]
 
@@ -61,11 +60,12 @@ _MAX_PEELS = 10_000
 MAX_WITNESS_DEPTH = 1 << 20
 
 
-def reach_bound(alpha: float) -> float:
-    """``1/(1-alpha)``: every endpoint lies strictly inside ``(-bound, bound)``."""
+def reach_bound(alpha):
+    """``1/(1-alpha)``, in the arithmetic of ``alpha`` (a Fraction gives a
+    Fraction): every endpoint lies strictly inside ``(-bound, bound)``."""
     if not (0 < alpha < 1):
         raise ValueError(f"reachability requires 0 < alpha < 1, got {alpha}")
-    return 1.0 / (1.0 - alpha)
+    return 1 / (1 - alpha)
 
 
 def _validate(alpha: float, targets: np.ndarray, epsilon: float) -> float:
@@ -156,20 +156,6 @@ def central_gap(alpha: float) -> Optional[Tuple[float, float]]:
         return None
     g = (1.0 - 2.0 * alpha) / (1.0 - alpha)
     return (-g, g)
-
-
-def inverse_path_value(alpha: float, zeta: Sequence[int]) -> float:
-    """Coarse-to-fine partial sum ``sum_s alpha^(s-1) zeta_s``.
-
-    Reversing ``zeta`` and replaying it forward through the walk update gives
-    the same endpoint.
-    """
-    y = 0.0
-    w = 1.0
-    for z in zeta:
-        y += w * z
-        w *= alpha
-    return y
 
 
 def replay_forward(alpha: float, xi):

@@ -1,10 +1,8 @@
-"""Step law, one-step evolution, closed-form moments, position bounds."""
+"""Parameters, one-step evolution, closed-form moments, position bounds."""
 
 import itertools
-import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +13,7 @@ from antlion import (
     closed_form_mean,
     closed_form_variance,
     evolve,
-    position_bounds,
-    sample_step,
+    reach_bound,
 )
 
 
@@ -67,23 +64,6 @@ class TestWalkParams:
     def test_t_validation(self):
         with pytest.raises(ValueError):
             WalkParams(alpha=Alpha.from_real(0.5), p=0.5, t=-1)
-
-
-class TestSampleStep:
-    def test_degenerate_plus(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_step(0.0, rng) == 1 for _ in range(50))
-
-    def test_degenerate_minus(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_step(1.0, rng) == -1 for _ in range(50))
-
-    def test_symmetric_mean(self):
-        # 8-sigma band around 0 for the mean of 1e6 fair steps.
-        rng = np.random.default_rng(123)
-        n = 10**6
-        total = sum(sample_step(0.5, rng) for _ in range(n))
-        assert abs(total / n) < 2 * 4 / math.sqrt(n)
 
 
 class TestEvolve:
@@ -158,25 +138,24 @@ class TestClosedForms:
 
 class TestPositionBounds:
     def test_half(self):
-        assert position_bounds(Alpha.from_rational(1, 2)) == (-2, 2)
+        bound = reach_bound(Fraction(1, 2))
+        assert bound == Fraction(2) and isinstance(bound, Fraction)
 
     def test_nine_tenths(self):
-        lo, hi = position_bounds(Alpha.from_real(0.9))
-        assert hi == pytest.approx(10.0, abs=1e-9)
-        assert lo == pytest.approx(-10.0, abs=1e-9)
+        assert reach_bound(0.9) == 1.0 / (1.0 - 0.9)
+        assert reach_bound(0.9) == pytest.approx(10.0, abs=1e-9)
 
     def test_one_tenth(self):
-        lo, hi = position_bounds(Alpha.from_rational(1, 10))
-        assert (lo, hi) == (Fraction(-10, 9), Fraction(10, 9))
+        assert reach_bound(Fraction(1, 10)) == Fraction(10, 9)
 
     def test_rejects_one_and_zero(self):
         with pytest.raises(ValueError):
-            position_bounds(Alpha.from_real(1.0))
+            reach_bound(1.0)
         with pytest.raises(ValueError):
-            position_bounds(Alpha.from_real(0.0))
+            reach_bound(0.0)
 
     def test_monotone_in_alpha(self):
-        uppers = [position_bounds(Alpha.from_real(a))[1] for a in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        uppers = [reach_bound(a) for a in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(x < y for x, y in zip(uppers, uppers[1:]))
 
     @given(

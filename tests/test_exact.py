@@ -23,7 +23,7 @@ from antlion import (
     exact_moments,
     exact_residence_distribution,
     path_weights,
-    position_bounds,
+    reach_bound,
     support_size,
 )
 from antlion import exact
@@ -94,6 +94,25 @@ def brute_residence_pmf(alpha: Fraction, p: Fraction, t: int) -> dict:
     for _, _, k, visits in brute_paths(alpha, t):
         pmf[visits] += p**k * (1 - p) ** (t - k)
     return pmf
+
+
+def walk_residence(params: WalkParams) -> dict:
+    """Reference: the residence law by the full-depth walk of every level."""
+    frac = exact._require_exact_alpha(params.alpha)
+    exact._check_cap(params.t)
+    t = params.t
+    levels = exact._levels(frac.numerator, frac.denominator, t)
+    _, k = next(levels)
+    visits = np.zeros(1, dtype=np.int8)  # nonnegative steps of each path so far
+    for scaled, k in levels:
+        # A path's prefix of s - 1 steps is its index without the top bit.
+        visits = np.concatenate([visits, visits]) + (scaled >= 0)
+    cells = np.bincount(visits.astype(np.intp) * (t + 1) + k, minlength=(t + 1) ** 2)
+    weights = path_weights(Fraction(params.p), t)
+    return {
+        j: sum(paths * w for paths, w in zip(row, weights))
+        for j, row in enumerate(cells.reshape(t + 1, t + 1).tolist())
+    }
 
 
 class TestEnumerate:
@@ -185,9 +204,9 @@ class TestEnumerate:
     def test_support_inside_bounds(self):
         for alpha in ALPHAS:
             dist = enumerate_distribution(params(alpha, t=10))
-            lo, hi = position_bounds(Alpha.from_fraction(alpha))
+            hi = reach_bound(alpha)
             fracs = dist.support_fractions()
-            assert lo < fracs[0] and fracs[-1] < hi
+            assert -hi < fracs[0] and fracs[-1] < hi
 
 
 class TestLatticeDifferential:
@@ -479,6 +498,39 @@ class TestResidence:
         alpha, t = Fraction(9, 10), 5
         pmf = exact_residence_distribution(params(alpha, t=t))
         assert pmf == brute_residence_pmf(alpha, Fraction(1, 2), t)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            Fraction(1, 2),
+            Fraction(9, 10),
+            Fraction(1, 10),
+            Fraction(99, 100),
+            Fraction(2, 3),
+            Fraction(1, 10**6),
+            Fraction(10**6 - 1, 10**6),
+        ],
+        ids=str,
+    )
+    def test_matches_full_depth_walk(self, alpha):
+        for p in (Fraction(1, 2), Fraction(1, 3), 0.3):
+            for t in range(13):
+                prm = params(alpha, p=p, t=t)
+                assert exact_residence_distribution(prm) == walk_residence(prm), (p, t)
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 5, 12])
+    def test_walks_only_half_the_levels(self, monkeypatch, t):
+        levels = exact._levels
+
+        def half_levels(m, n, depth):
+            assert depth <= t - t // 2, f"walked {depth} levels at t={t}"
+            return levels(m, n, depth)
+
+        monkeypatch.setattr(exact, "_levels", half_levels)
+        prm = params(Fraction(9, 10), p=Fraction(1, 3), t=t)
+        assert exact_residence_distribution(prm) == brute_residence_pmf(
+            Fraction(9, 10), Fraction(1, 3), t
+        )
 
 
 class TestMemory:
