@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+# Trailing steps of `AlphaSweepRow.last_window_rate`; read at call time.
+LAST_WINDOW = 1000
+
+
 def nearest_integer(x: float) -> int:
     """Closest integer with .5 ties rounded away from zero."""
     return math.trunc(x + math.copysign(0.5, x))
@@ -294,7 +298,6 @@ def sweep_alpha(
     alphas: Sequence[float],
     n_seeds: int,
     seed_base: int = 0,
-    last_window: int = 1000,
 ) -> list:
     """Average correct-selection trajectories over seeds, one row per alpha.
 
@@ -307,8 +310,6 @@ def sweep_alpha(
         raise ValueError("alphas must be nonempty")
     if n_seeds < 1:
         raise ValueError("n_seeds must be at least 1")
-    if last_window < 1:
-        raise ValueError("last_window must be at least 1")
     for a in alphas:
         replace(config, alpha=a)  # validates each alpha with the step sizes
     h = config.horizon
@@ -316,7 +317,7 @@ def sweep_alpha(
     size = h * n_seeds * (4 + 2 * len(alphas))
     check_elements(size, f"a sweep of {len(alphas)} alphas * {n_seeds} seeds * {h} steps")
     correct = _lockstep_correct(config, alphas, n_seeds, seed_base)
-    window = min(last_window, h)
+    window = min(LAST_WINDOW, h)
     steps = np.arange(1, h + 1, dtype=np.float64)
     # Per seed in order, as a loop over run_bandit traces would add them up.
     acc = np.zeros((h, len(alphas)))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bandit, exact
 from .analysis import (
     check_cvm_grid,
     compare_residence_to_binomial,
@@ -87,9 +87,6 @@ _EXIT_CODES = (
 )
 
 CSV_SCHEMA_VERSION = 1
-
-# Feasibility ceiling for the optional exact columns in `moments`.
-_MOMENTS_EXACT_MAX_T = 20
 
 
 def _parse_prob(text: str):
@@ -345,7 +342,7 @@ def _cmd_bandit(args):
                 "seed": args.seed,
                 "selection_rate_a": trace.selection_rate_a,
                 "correct_rate": trace.correct_rate(),
-                "last_1000_correct_rate": trace.correct_rate(last=min(1000, config.horizon)),
+                "last_1000_correct_rate": trace.correct_rate(last=bandit.LAST_WINDOW),
             },
         )
 
@@ -355,7 +352,7 @@ def _moment_row(alpha: Alpha, p, t: int) -> tuple:
     row = (t, float(closed_form_mean(params)), float(closed_form_variance(params)))
     if not alpha.exact:
         return row
-    if t > _MOMENTS_EXACT_MAX_T:
+    if t > exact.DEFAULT_HORIZON_CAP:
         return (*row, "", "")
     mean, var = exact_moments(enumerate_distribution(params))
     return (*row, float(mean), float(var))

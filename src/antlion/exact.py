@@ -12,6 +12,8 @@ t // 2``, ``S`` of path ``i * 2^h + j`` is ``high[i] + low[j]``: the first
 ``2^(t/2)`` Python ints each (ints, so position equality stays decidable,
 which floating point cannot certify). Over all ``2^t`` paths only ``k`` is
 built eagerly; the moments convolve per-``k`` sums of the halves.
+``_path_lattice`` alone lays out the halves, also of each prefix for the
+residence law, and ``_levels`` alone walks levels, in ints and in floats.
 
 The support is ordered when first read, by a sort of the exactly rounded
 positions ``S / n^(t-1)``. Each is composed in floats from double-double
@@ -90,10 +92,12 @@ def _check_cap(t: int) -> None:
         )
 
 
-def _levels(m: int, n: int, t: int):
+def _levels(m: Union[int, float], n: int, t: int):
     """Yield ``(S, k)`` of all ``s``-step paths for ``s = 0..t``, in path-index
-    order, by doubling: step ``s`` is the new top index bit."""
-    scaled = np.zeros(1, dtype=object)
+    order, by doubling: step ``s`` is the new top index bit. An int ``m``
+    gives the exact numerators as Python ints; a float ``m`` with ``n = 1``
+    gives the float positions, each ``m * x +- 1`` rounded once."""
+    scaled = np.zeros(1, dtype=float if isinstance(m, float) else object)
     k = np.zeros(1, dtype=np.int8)  # t < 128: 2^t paths never fit otherwise
     yield scaled, k
     weight = 1  # n^(s-1) at step s
@@ -103,15 +107,6 @@ def _levels(m: int, n: int, t: int):
         k = np.concatenate([k, k + 1])
         weight *= n
         yield scaled, k
-
-
-def _float_positions(alpha: float, t: int) -> np.ndarray:
-    """Float positions of all ``2^t`` paths, in path-index order."""
-    x = np.zeros(1)
-    for _ in range(t):
-        y = alpha * x
-        x = np.concatenate([y + 1.0, y - 1.0])
-    return x
 
 
 def _split(values: np.ndarray, den: int) -> tuple:
@@ -279,8 +274,8 @@ class PathLattice(Mapping):
 def _path_lattice(alpha: Fraction, t: int) -> PathLattice:
     m, n = alpha.numerator, alpha.denominator
     half = t // 2
-    *_, (low, low_k) = _levels(m, n, half)
-    *_, (high, high_k) = _levels(m, n, t - half)
+    levels = list(_levels(m, n, t - half))
+    (low, low_k), (high, high_k) = levels[half], levels[-1]
     # S_t = m^(t-h) S_h(steps 1..h) + n^h S_(t-h)(steps h+1..t); the later
     # steps are the high index bits, so they index the rows of the outer sum.
     return PathLattice(n**half * high, high_k, m ** (t - half) * low, low_k, n ** max(t - 1, 0))
@@ -464,7 +459,7 @@ def check_path_uniqueness_real(alpha: float, t: int, tolerance: float = 1e-9) ->
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     _check_cap(t)
-    positions = _float_positions(alpha, t)
+    *_, (positions, _) = _levels(float(alpha), 1, t)
     order = np.argsort(positions, kind="stable")
     sorted_pos = positions[order]
     # Every pair below has sorted_pos[j] <= sorted_pos[i] + tolerance, so
@@ -504,29 +499,29 @@ def exact_residence_distribution(params: WalkParams) -> dict:
     ``j = 0..t`` with Fraction probabilities (``p`` is converted exactly, so
     a float ``p`` uses its binary value).
 
-    The ``s``-step paths are two half lattices, as in :func:`_path_lattice`:
-    ``S_s = high[i] + low[j]`` is nonnegative exactly when ``low[j] >=
-    -high[i]``, so with ``low`` ranked once on its ints every sign is an
-    int comparison of ``rank[j]`` with the first rank at or above
-    ``-high[i]``. Only levels up to ``t - t // 2`` are walked.
+    The ``s``-step paths are the half lattices of ``_path_lattice(alpha,
+    s)``: ``S_s = high[i] + low[j]`` is nonnegative exactly when ``low[j] >=
+    -high[i]``, so with ``low`` ranked on its ints each sign is an int
+    comparison of ``rank[j]`` with the first rank at or above ``-high[i]``.
+    Cells ``T_+ * (t + 1) + k`` are int16 codes, counted a block at a time.
     """
     frac = _require_exact_alpha(params.alpha)
     _check_cap(params.t)
     t = params.t
-    m, n = frac.numerator, frac.denominator
-    levels = [scaled for scaled, _ in _levels(m, n, t - t // 2)]
+    lattice = _path_lattice(frac, 0)
     visits = np.zeros(1, dtype=np.int8)  # nonnegative steps of each path so far
     for s in range(1, t + 1):
-        h = s // 2
-        low = m ** (s - h) * levels[h]
-        order = np.argsort(low)
-        rank = np.empty(low.size, dtype=np.intp)
-        rank[order] = np.arange(low.size)
-        first = np.searchsorted(low[order], -(n**h) * levels[s - h])
+        lattice = _path_lattice(frac, s)
+        order = np.argsort(lattice.low)
+        first = np.searchsorted(lattice.low[order], -lattice.high)
         # A path's prefix of s - 1 steps is its index without the top bit.
-        visits = np.concatenate([visits, visits]) + (rank >= first[:, None]).ravel()
-    k = _path_lattice(frac, t).k
-    cells = np.bincount(visits.astype(np.intp) * (t + 1) + k, minlength=(t + 1) ** 2)
+        visits = np.concatenate([visits, visits])
+        visits += (np.argsort(order) >= first[:, None]).ravel()
+    codes = visits.astype(np.int16)
+    codes *= t + 1
+    codes += lattice.k
+    blocks = np.split(codes, range(_BLOCK, codes.size, _BLOCK))
+    cells = sum(np.bincount(block, minlength=(t + 1) ** 2) for block in blocks)
     weights = path_weights(Fraction(params.p), t)
     return {
         j: sum(paths * w for paths, w in zip(row, weights))

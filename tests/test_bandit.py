@@ -16,6 +16,7 @@ from antlion import (
     run_bandit,
     sweep_alpha,
 )
+from antlion import bandit
 from antlion.bandit import _lockstep_correct
 
 
@@ -183,13 +184,9 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_alpha(config(), [], n_seeds=1)
 
-    def test_window_must_be_positive(self):
-        for window in (0, -5):
-            with pytest.raises(ValueError, match="last_window"):
-                sweep_alpha(config(horizon=50), [0.9], n_seeds=1, last_window=window)
-
-    def test_window_longer_than_horizon_is_whole_run(self):
-        rows = sweep_alpha(config(horizon=40), [0.9, 1.0], n_seeds=2, last_window=10_000)
+    def test_window_longer_than_horizon_is_whole_run(self, monkeypatch):
+        monkeypatch.setattr(bandit, "LAST_WINDOW", 10_000)
+        rows = sweep_alpha(config(horizon=40), [0.9, 1.0], n_seeds=2)
         assert all(row.last_window_rate == row.final_rate for row in rows)
 
 
@@ -263,11 +260,12 @@ class TestLockstep:
                 trace = run_bandit(replace(cfg, alpha=alpha), ss)
                 assert np.array_equal(correct[:, a, j], trace.correct)
 
-    def test_sweep_matches_run_bandit_loop(self):
+    def test_sweep_matches_run_bandit_loop(self, monkeypatch):
         cfg = config(horizon=300, signal=UniformSignal(-5, 5), swap_at=120, delta=1.5)
         # Past 8 seeds a pairwise sum would round differently from the loop.
         alphas, n_seeds, window = [0.5, 0.9, 1.0], 20, 150
-        rows = sweep_alpha(cfg, alphas, n_seeds, seed_base=3, last_window=window)
+        monkeypatch.setattr(bandit, "LAST_WINDOW", window)
+        rows = sweep_alpha(cfg, alphas, n_seeds, seed_base=3)
         for row, alpha in zip(rows, alphas):
             acc, last_acc = np.zeros(cfg.horizon), 0.0
             for j in range(n_seeds):

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from antlion import analysis, cli
+from antlion import analysis, bandit, cli
 from antlion.analysis import exact_standardized_cdf, normal_cdf, simple_rw_exact_cdf
 from antlion.bandit import BanditConfig, UniformSignal, run_bandit, sweep_alpha
 from antlion.cli import EXIT_HORIZON, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
-from antlion.core import Alpha, WalkParams
+from antlion.core import Alpha, WalkParams, closed_form_mean, closed_form_variance
 from antlion.exact import DIST_HEADER, enumerate_distribution, exact_residence_distribution
 from antlion.montecarlo import empirical_cdf, simulate
 from antlion.reachability import ReachQuery, is_eps_reachable
@@ -578,6 +578,15 @@ class TestBandit:
         rows = read_csv(tmp_path / "bandit_trace.csv")
         assert all(float(r[1]) == int(float(r[1])) for r in rows[1:])
 
+    @pytest.mark.parametrize("window", [5, 1000])
+    def test_summary_reads_the_last_window(self, tmp_path, monkeypatch, window):
+        monkeypatch.setattr(bandit, "LAST_WINDOW", window)
+        argv = ["bandit", "--pa", "0.7", "--pb", "0.4", "--horizon", "50", "--seed", "2"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "bandit_summary.json").read_text())
+        trace = run_bandit(BanditConfig(p_a=0.7, p_b=0.4, horizon=50), 2)
+        assert summary["last_1000_correct_rate"] == trace.correct[-window:].mean()
+
     @pytest.mark.parametrize(
         "step_sizes, message",
         [
@@ -689,9 +698,12 @@ def _reach_rows():
 
 
 def _moments_rows():
-    alpha = Alpha.parse("1/2")
-    rows = [cli._moment_row(alpha, Fraction(1, 2), t) for t in range(1, 22)]
-    assert rows[-1][3:] == ("", "")  # past the exact columns' horizon
+    rows = []
+    for t in range(1, 26):
+        prm = WalkParams(alpha=Alpha.parse("1/2"), p=Fraction(1, 2), t=t)
+        row = (t, float(closed_form_mean(prm)), float(closed_form_variance(prm)))
+        # The exact columns equal the closed forms up to the cap t = 24, blank past it.
+        rows.append((*row, *(row[1:] if t <= 24 else ("", ""))))
     return {"moments": (["t", "mean", "variance", "exact_mean", "exact_variance"], rows)}
 
 
@@ -750,7 +762,7 @@ GOLDEN = {
         _bandit_sweep_rows,
     ),
     "reach sweep": ("reach --alpha 0.5 --sweep 40 --epsilon 0.01 --seed 1", _reach_rows),
-    "moments": ("moments --alpha 1/2 --p 1/2 --t-max 21", _moments_rows),
+    "moments": ("moments --alpha 1/2 --p 1/2 --t-max 25", _moments_rows),
     "residence": ("residence --alpha 1/2 --p 1/3 --t 6 --mode exact", _residence_rows),
     "cvm grid": (
         "cvm --targets arw,srw --alpha 9/10 --t 4,5 --mode exact --grid=-3,3,50 --grid-table",

@@ -96,6 +96,15 @@ def brute_residence_pmf(alpha: Fraction, p: Fraction, t: int) -> dict:
     return pmf
 
 
+def _float_positions(alpha: float, t: int) -> np.ndarray:
+    """Float positions of all ``2^t`` paths, in path-index order."""
+    x = np.zeros(1)
+    for _ in range(t):
+        y = alpha * x
+        x = np.concatenate([y + 1.0, y - 1.0])
+    return x
+
+
 def walk_residence(params: WalkParams) -> dict:
     """Reference: the residence law by the full-depth walk of every level."""
     frac = exact._require_exact_alpha(params.alpha)
@@ -379,6 +388,16 @@ class TestPathUniqueness:
     def test_real_single_step(self):
         assert check_path_uniqueness_real(0.37, 1).empty
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.37, 1.0, GOLDEN, 0.9, 1e-300, 0.999999])
+    def test_float_levels_are_the_former_positions(self, alpha):
+        # The float walk of the collision scan is the int walk's recursion
+        # in floats: the same bits as the former dedicated float doubling.
+        for t, (positions, k) in enumerate(exact._levels(alpha, 1, 16)):
+            assert positions.dtype == np.float64
+            reference = _float_positions(alpha, t)
+            assert np.array_equal(positions.view(np.int64), reference.view(np.int64)), t
+            assert np.array_equal(k, [i.bit_count() for i in range(2**t)])
+
     def test_real_pair_blow_up_guarded(self):
         # At alpha = 1 the 2^16 paths fall on 17 integers: ~3e8 pairs.
         with pytest.raises(ResourceLimitError):
@@ -545,6 +564,19 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 20_000_000
+
+
+    def test_residence_peak(self):
+        # 2^20 paths: int8 visit counts and k, int16 cell codes counted a
+        # block at a time, never one intp code per path.
+        prm = params(Fraction(9, 10), p=Fraction(1, 2), t=20)
+        tracemalloc.start()
+        try:
+            exact_residence_distribution(prm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestSerialization:
