@@ -70,7 +70,7 @@ from .montecarlo import (
 )
 # is_eps_reachable stays a cli attribute: perfbench/spans.py wraps it.
 from .reachability import decide_lanes, is_eps_reachable, reach_bound  # noqa: F401
-from .tables import SUFFIXES, Table, transpose, write_table
+from .tables import SUFFIXES, Coded, Table, transpose, write_tables
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,12 +138,6 @@ class Summary(NamedTuple):
     payload: dict
 
 
-def _write_table(out_dir: Path, table: Table, fmt: str) -> Path:
-    path = out_dir / f"{table.name}{SUFFIXES[fmt]}"
-    write_table(path, table, fmt)
-    return path
-
-
 def _write_json(out_dir: Path, name: str, payload) -> Path:
     path = out_dir / f"{name}.json"
     with open(path, "w") as fh:
@@ -170,7 +164,8 @@ def _manifest(out_dir: Path, subcommand: str, args, outputs, started: float) -> 
 
 
 # Each subcommand is a generator of the Table and Summary specs it writes, in
-# output order; main writes each one before the next is produced.
+# output order; main writes all its tables together, so a column object that
+# two tables share is formatted once.
 
 
 def _cmd_dist(args):
@@ -288,11 +283,12 @@ def _cmd_reach(args):
     else:
         targets = [args.r]
     lanes = decide_lanes(alpha, targets, args.epsilon)
-    n = lanes.targets.size
+    zeros = np.zeros(lanes.targets.size, dtype=np.int8)
+    alphas, epsilons = Coded(zeros, [alpha]), Coded(zeros, [args.epsilon])
     yield Table(
         "reach",
         ["alpha", "r", "epsilon", "reachable", "witness_depth"],
-        ([alpha] * n, lanes.targets, [args.epsilon] * n, lanes.reachable, lanes.depth),
+        (alphas, lanes.targets, epsilons, lanes.reachable, lanes.depth),
     )
 
 
@@ -458,11 +454,11 @@ def main(argv=None) -> int:
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        specs = list(args.func(args))
+        paths = [out_dir / f"{spec.name}{SUFFIXES[args.format]}" for spec in specs]
+        write_tables([(p, s) for p, s in zip(paths, specs) if isinstance(s, Table)], args.format)
         outputs = [
-            _write_json(out_dir, *spec)
-            if isinstance(spec, Summary)
-            else _write_table(out_dir, spec, args.format)
-            for spec in args.func(args)
+            _write_json(out_dir, *s) if isinstance(s, Summary) else p for p, s in zip(paths, specs)
         ]
         _manifest(out_dir, args.subcommand, args, outputs, started)
     except (ValueError, TypeError, ResourceLimitError, OSError) as exc:

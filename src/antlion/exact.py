@@ -40,6 +40,7 @@ from typing import Union
 import numpy as np
 
 from .core import Alpha, DiscreteCdf, ResourceLimitError, WalkParams
+from .tables import Coded
 
 __all__ = [
     "DEFAULT_HORIZON_CAP",
@@ -271,6 +272,19 @@ class PathLattice(Mapping):
         return int(self.k[order[i]])
 
 
+class _Numerators:
+    """The numerators of the paths ``order``, computed a slice at a time."""
+
+    def __init__(self, lattice: PathLattice, order: np.ndarray):
+        self.lattice, self.order = lattice, order
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.lattice._numerators(self.order[rows])
+
+
 def _path_lattice(alpha: Fraction, t: int) -> PathLattice:
     m, n = alpha.numerator, alpha.denominator
     half = t // 2
@@ -316,12 +330,13 @@ class ExactDistribution:
         return self.weights[self.entries[scaled]]
 
     def columns(self) -> tuple:
-        """``(positions, scaled, k, probabilities)``, the columns of
-        ``DIST_HEADER``, as arrays in increasing position order; ``scaled``
-        holds the exact ints."""
-        order = self.entries.ordered[0]
-        xs, probs = self.float_law()
-        return xs, self.entries.scaled[order], self.entries.k[order], probs
+        """``(positions, scaled, k, probabilities)``, the table columns of
+        ``DIST_HEADER`` in increasing position order: ``float_law``'s positions,
+        the exact ints computed when read, and two columns coded by ``k``."""
+        order, xs = self.entries.ordered
+        k = self.entries.k[order]
+        scaled = _Numerators(self.entries, order)
+        return xs, scaled, Coded(k, range(self.t + 1)), Coded(k, [float(w) for w in self.weights])
 
     def support_fractions(self) -> list:
         den = self.scale_denominator

@@ -1,12 +1,13 @@
 """Columnar tables and their one writer, for csv, gnuplot and json.
 
-A table is a header plus one column per field (a numpy array, list, tuple or
-range), all of one length. It is written in blocks of ``BLOCK_ROWS`` rows: in
-each block every column is formatted once, by a C-level map when its cells
-share one type, and the lines are joined, so no whole table's text is held.
-The bytes are those of the former cell-by-cell writers: ``csv.writer`` and
-space-joined lines over ``repr`` for floats, ``1``/``0`` for bools and ``str``
-otherwise; ``json.dump(records, indent=2)`` for json.
+A table is a header plus one column per field (a numpy array, list, range,
+:class:`Coded` column or other sliceable sequence), all of one length. Tables
+are written together in blocks of ``BLOCK_ROWS`` rows: in each block every
+column object is formatted once, by a C-level map when its cells share one
+type, and the lines are joined, so no whole table's text is held. The bytes
+are those of the former cell-by-cell writers: ``csv.writer`` and
+space-joined lines over ``repr`` for floats, ``1``/``0`` for bools and
+``str`` otherwise; ``json.dump(records, indent=2)`` for json.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import csv
 import json
 import math
 import re
+from collections import Counter
+from contextlib import ExitStack
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Sequence
 
@@ -30,6 +33,19 @@ class Table(NamedTuple):
     name: str
     header: Sequence[str]
     columns: Sequence
+
+
+class Coded:
+    """A column whose row ``i`` is ``labels[codes[i]]``: each label is
+    formatted once per write. Codes must lie in ``range(len(labels))``."""
+
+    def __init__(self, codes, labels: Sequence):
+        self.codes, self.labels = np.asarray(codes), labels
+        if self.codes.size and not 0 <= self.codes.min() <= self.codes.max() < len(labels):
+            raise ValueError(f"codes must lie in range({len(labels)})")
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
 
 def transpose(rows: list, width: int) -> list:
@@ -83,39 +99,74 @@ def _cells(column, lo: int, hi: int, fmt: str):
     return map(by_kind.get(kind, fallback), cells)
 
 
-def write_table(path, table: Table, fmt: str) -> None:
-    """Write ``table`` to ``path`` as ``fmt``: ``"csv"``, ``"gnuplot"`` or ``"json"``.
+def _begin(fh, header: Sequence[str], fmt: str) -> str:
+    """Write the head of a table with fields ``header`` to ``fh``; return
+    the ``%`` template of one of its rows."""
+    if fmt == "json":
+        fh.write("[")
+        keys = (json.dumps(name).replace("%", "%%") for name in header)
+        return "{" + ",".join(f"\n    {key}: %s" for key in keys) + "\n  }"
+    if fmt == "csv":
+        csv.writer(fh).writerow(header)
+    else:
+        fh.write("# " + " ".join(header) + "\n")
+    sep, end = (",", "\r\n") if fmt == "csv" else (" ", "\n")
+    return sep.join(["%s"] * len(header)) + end
 
-    Raises ``ValueError`` for an unknown format, or unless there is one
-    column per header field and all columns have one length.
+
+def write_tables(items: Sequence, fmt: str) -> None:
+    """Write each ``(path, table)`` of ``items`` as ``fmt``: ``"csv"``,
+    ``"gnuplot"`` or ``"json"``.
+
+    The tables are written together, a block of rows at a time, and may
+    differ in length; a column object that several of them hold is
+    formatted once per block. Raises ``ValueError``, before any file is
+    opened, for an unknown format or unless every table has one column per
+    header field, all of one length.
     """
     if fmt not in SUFFIXES:
         raise ValueError(f"unknown format {fmt!r}")
-    header, columns = list(table.header), table.columns
-    lengths = [len(c) for c in columns]
-    if len(columns) != len(header) or len(set(lengths)) > 1:
-        raise ValueError(f"table {table.name!r}: {len(header)} fields, column lengths {lengths}")
-    n_rows = lengths[0] if lengths else 0
-    if fmt == "json":
-        keys = (json.dumps(name).replace("%", "%%") for name in header)
-        line = "{" + ",".join(f"\n    {key}: %s" for key in keys) + "\n  }"
-    else:
-        sep, end = (",", "\r\n") if fmt == "csv" else (" ", "\n")
-        line = sep.join(["%s"] * len(header)) + end
-    with open(path, "w", newline="" if fmt == "csv" else None) as fh:
-        if fmt == "csv":
-            csv.writer(fh).writerow(header)
-        elif fmt == "gnuplot":
-            fh.write("# " + " ".join(header) + "\n")
-        opening = "[\n  "
-        for lo in range(0, n_rows, BLOCK_ROWS):
-            rows = zip(*[_cells(c, lo, lo + BLOCK_ROWS, fmt) for c in columns])
-            if fmt == "json":
-                fh.write(opening + ",\n  ".join(map(line.__mod__, rows)))
-                opening = ",\n  "
-            else:
-                if fmt == "csv" and len(header) == 1:  # csv.writer quotes a lone empty field
-                    rows = ((cell or '""',) for (cell,) in rows)
-                fh.write("".join(map(line.__mod__, rows)))
+    for _, (name, header, columns) in items:
+        lengths = [len(c) for c in columns]
+        if len(columns) != len(header) or len(set(lengths)) > 1:
+            raise ValueError(f"table {name!r}: {len(header)} fields, column lengths {lengths}")
+    held = [c for _, table in items for c in table.columns]
+    uses = Counter(map(id, held))
+    labels = {id(c.labels): c.labels for c in held if isinstance(c, Coded)}
+    labels = {key: list(_cells(values, 0, len(values), fmt)) for key, values in labels.items()}
+
+    def cells(column, lo: int):
+        """Rows ``lo:lo + BLOCK_ROWS`` as text: a list if several tables read it."""
+        if isinstance(column, Coded):
+            codes = column.codes[lo : lo + BLOCK_ROWS].tolist()
+            text = map(labels[id(column.labels)].__getitem__, codes)
+        else:
+            text = _cells(column, lo, lo + BLOCK_ROWS, fmt)
+        return list(text) if uses[id(column)] > 1 else text
+
+    with ExitStack() as stack:
+        tables = []  # (file, columns, rows, row template)
+        for path, (_, header, columns) in items:
+            fh = stack.enter_context(open(path, "w", newline="" if fmt == "csv" else None))
+            n_rows = len(columns[0]) if columns else 0
+            tables.append((fh, columns, n_rows, _begin(fh, header, fmt)))
+        for lo in range(0, max((n_rows for *_, n_rows, _ in tables), default=0), BLOCK_ROWS):
+            live = [(fh, columns, line) for fh, columns, n_rows, line in tables if lo < n_rows]
+            block = {id(c): c for _, columns, _ in live for c in columns}
+            block = {key: cells(c, lo) for key, c in block.items()}
+            for fh, columns, line in live:
+                rows = zip(*[block[id(c)] for c in columns])
+                if fmt == "json":
+                    fh.write((",\n  " if lo else "\n  ") + ",\n  ".join(map(line.__mod__, rows)))
+                else:
+                    if fmt == "csv" and len(columns) == 1:  # csv.writer quotes a lone empty field
+                        rows = ((cell or '""',) for (cell,) in rows)
+                    fh.write("".join(map(line.__mod__, rows)))
         if fmt == "json":
-            fh.write("\n]" if n_rows else "[]")
+            for fh, _, n_rows, _ in tables:
+                fh.write("\n]" if n_rows else "]")
+
+
+def write_table(path, table: Table, fmt: str) -> None:
+    """Write ``table`` to ``path`` as ``fmt``: ``write_tables`` of one item."""
+    write_tables([(path, table)], fmt)

@@ -22,7 +22,7 @@ from antlion.core import Alpha, WalkParams, closed_form_mean, closed_form_varian
 from antlion.exact import DIST_HEADER, enumerate_distribution, exact_residence_distribution
 from antlion.montecarlo import empirical_cdf, simulate
 from antlion.reachability import ReachQuery, is_eps_reachable
-from antlion.tables import BLOCK_ROWS, SUFFIXES, Table, transpose, write_table
+from antlion.tables import BLOCK_ROWS, SUFFIXES, Coded, Table, transpose, write_table, write_tables
 
 
 def read_csv(path: Path):
@@ -144,12 +144,30 @@ def write_rows(path, header, rows, fmt) -> None:
             fh.write(json.dumps([dict(zip(header, row)) for row in rows], indent=2))
 
 
+def cell_values(column) -> list:
+    """The row values of a column, as the row oracle reads them: a numpy
+    column as its Python scalars, a coded one as its labels."""
+    if isinstance(column, Coded):
+        labels = cell_values(column.labels)
+        return [labels[code] for code in column.codes.tolist()]
+    return column.tolist() if isinstance(column, np.ndarray) else list(column[0 : len(column)])
+
+
+def assert_same_tables(tmp_path, tables, fmt):
+    """``write_tables`` writes each ``(header, columns)`` table with the bytes
+    of the row oracle, file by file."""
+    items = [(tmp_path / f"columns{i}", Table(f"t{i}", h, c)) for i, (h, c) in enumerate(tables)]
+    write_tables(items, fmt)
+    for i, (path, table) in enumerate(items):
+        rows = list(zip(*map(cell_values, table.columns)))
+        write_rows(tmp_path / f"rows{i}", table.header, rows, fmt)
+        assert path.read_bytes() == (tmp_path / f"rows{i}").read_bytes(), table.name
+
+
 def assert_same_table(tmp_path, header, columns, fmt):
-    """The columnar writer writes the bytes of the row oracle, which reads a
-    numpy column as its Python scalars."""
+    """The one-table writer writes the bytes of the row oracle."""
     write_table(tmp_path / "columns", Table("t", header, columns), fmt)
-    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    write_rows(tmp_path / "rows", header, list(zip(*cells)), fmt)
+    write_rows(tmp_path / "rows", header, list(zip(*map(cell_values, columns))), fmt)
     assert (tmp_path / "columns").read_bytes() == (tmp_path / "rows").read_bytes()
 
 
@@ -214,20 +232,54 @@ _column_values = st.one_of(
 _NUMPY = {"float": np.float64, "int": np.int64, "bool": bool, "str": str}
 
 
+def _draw_column(draw, n_rows: int):
+    values, kind = draw(_column_values)
+    column = [values[i % len(values)] for i in range(n_rows)]
+    fits = kind in _NUMPY and (kind != "int" or all(-(2**63) <= v < 2**63 for v in values))
+    if fits and draw(st.booleans()):
+        column = np.array(column, dtype=_NUMPY[kind])
+    return column
+
+
 @st.composite
 def column_tables(draw):
     width = draw(st.integers(1, 4))
     header = draw(st.lists(st.text(), min_size=width, max_size=width, unique=True))
     n_rows = draw(st.sampled_from([0, 1, 2, 7, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]))
-    columns = []
-    for _ in range(width):
-        values, kind = draw(_column_values)
-        column = [values[i % len(values)] for i in range(n_rows)]
-        fits = kind in _NUMPY and (kind != "int" or all(-(2**63) <= v < 2**63 for v in values))
-        if fits and draw(st.booleans()):
-            column = np.array(column, dtype=_NUMPY[kind])
-        columns.append(column)
-    return header, columns
+    return header, [_draw_column(draw, n_rows) for _ in range(width)]
+
+
+def _draw_coded(draw, n_rows: int) -> Coded:
+    """A coded column with the labels of one column strategy: for floats,
+    ``-0.0`` and ``0.0`` are distinct labels, with NaN, infinities, subnormals."""
+    labels, kind = draw(_column_values)
+    pattern = draw(st.lists(st.integers(0, len(labels) - 1), min_size=1, max_size=6))
+    codes = [pattern[i % len(pattern)] for i in range(n_rows)]
+    if kind == "float" and draw(st.booleans()):
+        labels = np.array(labels)
+    return Coded(np.array(codes, dtype=np.int8) if draw(st.booleans()) else codes, labels)
+
+
+@st.composite
+def shared_tables(draw):
+    """One to three tables of possibly unequal lengths; a table may reuse a
+    column object of an earlier table of its length."""
+    tables, pools = [], {}  # pools: n_rows -> the columns drawn at that length
+    for _ in range(draw(st.integers(1, 3))):
+        n_rows = draw(st.sampled_from([0, 1, 7, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]))
+        pool = pools.setdefault(n_rows, [])
+        width = draw(st.integers(1, 3))
+        columns = []
+        for _ in range(width):
+            if pool and draw(st.booleans()):
+                columns.append(draw(st.sampled_from(pool)))
+            else:
+                draw_one = _draw_coded if draw(st.booleans()) else _draw_column
+                columns.append(draw_one(draw, n_rows))
+                pool.append(columns[-1])
+        header = draw(st.lists(st.text(), min_size=width, max_size=width, unique=True))
+        tables.append((header, columns))
+    return tables
 
 
 class TestColumnWriter:
@@ -239,6 +291,22 @@ class TestColumnWriter:
     def test_matches_row_oracle(self, tmp_path, fmt, table):
         header, columns = table
         assert_same_table(tmp_path, header, columns, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tables=shared_tables())
+    def test_shared_and_coded_columns_match_row_oracle(self, tmp_path, fmt, tables):
+        assert_same_tables(tmp_path, tables, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_coded_edge_labels(self, tmp_path, fmt):
+        labels = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308]
+        codes = np.arange(3 * BLOCK_ROWS + 2) % len(labels)
+        assert_same_table(tmp_path, ["x"], [Coded(codes, labels)], fmt)
+        assert_same_table(tmp_path, ["a", "b"], [Coded([], labels), Coded([], [])], fmt)
+        assert_same_table(tmp_path, ["s"], [Coded([1, 0, 1], ["a", ""])], fmt)
+        if fmt == "csv":
+            assert (tmp_path / "columns").read_bytes() == b's\r\n""\r\na\r\n""\r\n'
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
@@ -284,6 +352,73 @@ class TestColumnWriter:
         size = path.stat().st_size
         assert size > 9_000_000
         assert peak < size / 20
+
+
+class Counting:
+    """A column that counts the slices read from it."""
+
+    def __init__(self, values):
+        self.values, self.reads = values, 0
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, rows: slice):
+        self.reads += 1
+        return self.values[rows]
+
+
+class TestFormattedOnce:
+    """``write_tables`` reads each column object once per block, and each
+    coded column's labels once per write."""
+
+    N_ROWS = 3 * BLOCK_ROWS + 5
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_shared_column_sliced_once_per_block(self, tmp_path, fmt):
+        xs = Counting(np.arange(self.N_ROWS) / 7.0)
+        tables = [
+            (["x", "i"], [xs, range(self.N_ROWS)]),
+            (["x", "y"], [xs, np.ones(self.N_ROWS)]),
+            (["z"], [range(5)]),
+        ]
+        assert_same_tables(tmp_path, tables, fmt)
+        # The oracle reads xs once per table; the writer once per block.
+        assert xs.reads - 2 == -(-self.N_ROWS // BLOCK_ROWS)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_labels_formatted_once_per_write(self, tmp_path, fmt):
+        labels = Counting([0.5, -0.0, 0.0])
+        codes = np.arange(self.N_ROWS) % 3
+        first, second = Coded(codes, labels), Coded(codes[::-1], labels)
+        items = [(tmp_path / "a", Table("a", ["p", "q"], [first, second])),
+                 (tmp_path / "b", Table("b", ["p"], [first]))]
+        write_tables(items, fmt)
+        assert labels.reads == 1  # once, whatever the rows and coded columns
+        cells = (tmp_path / "b").read_text().split()
+        assert {"-0.0", "0.0"} <= {cell.strip(",") for cell in cells}
+
+    @pytest.mark.parametrize("codes", [[0, -1], [2], np.array([0, 1, 2], dtype=np.int8)])
+    def test_codes_out_of_range_raise(self, codes):
+        with pytest.raises(ValueError, match="range"):
+            Coded(codes, [1.5, 2.5])
+
+    def test_shared_column_memory_is_one_block(self, tmp_path):
+        # Two 2^16-row tables share a float column: the traced peak is a
+        # block's cells and text per table (about 0.27 MB), where keeping the
+        # shared column's 2^16 strings between the writes would take 4 MB.
+        xs = np.random.default_rng(3).standard_normal(1 << 16)
+        items = [(tmp_path / "a.csv", Table("a", ["x"], [xs])),
+                 (tmp_path / "b.csv", Table("b", ["x", "y"], [xs, xs[::-1]]))]
+        tracemalloc.start()
+        try:
+            write_tables(items, "csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        column_text = (tmp_path / "a.csv").stat().st_size
+        assert column_text > 1_200_000
+        assert peak < column_text / 2
 
 
 class TestErrors:

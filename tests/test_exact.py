@@ -578,6 +578,21 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
+    def test_dist_table_write_peak(self, tmp_path):
+        # 2^18 paths: the scaled_value ints are computed a block at a time.
+        # All of them would take 10 MB (2^18 ints and an array of pointers).
+        # Only that column is written: tracing costs seconds per 2^18 rows.
+        dist = enumerate_distribution(params(Fraction(9, 10), p=Fraction(1, 2), t=18))
+        dist.cdf  # the ordered float support, built before tracing
+        tracemalloc.start()
+        try:
+            scaled = dist.columns()[1]
+            write_table(tmp_path / "dist.csv", Table("dist", DIST_HEADER[1:2], (scaled,)), "csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18 * 8
+
 
 class TestSerialization:
     def test_csv(self, tmp_path):
@@ -587,3 +602,17 @@ class TestSerialization:
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "position_real,scaled_value,k_minus_steps,probability"
         assert len(lines) == 1 + 8
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_columns_rows(self, alpha):
+        # Each row is the support point, its exact int, k and probability,
+        # and the position column is the CDF's support, the same array.
+        dist = enumerate_distribution(params(alpha, p=Fraction(1, 3), t=7))
+        xs, scaled, k, probs = dist.columns()
+        assert xs is dist.cdf.xs
+        rows = list(zip(xs.tolist(), scaled[0 : len(scaled)].tolist(), k.codes.tolist()))
+        assert len(scaled) == 2**7 and [s for _, s, _ in rows] == list(dist.entries)
+        den = dist.scale_denominator
+        assert all(x == s / den and j == dist.entries[s] for x, s, j in rows)
+        assert list(k.labels) == list(range(8)) and probs.codes is k.codes
+        assert probs.labels == [float(w) for w in dist.weights]
