@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -89,13 +90,6 @@ _EXIT_CODES = (
 CSV_SCHEMA_VERSION = 1
 
 
-def _parse_prob(text: str):
-    value = parse_number(text)
-    if not 0 <= value <= 1:
-        raise ValueError(f"probability must lie in [0, 1], got {text}")
-    return value
-
-
 def _parse_grid(text: str):
     parts = text.split(",")
     if len(parts) != 3:
@@ -111,7 +105,10 @@ def _parse_t_list(text: str):
         chunk = chunk.strip()
         if ".." in chunk:
             lo, _, hi = chunk.partition("..")
-            values.extend(range(int(lo), int(hi) + 1))
+            span = range(int(lo), int(hi) + 1)
+            # A list entry is a pointer and an int object: 5 words.
+            check_elements(5 * (len(values) + len(span)), f"a list of {len(span)} horizons")
+            values.extend(span)
         else:
             values.append(int(chunk))
     if not values or any(t < 0 for t in values):
@@ -169,9 +166,7 @@ def _manifest(out_dir: Path, subcommand: str, args, outputs, started: float) -> 
 
 
 def _cmd_dist(args):
-    alpha = Alpha.parse(args.alpha)
-    p = _parse_prob(args.p)
-    params = WalkParams(alpha=alpha, p=p, t=args.t)
+    params = WalkParams(alpha=Alpha.parse(args.alpha), p=parse_number(args.p), t=args.t)
     if args.mode == "exact":
         dist = enumerate_distribution(params)
         yield Table("dist", DIST_HEADER, dist.columns())
@@ -240,7 +235,7 @@ def _cmd_cvm(args):
 
 def _cmd_residence(args):
     alpha = Alpha.parse(args.alpha)
-    p = _parse_prob(args.p)
+    p = parse_number(args.p)
     t = args.t
     params = WalkParams(alpha=alpha, p=p, t=t)
     if args.mode == "exact":
@@ -343,26 +338,26 @@ def _cmd_bandit(args):
         )
 
 
-def _moment_row(alpha: Alpha, p, t: int) -> tuple:
-    params = WalkParams(alpha=alpha, p=p, t=t)
-    row = (t, float(closed_form_mean(params)), float(closed_form_variance(params)))
-    if not alpha.exact:
+def _moment_row(params: WalkParams) -> tuple:
+    row = (params.t, float(closed_form_mean(params)), float(closed_form_variance(params)))
+    if not params.alpha.exact:
         return row
-    if t > exact.DEFAULT_HORIZON_CAP:
+    if params.t > exact.DEFAULT_HORIZON_CAP:
         return (*row, "", "")
     mean, var = exact_moments(enumerate_distribution(params))
     return (*row, float(mean), float(var))
 
 
 def _cmd_moments(args):
-    alpha = Alpha.parse(args.alpha)
-    p = _parse_prob(args.p)
+    params = WalkParams(alpha=Alpha.parse(args.alpha), p=parse_number(args.p))
     if args.t_max < 1:
         raise ValueError(f"--t-max must be at least 1, got {args.t_max}")
     header = ["t", "mean", "variance"]
-    if alpha.exact:
+    if params.alpha.exact:
         header += ["exact_mean", "exact_variance"]
-    rows = [_moment_row(alpha, p, t) for t in range(1, args.t_max + 1)]
+    # A row is a tuple of up to five objects plus five column entries: under 40 words.
+    check_elements(40 * args.t_max, f"a moments table of {args.t_max} rows")
+    rows = [_moment_row(replace(params, t=t)) for t in range(1, args.t_max + 1)]
     yield Table("moments", header, transpose(rows, len(header)))
 
 

@@ -7,16 +7,16 @@ contracts the previous position toward the origin before each step;
 ``alpha = 1`` recovers the simple random walk and ``alpha = 0`` makes
 successive positions independent copies of the step.
 
-``Alpha`` carries an explicit exact/real mode flag. Exact mode stores a
-``fractions.Fraction`` so the enumeration engine can run on integers; real
-mode stores a float. The number-theoretic facts (path uniqueness, support
-size) collapse under rounding, which is why the two modes never coerce
-silently.
+An ``Alpha``'s mode is the type of its value: a ``fractions.Fraction`` is
+exact mode, so the enumeration engine can run on integers, and anything
+else is real mode, held as a float. The number-theoretic facts (path
+uniqueness, support size) collapse under rounding, which is why nothing
+converts one mode into the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -106,22 +106,22 @@ class DiscreteCdf:
 
 @dataclass(frozen=True)
 class Alpha:
-    """Memory parameter with an exact (rational) or real (float) mode.
+    """Memory parameter, exact (rational) or real (float) by its value's type.
 
-    Exact mode requires a reduced fraction in the open interval (0, 1).
-    Real mode accepts any float in [0, 1]; the endpoint 1.0 is admitted only
-    so the simple-random-walk reduction stays expressible, and 0.0 only as
-    the degenerate i.i.d. case. Operations that need 0 < alpha < 1 (bounds,
+    ``exact`` is derived, never given: a ``Fraction`` value is exact mode
+    and must lie in the open interval (0, 1). Any other value is real mode,
+    stored as a float in [0, 1]; the endpoint 1.0 is admitted only so the
+    simple-random-walk reduction stays expressible, and 0.0 only as the
+    degenerate i.i.d. case. Operations that need 0 < alpha < 1 (bounds,
     reachability, enumeration) validate that themselves.
     """
 
     value: Union[Fraction, float]
-    exact: bool
+    exact: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "exact", isinstance(self.value, Fraction))
         if self.exact:
-            if not isinstance(self.value, Fraction):
-                raise TypeError("exact Alpha requires a Fraction value")
             if not (0 < self.value < 1):
                 raise ValueError(f"exact alpha must lie in (0, 1), got {self.value}")
         else:
@@ -131,22 +131,17 @@ class Alpha:
             object.__setattr__(self, "value", v)
 
     @staticmethod
-    def from_rational(numerator: int, denominator: int) -> "Alpha":
-        return Alpha(Fraction(numerator, denominator), exact=True)
-
-    @staticmethod
     def from_fraction(value: Fraction) -> "Alpha":
-        return Alpha(Fraction(value), exact=True)
+        return Alpha(Fraction(value))
 
     @staticmethod
     def from_real(value: float) -> "Alpha":
-        return Alpha(float(value), exact=False)
+        return Alpha(float(value))
 
     @staticmethod
     def parse(text: str) -> "Alpha":
         """Parse ``"m/n"`` as exact mode and a decimal string as real mode."""
-        value = parse_number(text)
-        return Alpha(value, exact=isinstance(value, Fraction))
+        return Alpha(parse_number(text))
 
     @property
     def as_float(self) -> float:
@@ -197,7 +192,7 @@ def closed_form_mean(params: WalkParams):
     """
     a = params.alpha.value
     p, t = params.p, params.t
-    if not params.alpha.exact and a == 1.0:
+    if a == 1:
         return (1 - 2 * p) * t
     return (1 - 2 * p) * (1 - a**t) / (1 - a)
 
@@ -209,7 +204,7 @@ def closed_form_variance(params: WalkParams):
     """
     a = params.alpha.value
     p, t = params.p, params.t
-    if not params.alpha.exact and a == 1.0:
+    if a == 1:
         return 4 * p * (1 - p) * t
     return 4 * p * (1 - p) * (1 - a ** (2 * t)) / (1 - a * a)
 

@@ -11,7 +11,7 @@ t // 2``, ``S`` of path ``i * 2^h + j`` is ``high[i] + low[j]``: the first
 ``h`` steps give ``low`` and the rest ``high``, two half lattices of about
 ``2^(t/2)`` Python ints each (ints, so position equality stays decidable,
 which floating point cannot certify). Over all ``2^t`` paths only ``k`` is
-built eagerly; the moments convolve per-``k`` sums of the halves.
+built eagerly; the moments use that the two halves are independent.
 ``_path_lattice`` alone lays out the halves, also of each prefix for the
 residence law, and ``_levels`` alone walks levels, in ints and in floats.
 
@@ -379,41 +379,33 @@ def support_size(dist: ExactDistribution) -> int:
     return len(dist.entries)
 
 
-def _moment_sums(values: np.ndarray, k: np.ndarray, size: int) -> list:
-    """``[count, sum, sum of squares]`` of ``values`` by minus-step count."""
-    sums = [[0, 0, 0] for _ in range(size)]
+def _half_moments(values: np.ndarray, k: np.ndarray, weights: list) -> tuple:
+    """``(E[v], E[v^2])`` over one half lattice, path ``i`` weighted ``weights[k[i]]``."""
+    sums = [[0, 0] for _ in weights]
     for v, j in zip(values.tolist(), k.tolist()):
         row = sums[j]
-        row[0] += 1
-        row[1] += v
-        row[2] += v * v
-    return sums
+        row[0] += v
+        row[1] += v * v
+    return tuple(sum(w * s for w, s in zip(weights, column)) for column in zip(*sums))
 
 
 def exact_moments(dist: ExactDistribution):
     """Probability-weighted mean and variance of the support.
 
-    The sums of ``S`` and ``S^2`` over the paths with ``k`` minus steps come
-    from the two half lattices: a path's ``S`` is ``high + low`` and its ``k``
-    the sum of theirs, so the per-``k`` count, sum and sum of squares of
-    each half convolve over ``k``. That is ``O(2^(t/2) + t^2)`` big-int
-    operations, and only ``t + 1`` rational terms are weighted. Returns
-    Fractions when ``p`` is a Fraction, floats otherwise (the float path
-    still evaluates the rational sum exactly and rounds once).
+    A path's ``S`` is ``high + low`` and its weight ``p^k (1-p)^(t-k)`` the
+    product of its halves' weights, so ``high`` and ``low`` are independent:
+    ``E[S] = E[high] + E[low]`` and ``E[S^2] = E[high^2] + 2 E[high] E[low]
+    + E[low^2]``, each from one pass over its half. That is ``O(2^(t/2))``
+    big-int operations, and only ``O(t)`` rational terms are weighted.
+    Returns Fractions when ``p`` is a Fraction, floats otherwise (the float
+    path still evaluates the rational sum exactly and rounds once).
     """
-    lattice, t = dist.entries, dist.t
-    sums1, sums2 = [0] * (t + 1), [0] * (t + 1)
-    highs = _moment_sums(lattice.high, lattice.high_k, t + 1)
-    lows = _moment_sums(lattice.low, lattice.low_k, t + 1)
-    for i, (count_a, sum_a, square_a) in enumerate(highs):
-        for j, (count_b, sum_b, square_b) in enumerate(lows[: t + 1 - i]):
-            sums1[i + j] += sum_a * count_b + count_a * sum_b
-            sums2[i + j] += square_a * count_b + 2 * sum_a * sum_b + count_a * square_b
+    lattice, t, p = dist.entries, dist.t, Fraction(dist.p)
+    high, high2 = _half_moments(lattice.high, lattice.high_k, path_weights(p, t - t // 2))
+    low, low2 = _half_moments(lattice.low, lattice.low_k, path_weights(p, t // 2))
     scale = Fraction(dist.scale_denominator)
-    weights = path_weights(Fraction(dist.p), t)
-    mean = sum(w * s for w, s in zip(weights, sums1)) / scale
-    ex2 = sum(w * s for w, s in zip(weights, sums2)) / (scale * scale)
-    var = ex2 - mean * mean
+    mean = (high + low) / scale
+    var = (high2 + 2 * high * low + low2) / (scale * scale) - mean * mean
     if isinstance(dist.p, Fraction):
         return mean, var
     return float(mean), float(var)

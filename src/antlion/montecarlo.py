@@ -177,15 +177,10 @@ def simulate(
     return TrajectoryBatch(params, n_walkers, seed, mode, out, counts)
 
 
-def simulate_simple_rw(
-    t: int,
-    n_walkers: int = DEFAULT_WALKERS,
-    seed: int = 0,
-    mode: str = "finals",
-) -> TrajectoryBatch:
+def simulate_simple_rw(t: int, n_walkers: int = DEFAULT_WALKERS, seed: int = 0) -> TrajectoryBatch:
     """Symmetric simple random walk (the alpha = 1 reduction)."""
     params = WalkParams(alpha=Alpha.from_real(1.0), p=0.5, t=t)
-    return simulate(params, n_walkers, seed, mode)
+    return simulate(params, n_walkers, seed)
 
 
 class Ecdf(DiscreteCdf):

@@ -165,8 +165,3 @@ def write_tables(items: Sequence, fmt: str) -> None:
         if fmt == "json":
             for fh, _, n_rows, _ in tables:
                 fh.write("\n]" if n_rows else "]")
-
-
-def write_table(path, table: Table, fmt: str) -> None:
-    """Write ``table`` to ``path`` as ``fmt``: ``write_tables`` of one item."""
-    write_tables([(path, table)], fmt)

@@ -93,7 +93,7 @@ class TestDiscreteCdf:
         # An exact law's support is already increasing: no sort, no copy,
         # and the same cum as the sorting path.
         dist = enumerate_distribution(
-            WalkParams(alpha=Alpha.from_rational(9, 10), p=Fraction(1, 3), t=10)
+            WalkParams(alpha=Alpha.from_fraction(Fraction(9, 10)), p=Fraction(1, 3), t=10)
         )
         xs, probs = dist.float_law()
         want = np.minimum(np.cumsum(probs[np.argsort(xs, kind="stable")]), 1.0)
@@ -163,7 +163,7 @@ class TestCvmDistance:
         "m1, m2, n", [(-3.0, 3.0, 600), (-2.5, 4.0, 777), (0, 1, 4), (-1e-3, 2e5, 1000)]
     )
     def test_grid_table_matches_point_loop(self, m1, m2, n):
-        prm = WalkParams(alpha=Alpha.from_rational(9, 10), p=Fraction(1, 2), t=15)
+        prm = WalkParams(alpha=Alpha.from_fraction(Fraction(9, 10)), p=Fraction(1, 2), t=15)
         laws = [
             exact_standardized_cdf(enumerate_distribution(prm)),
             simple_rw_exact_cdf(15),
@@ -189,7 +189,7 @@ class TestCvmDistance:
         # than both the weak-memory walk and the simple RW.
         dists = {}
         for num, den in ((9, 10), (1, 2)):
-            prm = WalkParams(alpha=Alpha.from_rational(num, den), p=Fraction(1, 2), t=15)
+            prm = WalkParams(alpha=Alpha.from_fraction(Fraction(num, den)), p=Fraction(1, 2), t=15)
             cdf = exact_standardized_cdf(enumerate_distribution(prm))
             dists[(num, den)] = cvm_distance(cdf, normal_cdf).distance
         d_srw = cvm_distance(simple_rw_exact_cdf(15), normal_cdf).distance
@@ -197,7 +197,7 @@ class TestCvmDistance:
         assert dists[(9, 10)] < d_srw
 
     def test_exact_symmetry_of_standardized_law(self):
-        prm = WalkParams(alpha=Alpha.from_rational(2, 3), p=Fraction(1, 2), t=9)
+        prm = WalkParams(alpha=Alpha.from_fraction(Fraction(2, 3)), p=Fraction(1, 2), t=9)
         dist = enumerate_distribution(prm)
         below = sum(
             dist.point_probability(s) for s in dist.entries if s < 0
@@ -244,7 +244,7 @@ class TestResidenceBinomial:
 
 class TestResidenceComparison:
     def test_exact_zero_tv(self):
-        prm = WalkParams(alpha=Alpha.from_rational(1, 2), p=Fraction(1, 2), t=10)
+        prm = WalkParams(alpha=Alpha.from_fraction(Fraction(1, 2)), p=Fraction(1, 2), t=10)
         pmf = exact_residence_distribution(prm)
         summary = compare_residence_to_binomial(pmf, 10, Fraction(1, 2), 0.5)
         assert summary.tv_distance == 0

@@ -22,7 +22,7 @@ from antlion.core import Alpha, WalkParams, closed_form_mean, closed_form_varian
 from antlion.exact import DIST_HEADER, enumerate_distribution, exact_residence_distribution
 from antlion.montecarlo import empirical_cdf, simulate
 from antlion.reachability import ReachQuery, is_eps_reachable
-from antlion.tables import BLOCK_ROWS, SUFFIXES, Coded, Table, transpose, write_table, write_tables
+from antlion.tables import BLOCK_ROWS, SUFFIXES, Coded, Table, transpose, write_tables
 
 
 def read_csv(path: Path):
@@ -166,7 +166,7 @@ def assert_same_tables(tmp_path, tables, fmt):
 
 def assert_same_table(tmp_path, header, columns, fmt):
     """The one-table writer writes the bytes of the row oracle."""
-    write_table(tmp_path / "columns", Table("t", header, columns), fmt)
+    write_tables([(tmp_path / "columns", Table("t", header, columns))], fmt)
     write_rows(tmp_path / "rows", header, list(zip(*map(cell_values, columns))), fmt)
     assert (tmp_path / "columns").read_bytes() == (tmp_path / "rows").read_bytes()
 
@@ -196,13 +196,13 @@ class TestJsonRecords:
     )
     def test_matches_json_dump(self, tmp_path, header, rows):
         columns = transpose(rows, len(header))
-        write_table(tmp_path / "t.json", Table("t", header, columns), "json")
+        write_tables([(tmp_path / "t.json", Table("t", header, columns))], "json")
         expected = json.dumps([dict(zip(header, r)) for r in rows], indent=2)
         assert (tmp_path / "t.json").read_text() == expected
 
     def test_numpy_floats(self, tmp_path):
         columns = (range(3), np.array([0.1, -0.0, np.nan]))
-        write_table(tmp_path / "t.json", Table("t", ["i", "v"], columns), "json")
+        write_tables([(tmp_path / "t.json", Table("t", ["i", "v"], columns))], "json")
         expected = json.dumps([{"i": i, "v": v} for i, v in zip(*columns)], indent=2)
         assert (tmp_path / "t.json").read_text() == expected
 
@@ -330,13 +330,13 @@ class TestColumnWriter:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_unequal_columns_raise(self, tmp_path, fmt):
         with pytest.raises(ValueError, match="unequal|lengths"):
-            write_table(tmp_path / "t", Table("t", ["a", "b"], ([1.5], [2.5, 3.5])), fmt)
+            write_tables([(tmp_path / "t", Table("t", ["a", "b"], ([1.5], [2.5, 3.5])))], fmt)
         with pytest.raises(ValueError):
-            write_table(tmp_path / "t", Table("t", ["a", "b"], ([1.5],)), fmt)
+            write_tables([(tmp_path / "t", Table("t", ["a", "b"], ([1.5],)))], fmt)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
-            write_table(tmp_path / "t", Table("t", ["a"], ([1],)), "xml")
+            write_tables([(tmp_path / "t", Table("t", ["a"], ([1],)))], "xml")
 
     def test_peak_memory_is_one_block(self, tmp_path):
         # 2^18 records of about 39 bytes: the traced peak is a block's text and
@@ -345,7 +345,7 @@ class TestColumnWriter:
         path = tmp_path / "big.json"
         tracemalloc.start()
         try:
-            write_table(path, Table("big", ["x"], [column]), "json")
+            write_tables([(path, Table("big", ["x"], [column]))], "json")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -447,6 +447,14 @@ class TestErrors:
             err = capsys.readouterr().err
             assert "zero denominator" in err and err.count("\n") == 1
 
+    def test_bad_p(self, tmp_path, capsys):
+        for cmd in (["dist", "--t", "2"], ["residence", "--t", "2"], ["moments", "--t-max", "2"]):
+            for p in ("1.5", "-1/3", "nan"):
+                argv = [*cmd, "--alpha", "1/2", f"--p={p}", "--out", str(tmp_path)]
+                assert main(argv) == EXIT_USAGE
+                err = capsys.readouterr().err
+                assert "p must lie in [0, 1]" in err and err.count("\n") == 1
+
     def test_exact_mode_needs_rational(self, tmp_path):
         assert main(["dist", "--alpha", "0.5", "--t", "2", "--mode", "exact", "--out", str(tmp_path)]) == EXIT_USAGE
 
@@ -468,6 +476,8 @@ class TestErrors:
                 "cvm", "--alpha", "0.5", "--t", "5", "--mode", "mc", "--n", "100",
                 "--grid=-3,3,100000000000",
             ],
+            ["cvm", "--targets", "srw", "--t", "1..1000000000000", "--mode", "exact"],
+            ["moments", "--alpha", "0.5", "--t-max", "1000000000000"],
         ):
             assert main([*argv, "--out", str(tmp_path)]) == EXIT_RESOURCE
             assert capsys.readouterr().err.count("\n") == 1

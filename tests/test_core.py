@@ -41,11 +41,18 @@ class TestAlpha:
         a = Alpha.parse("0.68")
         assert not a.exact and a.as_float == 0.68
 
+    def test_mode_is_the_value_type(self):
+        assert Alpha(Fraction(1, 2)).exact and Alpha(Fraction(1, 2)) == Alpha.parse("1/2")
+        assert not Alpha(0.5).exact and Alpha(0.5) == Alpha.parse("0.5")
+        assert repr(Alpha(0.5)) == "Alpha(value=0.5, exact=False)"
+        with pytest.raises(TypeError):
+            Alpha(Fraction(1, 2), exact=False)
+
     def test_exact_mode_rejects_endpoints(self):
         with pytest.raises(ValueError):
-            Alpha.from_rational(1, 1)
+            Alpha.from_fraction(Fraction(1, 1))
         with pytest.raises(ValueError):
-            Alpha.from_rational(0, 1)
+            Alpha.from_fraction(Fraction(0, 1))
 
     def test_real_mode_range(self):
         assert Alpha.from_real(1.0).as_float == 1.0
@@ -77,19 +84,19 @@ class TestEvolve:
         assert evolve(3.7, Alpha.from_real(1.0), -1) == 2.7
 
     def test_exact_arithmetic(self):
-        out = evolve(Fraction(1), Alpha.from_rational(1, 2), -1)
+        out = evolve(Fraction(1), Alpha.from_fraction(Fraction(1, 2)), -1)
         assert out == Fraction(-1, 2) and isinstance(out, Fraction)
 
 
 class TestClosedForms:
     def test_symmetric_mean_zero(self):
-        for alpha in (Alpha.from_rational(1, 3), Alpha.from_real(0.77)):
+        for alpha in (Alpha.from_fraction(Fraction(1, 3)), Alpha.from_real(0.77)):
             params = WalkParams(alpha=alpha, p=Fraction(1, 2), t=9)
             assert closed_form_mean(params) == 0
 
     def test_mean_all_plus(self):
         # Oracle: p=0 forces the all-plus path, X_3 = 1 + 1/2 + 1/4 = 7/4.
-        params = WalkParams(alpha=Alpha.from_rational(1, 2), p=Fraction(0), t=3)
+        params = WalkParams(alpha=Alpha.from_fraction(Fraction(1, 2)), p=Fraction(0), t=3)
         assert closed_form_mean(params) == Fraction(7, 4)
         oracle_mean, _ = brute_force_moments(Fraction(1, 2), Fraction(0), 3)
         assert oracle_mean == Fraction(7, 4)
@@ -108,7 +115,7 @@ class TestClosedForms:
             Fraction(1, 2), Fraction(1, 2), 2
         )
         assert (oracle_mean, oracle_var) == (0, Fraction(5, 4))
-        params = WalkParams(alpha=Alpha.from_rational(1, 2), p=Fraction(1, 2), t=2)
+        params = WalkParams(alpha=Alpha.from_fraction(Fraction(1, 2)), p=Fraction(1, 2), t=2)
         assert closed_form_variance(params) == Fraction(5, 4)
 
     def test_variance_simple_rw_limit(self):

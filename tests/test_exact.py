@@ -29,7 +29,7 @@ from antlion import (
 from antlion import exact
 from antlion.analysis import exact_standardized_cdf
 from antlion.exact import DIST_HEADER, _exact_order
-from antlion.tables import Table, write_table
+from antlion.tables import Table, write_tables
 
 GOLDEN = (-1 + math.sqrt(5)) / 2
 
@@ -249,13 +249,14 @@ class TestLatticeDifferential:
 
     @pytest.mark.parametrize("alpha", SMALL_ALPHAS, ids=str)
     def test_moments_match_full_lattice_sums(self, alpha):
-        for p in (Fraction(1, 3), 0.3):
-            for t in range(9):
+        # Odd and even splits, p at 0 and 1, and a tiny float p.
+        for p in (Fraction(1, 3), Fraction(0), Fraction(1), Fraction(1, 2), 0.3, 1e-300):
+            kind = float if isinstance(p, float) else Fraction
+            for t in range(15):
                 dist = enumerate_distribution(params(alpha, p=p, t=t))
-                mean, var = reduceat_moments(dist)
-                if isinstance(p, float):
-                    mean, var = float(mean), float(var)
-                assert exact_moments(dist) == (mean, var)
+                mean, var = map(kind, reduceat_moments(dist))
+                got = exact_moments(dist)
+                assert got == (mean, var) and [type(v) for v in got] == [kind, kind]
 
     @pytest.mark.parametrize(
         "alpha, t", [(Fraction(9, 10), 16), (Fraction(11, 12), 16), (Fraction(1, 10**6), 12)]
@@ -586,8 +587,8 @@ class TestMemory:
         dist.cdf  # the ordered float support, built before tracing
         tracemalloc.start()
         try:
-            scaled = dist.columns()[1]
-            write_table(tmp_path / "dist.csv", Table("dist", DIST_HEADER[1:2], (scaled,)), "csv")
+            table = Table("dist", DIST_HEADER[1:2], (dist.columns()[1],))
+            write_tables([(tmp_path / "dist.csv", table)], "csv")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -598,7 +599,7 @@ class TestSerialization:
     def test_csv(self, tmp_path):
         dist = enumerate_distribution(params(Fraction(1, 2), t=3))
         target = tmp_path / "dist.csv"
-        write_table(target, Table("dist", DIST_HEADER, dist.columns()), "csv")
+        write_tables([(target, Table("dist", DIST_HEADER, dist.columns()))], "csv")
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "position_real,scaled_value,k_minus_steps,probability"
         assert len(lines) == 1 + 8

@@ -169,7 +169,7 @@ class TestEcdf:
 
     def test_matches_exact_cdf(self):
         exact = enumerate_distribution(
-            WalkParams(alpha=Alpha.from_rational(1, 2), p=Fraction(1, 2), t=8)
+            WalkParams(alpha=Alpha.from_fraction(Fraction(1, 2)), p=Fraction(1, 2), t=8)
         )
         batch = simulate(params(0.5, t=8), n_walkers=50_000, seed=47)
         e = empirical_cdf(batch)

@@ -1,26 +1,30 @@
-"""The README's library quick tour runs as written.
+"""The README's library quick tour and CLI block run as written.
 
 Runs against whichever ``antlion`` is importable: the source tree under
 ``PYTHONPATH=src``, or an installed package without it.
 """
 
+import csv
+import json
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 from antlion import Ecdf, ExactDistribution, ReachResult, TrajectoryBatch
+from antlion.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def quick_tour() -> str:
-    section = README.read_text(encoding="utf-8").split("## Library quick tour", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+def code_block(heading: str, language: str) -> str:
+    section = README.read_text(encoding="utf-8").split(f"## {heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
 
 
 def test_quick_tour_runs():
     ns = {}
-    exec(quick_tour(), ns)
+    exec(code_block("Library quick tour", "python"), ns)
     assert ns["res"].reachable is False
     assert isinstance(ns["res"], ReachResult)
     assert isinstance(ns["dist"], ExactDistribution)
@@ -28,3 +32,16 @@ def test_quick_tour_runs():
     assert isinstance(ns["d"], float)
     assert isinstance(ns["batch"], TrajectoryBatch)
     assert isinstance(ns["ecdf"], Ecdf)
+
+
+def test_cli_block_runs(tmp_path):
+    for line in code_block("CLI", "sh").splitlines():
+        program, *argv = shlex.split(line, comments=True)
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / argv[out])
+        assert program == "antlion" and main(argv) == 0, line
+    summary = json.loads((tmp_path / "binom" / "residence_summary.json").read_text())
+    assert summary["tv_distance_is_exact_zero"] is True
+    with open(tmp_path / "gap" / "reach.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["reachable"] == "0"
