@@ -207,6 +207,8 @@ def _cmd_cvm(args):
     alphas = [Alpha.parse(a) for a in args.alpha.split(",")] if args.alpha else []
     if "arw" in targets and not alphas:
         raise ValueError("target 'arw' requires --alpha")
+    if "arw" in targets and args.mode == "exact":
+        exact._check_cap(max(t_values))
     cases = [(target, a) for target in targets for a in (alphas if target == "arw" else [""])]
     rows = []
     grid = [[] for _ in range(7)]  # the cvm_grid columns

@@ -21,7 +21,7 @@ splits of the halves and certified against a proved error bound; the few
 that fail the test, such as exact rounding midpoints, are divided in ints.
 Rounding is monotone, so only points with equal floats can be out of order,
 and those are sorted on their ints, the only ``S`` the ordering computes.
-The full array of ``S`` is built only when something reads the ints.
+No array of all ``2^t`` ints is built; the lattice computes each ``S`` read.
 Distinct paths land on distinct positions for rational alpha in (0, 1), and
 a tie raises. The probability of a point is entry ``k`` of the ``t + 1``
 path weights ``p^k (1-p)^(t-k)``, so the law is exact for any step
@@ -30,8 +30,7 @@ parameter ``p``, including irrational ``p``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -222,16 +221,15 @@ def _exact_order(xs: np.ndarray, numerators) -> tuple:
     return order, positions
 
 
-class PathLattice(Mapping):
+class PathLattice(Sequence):
     """The endpoints of all ``2^t`` paths, held as their two half lattices.
 
     Path ``i * len(low) + j`` has the exact numerator ``high[i] + low[j]``
     (Python ints) of its position over ``den``, and ``k[i * len(low) + j] =
     high_k[i] + low_k[j]`` minus steps. Only ``k`` and, on first read, the
-    ordered positions are built over all paths; ``scaled``, every numerator
-    in path-index order, is built when something reads the ints. As a
-    read-only mapping it sends each scaled value to its ``k``, iterating in
-    increasing order; a lookup is a binary search.
+    ordered positions are built over all paths. As a sequence it is the
+    support: item ``i`` is the ``i``-th smallest numerator, computed from the
+    halves when read, and iteration computes ``_BLOCK`` of them at a time.
     """
 
     def __init__(self, high, high_k, low, low_k, den: int):
@@ -240,12 +238,7 @@ class PathLattice(Mapping):
         self.k = np.add.outer(high_k, low_k).ravel()
         self.den = den
 
-    @cached_property
-    def scaled(self) -> np.ndarray:
-        """Every numerator ``S``, in path-index order."""
-        return np.add.outer(self.high, self.low).ravel()
-
-    def _numerators(self, paths: np.ndarray) -> np.ndarray:
+    def _numerators(self, paths):
         rows, cols = np.divmod(paths, self.low.size)
         return self.high[rows] + self.low[cols]
 
@@ -261,28 +254,24 @@ class PathLattice(Mapping):
     def __len__(self) -> int:
         return len(self.ordered[0])
 
+    def __getitem__(self, ranks):
+        """The numerators of support ranks ``ranks``: an int, a slice or an index array."""
+        return self._numerators(self.ordered[0][ranks])
+
     def __iter__(self):
-        return iter(self.scaled[self.ordered[0]])
+        for lo in range(0, len(self), _BLOCK):
+            yield from self[lo : lo + _BLOCK].tolist()
 
-    def __getitem__(self, scaled: int) -> int:
-        order = self.ordered[0]
-        i = bisect_left(order, scaled, key=self.scaled.__getitem__)
-        if i == len(order) or self.scaled[order[i]] != scaled:
-            raise KeyError(scaled)
-        return int(self.k[order[i]])
-
-
-class _Numerators:
-    """The numerators of the paths ``order``, computed a slice at a time."""
-
-    def __init__(self, lattice: PathLattice, order: np.ndarray):
-        self.lattice, self.order = lattice, order
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.lattice._numerators(self.order[rows])
+    def index(self, scaled: int) -> int:
+        """The rank of ``scaled``, found in its run of positions equal to
+        ``scaled / den``; ``ValueError`` if no path ends there."""
+        positions = self.ordered[1]
+        try:
+            x = scaled / self.den
+            lo, hi = positions.searchsorted(x, "left"), positions.searchsorted(x, "right")
+            return int(lo) + self[lo:hi].tolist().index(scaled)
+        except (OverflowError, ValueError):
+            raise ValueError(f"{scaled} is not a numerator of the support") from None
 
 
 def _path_lattice(alpha: Fraction, t: int) -> PathLattice:
@@ -299,9 +288,9 @@ class ExactDistribution:
     """Exact law of ``X_t``: support as scaled integers with symbolic weights.
 
     ``entries`` is the :class:`PathLattice` of the ``2^t`` paths; as a
-    mapping it sends the scaled integer position ``S = X_t * n^(t-1)`` to
-    ``k``, the number of -1 steps of the one path that lands there, whose
-    probability is ``weights[k]``.
+    sequence it holds the scaled integer positions ``S = X_t * n^(t-1)`` in
+    increasing order. The one path that lands on ``S`` has ``k`` minus
+    steps and probability ``weights[k]``.
     """
 
     def __init__(self, t: int, alpha: Fraction, p, entries: PathLattice):
@@ -327,16 +316,17 @@ class ExactDistribution:
 
     def point_probability(self, scaled: int):
         """Probability of one support point, in the arithmetic of ``p``."""
-        return self.weights[self.entries[scaled]]
+        lattice = self.entries
+        return self.weights[lattice.k[lattice.ordered[0][lattice.index(scaled)]]]
 
     def columns(self) -> tuple:
         """``(positions, scaled, k, probabilities)``, the table columns of
         ``DIST_HEADER`` in increasing position order: ``float_law``'s positions,
-        the exact ints computed when read, and two columns coded by ``k``."""
+        the lattice, whose ints are computed when read, and two coded by ``k``."""
         order, xs = self.entries.ordered
         k = self.entries.k[order]
-        scaled = _Numerators(self.entries, order)
-        return xs, scaled, Coded(k, range(self.t + 1)), Coded(k, [float(w) for w in self.weights])
+        probs = Coded(k, [float(w) for w in self.weights])
+        return xs, self.entries, Coded(k, range(self.t + 1)), probs
 
     def support_fractions(self) -> list:
         den = self.scale_denominator

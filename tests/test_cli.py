@@ -461,6 +461,18 @@ class TestErrors:
     def test_horizon_cap(self, tmp_path):
         assert main(["dist", "--alpha", "1/2", "--t", "30", "--out", str(tmp_path)]) == EXIT_HORIZON
 
+    def test_exact_cvm_checks_cap_first(self, tmp_path, capsys, monkeypatch):
+        # The largest horizon is checked before the first law is built.
+        def refuse(params):
+            raise AssertionError(f"a law was built at t={params.t}")
+
+        monkeypatch.setattr(cli, "enumerate_distribution", refuse)
+        argv = ["cvm", "--targets", "arw,srw", "--alpha", "9/10", "--t", "1..23,25"]
+        assert main([*argv, "--mode", "exact", "--out", str(tmp_path)]) == EXIT_HORIZON
+        err = capsys.readouterr().err
+        assert "t=25" in err and err.count("\n") == 1
+        assert not (tmp_path / "cvm.csv").exists()
+
     def test_resource_guard(self, tmp_path, capsys):
         for argv in (
             ["dist", "--alpha", "0.5", "--t", "1000000", "--mode", "mc", "--n", "1000000"],
@@ -795,7 +807,11 @@ class TestMoments:
 def _dist_exact_rows():
     dist = enumerate_distribution(WalkParams(alpha=Alpha.parse("9/10"), p=Fraction(1, 3), t=6))
     den = dist.scale_denominator
-    rows = [(s / den, s, dist.entries[s], float(dist.point_probability(s))) for s in dist.entries]
+    lattice = dist.entries
+    rows = [
+        (s / den, s, k, float(dist.point_probability(s)))
+        for s, k in zip(lattice, lattice.k[lattice.ordered[0]].tolist())
+    ]
     cdf = dist.cdf
     return {
         "dist": (DIST_HEADER, rows),

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -67,13 +68,18 @@ def brute_paths(alpha: Fraction, t: int) -> list:
     return paths
 
 
+def path_numerators(lattice) -> np.ndarray:
+    """Oracle: every numerator ``S`` of the lattice, in path-index order."""
+    return np.add.outer(lattice.high, lattice.low).ravel()
+
+
 def reduceat_moments(dist):
     """Oracle: the mean and variance from per-``k`` sums of ``S`` and ``S^2``
     over every path of the lattice."""
     lattice = dist.entries
     by_k = np.argsort(lattice.k, kind="stable")
     starts = np.searchsorted(lattice.k[by_k], np.arange(dist.t + 1))
-    scaled = lattice.scaled[by_k]
+    scaled = path_numerators(lattice)[by_k]
     sums1 = np.add.reduceat(scaled, starts).tolist()
     sums2 = np.add.reduceat(scaled * scaled, starts).tolist()
     scale = Fraction(dist.scale_denominator)
@@ -229,11 +235,11 @@ class TestLatticeDifferential:
             support = sorted(x for _, x, _, _ in paths)
             assert dist.support_fractions() == support
             assert dist.float_law()[0].tolist() == [float(x) for x in support]
-            assert {Fraction(s, den): k for s, k in lattice.items()} == {
-                x: k for _, x, k, _ in paths
-            }
+            by_rank = zip(lattice, lattice.k[lattice.ordered[0]])
+            assert {Fraction(s, den): k for s, k in by_rank} == {x: k for _, x, k, _ in paths}
+            scaled = path_numerators(lattice)
             for index, x, k, _ in paths:
-                assert Fraction(lattice.scaled[index], den) == x
+                assert Fraction(scaled[index], den) == x
                 assert lattice.k[index] == k
             residence = exact_residence_distribution(params(alpha, p=p, t=t))
             assert residence == brute_residence_pmf(alpha, p, t)
@@ -244,7 +250,7 @@ class TestLatticeDifferential:
         for t in range(11):
             dist = enumerate_distribution(params(alpha, t=t))
             lattice = dist.entries
-            expected = division_bits(sorted(lattice.scaled.tolist()), lattice.den)
+            expected = division_bits(sorted(path_numerators(lattice).tolist()), lattice.den)
             assert np.array_equal(dist.float_law()[0].view(np.int64), expected)
 
     @pytest.mark.parametrize("alpha", SMALL_ALPHAS, ids=str)
@@ -337,7 +343,47 @@ class TestCertifiedRounding:
         lattice = enumerate_distribution(params(Fraction(10**6 - 1, 10**6), t=12)).entries
         xs, fallback = exact._positions(lattice.high, lattice.low, lattice.den)
         assert fallback.size >= 1
-        assert np.array_equal(xs.view(np.int64), division_bits(lattice.scaled, lattice.den))
+        expected = division_bits(path_numerators(lattice), lattice.den)
+        assert np.array_equal(xs.view(np.int64), expected)
+
+
+class TestSupportSequence:
+    # Ties of equal floats at 1/10^6, a full block at 9/10 and a dyadic lattice.
+    CASES = [(Fraction(1, 10**6), 12), (Fraction(9, 10), 14), (Fraction(1, 2), 10)]
+
+    @pytest.mark.parametrize("alpha, t", CASES, ids=str)
+    def test_reads_the_sorted_numerators(self, monkeypatch, alpha, t):
+        lattice = enumerate_distribution(params(alpha, t=t)).entries
+        full = sorted(path_numerators(lattice).tolist())
+        n = len(full)
+        assert isinstance(lattice, Sequence) and len(lattice) == n == 2**t
+        for lo, hi in ((0, n), (0, 1), (n - 1, n), (n // 3, 2 * n // 3), (5, 5), (-7, n + 9)):
+            assert lattice[lo:hi].tolist() == full[lo:hi]
+        assert (lattice[0], lattice[-1], lattice[n // 2]) == (full[0], full[-1], full[n // 2])
+        ranks = np.array([n - 1, 0, n // 2, 7])
+        assert lattice[ranks].tolist() == [full[r] for r in ranks.tolist()]
+        assert list(lattice) == full
+        monkeypatch.setattr(exact, "_BLOCK", 1000)  # iteration across block edges
+        assert list(lattice) == full
+
+    @pytest.mark.parametrize("alpha, t", CASES, ids=str)
+    def test_index_and_point_probability(self, alpha, t):
+        p = Fraction(1, 3)
+        dist = enumerate_distribution(params(alpha, p=p, t=t))
+        lattice, den = dist.entries, dist.scale_denominator
+        brute = {x: p**k * (1 - p) ** (t - k) for _, x, k, _ in brute_paths(alpha, t)}
+        for i, s in enumerate(lattice):
+            assert lattice.index(s) == i
+            assert dist.point_probability(s) == brute[Fraction(s, den)]
+            # Two paths' numerators differ by an even number.
+            for missing in (s - 1, s + 1):
+                with pytest.raises(ValueError):
+                    lattice.index(missing)
+        for missing in (10**400, -(10**400)):
+            with pytest.raises(ValueError):
+                lattice.index(missing)
+            with pytest.raises(ValueError):
+                dist.point_probability(missing)
 
 
 class TestExactOrder:
@@ -457,7 +503,7 @@ class TestMoments:
             raise AssertionError("the support was ordered")
 
         monkeypatch.setattr("antlion.exact._exact_order", refuse)
-        monkeypatch.setattr(exact.PathLattice, "scaled", property(refuse))
+        monkeypatch.setattr(exact.PathLattice, "_numerators", refuse)
         prm = params(Fraction(9, 10), p=Fraction(3, 10), t=10)
         dist = enumerate_distribution(prm)
         assert exact_moments(dist) == (closed_form_mean(prm), closed_form_variance(prm))
@@ -467,15 +513,24 @@ class TestMoments:
     def test_cdf_never_builds_the_ints(self, monkeypatch, alpha, t):
         # The CDF reads the certified positions; at 1/10^6 the ordering
         # computes ints only for the runs of equal floats.
-        def refuse(self):
-            raise AssertionError("the 2^t ints were built")
+        numerators = exact.PathLattice._numerators
+        asked = [np.zeros(0, dtype=np.intp)]
+
+        def record(self, paths):
+            asked.append(np.array(paths, ndmin=1))
+            return numerators(self, paths)
 
         dist = enumerate_distribution(params(alpha, t=t))
         with monkeypatch.context() as patch:
-            patch.setattr(exact.PathLattice, "scaled", property(refuse))
+            patch.setattr(exact.PathLattice, "_numerators", record)
             cdf = exact_standardized_cdf(dist)
         lattice = dist.entries
-        expected = division_bits(sorted(lattice.scaled.tolist()), lattice.den)
+        order, positions = lattice.ordered
+        tie = np.concatenate([[False], positions[1:] == positions[:-1], [False]])
+        in_run = tie[1:] | tie[:-1]
+        assert np.array_equal(np.sort(np.concatenate(asked)), np.sort(order[in_run]))
+        assert in_run.any() == (alpha == Fraction(1, 10**6))
+        expected = division_bits(sorted(path_numerators(lattice).tolist()), lattice.den)
         assert np.array_equal(dist.float_law()[0].view(np.int64), expected)
         assert cdf.xs.size == 2**t
 
@@ -579,6 +634,23 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
+    def test_support_read_peak(self):
+        # 2^18 paths: min and max read the numerators a block at a time, and
+        # a lookup reads only its run of equal positions. All of them would
+        # take 10 MB (2^18 ints and an array of pointers).
+        dist = enumerate_distribution(params(Fraction(9, 10), p=Fraction(1, 2), t=18))
+        dist.cdf  # the ordered float support, built before tracing
+        tracemalloc.start()
+        try:
+            lowest, highest = min(dist.entries), max(dist.entries)
+            probs = [dist.point_probability(lowest), dist.point_probability(highest)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18 * 8
+        assert probs == [Fraction(1, 2**18)] * 2
+        assert (lowest, highest) == (dist.entries[0], dist.entries[-1])
+
     def test_dist_table_write_peak(self, tmp_path):
         # 2^18 paths: the scaled_value ints are computed a block at a time.
         # All of them would take 10 MB (2^18 ints and an array of pointers).
@@ -610,10 +682,11 @@ class TestSerialization:
         # and the position column is the CDF's support, the same array.
         dist = enumerate_distribution(params(alpha, p=Fraction(1, 3), t=7))
         xs, scaled, k, probs = dist.columns()
-        assert xs is dist.cdf.xs
+        assert xs is dist.cdf.xs and scaled is dist.entries
         rows = list(zip(xs.tolist(), scaled[0 : len(scaled)].tolist(), k.codes.tolist()))
         assert len(scaled) == 2**7 and [s for _, s, _ in rows] == list(dist.entries)
         den = dist.scale_denominator
-        assert all(x == s / den and j == dist.entries[s] for x, s, j in rows)
+        brute = {x: k for _, x, k, _ in brute_paths(alpha, 7)}
+        assert all(x == s / den and j == brute[Fraction(s, den)] for x, s, j in rows)
         assert list(k.labels) == list(range(8)) and probs.codes is k.codes
         assert probs.labels == [float(w) for w in dist.weights]
