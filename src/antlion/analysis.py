@@ -22,7 +22,8 @@ from typing import Callable, Mapping, NamedTuple, Union
 
 import numpy as np
 
-from .core import DiscreteCdf, check_elements
+from . import exact
+from .core import Alpha, DiscreteCdf, check_elements
 from .exact import ExactDistribution
 
 __all__ = [
@@ -53,12 +54,15 @@ def standardize_arw(x, alpha: float, t: int):
     Multiplies by ``sqrt((1 - alpha^2) / (1 - alpha^(2t)))``; for p = 1/2 the
     result has variance exactly 1. Accepts scalars or arrays.
     """
+    return _arw_factor(alpha, t) * x
+
+
+def _arw_factor(alpha: float, t: int) -> float:
     if not (0 < alpha < 1):
         raise ValueError(f"standardization requires 0 < alpha < 1, got {alpha}")
     if t < 1:
         raise ValueError("standardization requires t >= 1")
-    factor = math.sqrt((1.0 - alpha * alpha) / (1.0 - alpha ** (2 * t)))
-    return factor * x
+    return math.sqrt((1.0 - alpha * alpha) / (1.0 - alpha ** (2 * t)))
 
 
 def standardize_srw(s, t: int):
@@ -93,6 +97,49 @@ def exact_standardized_cdf(dist: ExactDistribution) -> DiscreteCdf:
     """CDF of the standardized variable of an exact distribution."""
     xs, probs = dist.float_law()
     return DiscreteCdf(standardize_arw(xs, float(dist.alpha), dist.t), probs)
+
+
+def _preimage(u: np.ndarray, factor: float) -> np.ndarray:
+    """The largest float ``y`` with ``fl(factor * y) <= u``, for each ``u``
+    (not NaN) and a ``factor > 0``. Rounding is monotone, so ``fl(factor *
+    x) <= u`` exactly when ``x <= y``. ``fl(u / factor)`` is a few floats
+    from ``y``, and nextafter steps reach it; ``+-inf`` are their own."""
+    y = u / factor
+    above = factor * y > u
+    while above.any():
+        y[above] = np.nextafter(y[above], -np.inf)
+        above = factor * y > u
+    while True:
+        up = np.nextafter(y, np.inf)
+        below = (factor * up <= u) & (y < np.inf)
+        if not below.any():
+            return y
+        y[below] = up[below]
+
+
+class _ExactGridCdf:
+    """``u -> P(X <= u)`` of the standardized walk at ``p = 1/2``, bit for bit
+    ``exact_standardized_cdf``'s value, by counting paths.
+
+    Every path weighs ``2^-t``, so that CDF is ``N(u) 2^-t`` with ``N(u)`` the
+    paths whose standardized float ``fl(factor * fl(S / den))`` is at most
+    ``u``: the paths with ``fl(S / den) <= _preimage(u)``, which
+    ``exact._count_at_most`` counts without ordering the ``2^t`` positions.
+    The parameters are checked here; the counting runs when called, once per
+    call, so call it with the whole grid.
+    """
+
+    def __init__(self, alpha: Alpha, t: int):
+        self.alpha = exact._require_exact_alpha(alpha)
+        exact._check_cap(t)
+        self.t = t
+        self.factor = _arw_factor(float(self.alpha), t)
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        y = _preimage(u.ravel(), self.factor)
+        cdf = np.ldexp(exact._count_at_most(self.alpha, self.t, y), -self.t)
+        return cdf.reshape(u.shape) if u.ndim else float(cdf[0])
 
 
 def simple_rw_exact_cdf(t: int) -> DiscreteCdf:
@@ -156,8 +203,10 @@ class CvmGrid(NamedTuple):
 
 
 def _grid(m1: float, m2: float, n: int) -> np.ndarray:
-    # The same floats as ``m1 + (m2 - m1) * k / n`` point by point.
-    return m1 + (m2 - m1) * np.arange(1, n + 1) / n
+    # The same floats as ``m1 + (m2 - m1) * k / n`` point by point, which
+    # overflow to inf as quietly as Python's floats do.
+    with np.errstate(over="ignore"):
+        return m1 + (m2 - m1) * np.arange(1, n + 1) / n
 
 
 @lru_cache(maxsize=16)
@@ -166,7 +215,7 @@ def _normal_column(m1: float, m2: float, n: int) -> tuple:
 
 
 def _on_grid(cdf: CdfFn, u: np.ndarray, m1: float, m2: float, n: int) -> list:
-    if isinstance(cdf, DiscreteCdf):
+    if isinstance(cdf, (DiscreteCdf, _ExactGridCdf)):  # one call for the whole grid
         return cdf(u).tolist()
     if cdf is normal_cdf:  # the same column for every law on this grid
         return list(_normal_column(m1, m2, n))

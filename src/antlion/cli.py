@@ -24,12 +24,12 @@ import numpy as np
 
 from . import __version__, bandit, exact
 from .analysis import (
+    _ExactGridCdf,
     check_cvm_grid,
     compare_residence_to_binomial,
     cvm_distance,
     cvm_from_grid,
     cvm_grid_table,
-    exact_standardized_cdf,
     normal_cdf,
     residence_binomial,
     simple_rw_exact_cdf,
@@ -69,7 +69,9 @@ from .montecarlo import (
     simulate,
     simulate_simple_rw,
 )
-# is_eps_reachable stays a cli attribute: perfbench/spans.py wraps it.
+# is_eps_reachable and exact_standardized_cdf, which no command calls, stay
+# cli attributes: perfbench/spans.py wraps them.
+from .analysis import exact_standardized_cdf  # noqa: F401
 from .reachability import decide_lanes, is_eps_reachable, reach_bound  # noqa: F401
 from .tables import SUFFIXES, Coded, Table, transpose, write_tables
 
@@ -185,8 +187,7 @@ def _cmd_dist(args):
 
 def _cvm_arw_cdf(alpha: Alpha, t: int, mode: str, n: int, seed: int):
     if mode == "exact":
-        dist = enumerate_distribution(WalkParams(alpha=alpha, p=0.5, t=t))
-        return exact_standardized_cdf(dist)
+        return _ExactGridCdf(alpha, t)
     batch = simulate(WalkParams(alpha=alpha, p=0.5, t=t), n_walkers=n, seed=seed)
     return Ecdf(standardize_arw(batch.finals, alpha.as_float, t))
 

@@ -10,7 +10,7 @@ set, so its minus-step count ``k`` is the popcount of ``i``. With ``h =
 t // 2``, ``S`` of path ``i * 2^h + j`` is ``high[i] + low[j]``: the first
 ``h`` steps give ``low`` and the rest ``high``, two half lattices of about
 ``2^(t/2)`` Python ints each (ints, so position equality stays decidable,
-which floating point cannot certify). Over all ``2^t`` paths only ``k`` is
+which floating point cannot certify). Nothing over all ``2^t`` paths is
 built eagerly; the moments use that the two halves are independent.
 ``_path_lattice`` alone lays out the halves, also of each prefix for the
 residence law, and ``_levels`` alone walks levels, in ints and in floats.
@@ -22,6 +22,8 @@ that fail the test, such as exact rounding midpoints, are divided in ints.
 Rounding is monotone, so only points with equal floats can be out of order,
 and those are sorted on their ints, the only ``S`` the ordering computes.
 No array of all ``2^t`` ints is built; the lattice computes each ``S`` read.
+``_count_at_most`` counts the positions at or below given floats on an
+uneven split of the halves and never orders the support.
 Distinct paths land on distinct positions for rational alpha in (0, 1), and
 a tie raises. The probability of a point is entry ``k`` of the ``t + 1``
 path weights ``p^k (1-p)^(t-k)``, so the law is exact for any step
@@ -30,11 +32,13 @@ parameter ``p``, including irrational ``p``.
 
 from __future__ import annotations
 
+import bisect
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -226,17 +230,23 @@ class PathLattice(Sequence):
 
     Path ``i * len(low) + j`` has the exact numerator ``high[i] + low[j]``
     (Python ints) of its position over ``den``, and ``k[i * len(low) + j] =
-    high_k[i] + low_k[j]`` minus steps. Only ``k`` and, on first read, the
-    ordered positions are built over all paths. As a sequence it is the
+    high_k[i] + low_k[j]`` minus steps. Only ``k`` and the ordered positions
+    are built over all paths, each on first read. As a sequence it is the
     support: item ``i`` is the ``i``-th smallest numerator, computed from the
     halves when read, and iteration computes ``_BLOCK`` of them at a time.
+    Its length is ``2^t``, read off the halves; membership and ``count``
+    are ``index``, a binary search.
     """
 
     def __init__(self, high, high_k, low, low_k, den: int):
         self.high, self.high_k = high, high_k
         self.low, self.low_k = low, low_k
-        self.k = np.add.outer(high_k, low_k).ravel()
         self.den = den
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        """The minus-step count of each path, in path-index order."""
+        return np.add.outer(self.high_k, self.low_k).ravel()
 
     def _numerators(self, paths):
         rows, cols = np.divmod(paths, self.low.size)
@@ -252,7 +262,7 @@ class PathLattice(Sequence):
         return order, positions
 
     def __len__(self) -> int:
-        return len(self.ordered[0])
+        return self.high.size * self.low.size
 
     def __getitem__(self, ranks):
         """The numerators of support ranks ``ranks``: an int, a slice or an index array."""
@@ -270,18 +280,96 @@ class PathLattice(Sequence):
             x = scaled / self.den
             lo, hi = positions.searchsorted(x, "left"), positions.searchsorted(x, "right")
             return int(lo) + self[lo:hi].tolist().index(scaled)
-        except (OverflowError, ValueError):
-            raise ValueError(f"{scaled} is not a numerator of the support") from None
+        except (OverflowError, TypeError, ValueError):
+            raise ValueError(f"{scaled!r} is not a numerator of the support") from None
+
+    def __contains__(self, scaled) -> bool:
+        try:
+            self.index(scaled)
+        except ValueError:
+            return False
+        return True
+
+    def count(self, scaled) -> int:
+        return int(scaled in self)  # no two paths share a position
 
 
-def _path_lattice(alpha: Fraction, t: int) -> PathLattice:
+def _path_lattice(alpha: Fraction, t: int, _low_steps: Optional[int] = None) -> PathLattice:
+    """The lattice of ``t`` steps whose low half holds the first ``_low_steps``
+    (by default ``t // 2``) of them."""
     m, n = alpha.numerator, alpha.denominator
-    half = t // 2
-    levels = list(_levels(m, n, t - half))
-    (low, low_k), (high, high_k) = levels[half], levels[-1]
+    h = t // 2 if _low_steps is None else _low_steps
+    walk = enumerate(_levels(m, n, max(h, t - h)))
+    levels = {s: level for s, level in walk if s in (h, t - h)}  # only the two halves kept
+    (low, low_k), (high, high_k) = levels[h], levels[t - h]
     # S_t = m^(t-h) S_h(steps 1..h) + n^h S_(t-h)(steps h+1..t); the later
     # steps are the high index bits, so they index the rows of the outer sum.
-    return PathLattice(n**half * high, high_k, m ** (t - half) * low, low_k, n ** max(t - 1, 0))
+    return PathLattice(n**h * high, high_k, m ** (t - h) * low, low_k, n ** max(t - 1, 0))
+
+
+def _count_at_most(alpha: Fraction, t: int, ys) -> np.ndarray:
+    """For each float ``y`` of ``ys`` (not NaN), the number of ``t``-step paths
+    whose position ``S / den``, rounded to nearest, is at most ``y``.
+
+    The support is never ordered and no array over all paths is built: the
+    counts meet in the middle (Horowitz and Sahni, 1974) on a lattice split
+    ``S = high[i] + low[j]``. The low half takes ``ceil((t + log2 len(ys)) /
+    2)`` steps, which balances sorting it against the ``len(high) *
+    len(ys)`` (row, ``y``) queries. The low half is sorted once by its ints
+    (on its floats ``L = fl(low / den)``, unless two are equal), and ``L``
+    is then sorted too, as rounding is monotone. Per row, with ``H =
+    fl(high[i] / den)`` and ``d = fl(y - H)``, one ``searchsorted`` counts
+    the ``L <= fl(d - M)``, which all round to at most ``y``, and one the
+    ``L <= fl(d + M)``. Between them the exact test ``(high[i] + low[j]) /
+    den <= y``, in Python's correctly rounded int division, holds for a
+    prefix of ``j``, as both the ints and their rounding are monotone, so a
+    binary search decides the band in ``O(log)`` divisions even where all of
+    it is there (``alpha`` near 0). Every ``|S / den|`` is at most about
+    half of ``B = 2 (max |H| + max |L|) + 2^-1070``, so each rounded
+    position lies strictly inside ``(-B, B)`` and clipping ``y`` to ``[-B,
+    B]`` (an infinite ``y`` too) leaves its count unchanged.
+
+    The margin is ``M = 2^-50 (|H| + max |L| + |d|) + 2^-1070``. With ``u =
+    2^-53`` and ``e = 2^-1074``, ``q = S / den`` lies within ``u|H| + u max|L|
+    + e`` of ``H + L`` (each quotient is rounded once, absolutely by at most
+    ``e / 2`` below the normal range), and ``y - H`` within ``u|d|`` of
+    ``d`` (a float sum is exact when subnormal). So ``L <= fl(d - M)``
+    gives ``q <= y``, hence ``fl(q) <= y``, once ``M`` covers ``u (|H| +
+    max|L| + 2|d|) + e``; and ``L > fl(d + M)`` puts ``q`` at or past the
+    float after ``y``, hence ``fl(q) > y``, once ``M`` covers ``u (3|H| +
+    max|L| + 4|d|) + 2e``, the gap above ``y`` being at most ``2u|y| + e``.
+    Computed in floats, ``M`` is within ``3u`` of ``8u (|H| + max|L| +
+    |d|) + 16e``: about twice either need after the rounding of ``d +- M``.
+    Nothing here rests on an ``assert``; the band is decided in ints.
+    """
+    ys = np.asarray(ys, dtype=float)
+    low_steps = min(t, math.ceil((t + math.log2(max(ys.size, 1))) / 2))
+    lattice = _path_lattice(alpha, t, low_steps)
+    den, high = lattice.den, lattice.high.tolist()
+    high_x = np.array([v / den for v in high])
+    low = lattice.low.tolist()
+    low_x = np.array([v / den for v in low])
+    by_x = np.argsort(low_x)
+    low_x, low = low_x[by_x], [low[j] for j in by_x.tolist()]
+    if (low_x[1:] == low_x[:-1]).any():  # equal floats: their ints decide
+        low.sort()
+    low_max = float(np.abs(low_x).max())
+    clip = 2.0 * (float(np.abs(high_x).max()) + low_max) + 2.0**-1070
+    y = np.clip(ys.ravel(), -clip, clip)
+    d = y - high_x[:, None]
+    margin = np.abs(d)
+    margin += np.abs(high_x)[:, None] + low_max
+    margin *= 2.0**-50
+    margin += 2.0**-1070
+    sure = np.searchsorted(low_x, d - margin, "right")
+    maybe = np.searchsorted(low_x, d + margin, "right")
+    counts = sure.sum(axis=0)
+    y = y.tolist()
+    for i, q in zip(*(a.tolist() for a in np.nonzero(maybe > sure))):
+        top, y_q = high[i], y[q]
+        band = range(int(sure[i, q]), int(maybe[i, q]))
+        counts[q] += bisect.bisect_left(band, True, key=lambda j: (top + low[j]) / den > y_q)
+    return counts.reshape(ys.shape)
 
 
 class ExactDistribution:
@@ -365,8 +453,9 @@ def enumerate_distribution(params: WalkParams) -> ExactDistribution:
 
 
 def support_size(dist: ExactDistribution) -> int:
-    """Number of distinct support points."""
-    return len(dist.entries)
+    """Number of distinct support points, counted on the ordered support,
+    which raises if two paths share a position."""
+    return len(dist.entries.ordered[0])
 
 
 def _half_moments(values: np.ndarray, k: np.ndarray, weights: list) -> tuple:

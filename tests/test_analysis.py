@@ -23,7 +23,8 @@ from antlion import (
     standardize_srw,
     uniform_cdf,
 )
-from antlion.analysis import DiscreteCdf, residence_binomial
+from antlion import analysis, exact
+from antlion.analysis import DiscreteCdf, _ExactGridCdf, residence_binomial
 from antlion.montecarlo import Ecdf
 
 # Frozen from a 30-digit quadrature oracle.
@@ -216,6 +217,99 @@ class TestCvmDistance:
         for m1, m2 in ((-math.inf, 3.0), (-3.0, math.nan), (-1e308, 1e308)):
             with pytest.raises(ValueError, match="finite"):
                 cvm_distance(normal_cdf, normal_cdf, m1=m1, m2=m2)
+
+
+GRIDS = [(-3.0, 3.0, 600), (-2.5, 4.0, 777), (0, 1, 4), (-1e-3, 2e5, 1000)]
+# Wide, tiny and subnormal grids; the points of the last overflow to inf.
+EXTREME_GRIDS = [(-1e300, 1e300, 7), (0, 1e-300, 5), (-5e-324, 5e-324, 3), (-8e307, 8e307, 9)]
+COUNTED_ALPHAS = [
+    Fraction(1, 10),
+    Fraction(1, 2),
+    Fraction(9, 10),
+    Fraction(1, 3),
+    Fraction(2, 7),
+    Fraction(3, 4),
+    Fraction(7, 10),
+    Fraction(1, 10**6),
+    Fraction(10**6 - 1, 10**6),
+    Fraction(11, 12),
+]
+
+
+def standardized_oracle(alpha: Fraction, t: int) -> DiscreteCdf:
+    """The standardized CDF from the ordered full support, as ``cvm`` built it."""
+    dist = enumerate_distribution(WalkParams(alpha=Alpha.from_fraction(alpha), p=0.5, t=t))
+    return exact_standardized_cdf(dist)
+
+
+def counted(alpha: Fraction, t: int) -> _ExactGridCdf:
+    return _ExactGridCdf(Alpha.from_fraction(alpha), t)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestExactGridCdf:
+    """The counted CDF against the standardized CDF of the ordered support,
+    bit for bit."""
+
+    @pytest.mark.parametrize("alpha", COUNTED_ALPHAS, ids=str)
+    def test_matches_ordered_support(self, alpha):
+        for t in range(1, 17):
+            oracle, cdf = standardized_oracle(alpha, t), counted(alpha, t)
+            for grid in GRIDS:
+                u = analysis._grid(*grid)
+                assert same_bits(cdf(u), oracle(u)), (t, grid)
+
+    @pytest.mark.parametrize("alpha", [Fraction(9, 10), Fraction(1, 2)], ids=str)
+    def test_matches_at_t20(self, alpha):
+        oracle, cdf = standardized_oracle(alpha, 20), counted(alpha, 20)
+        u = analysis._grid(-3.0, 3.0, 600)
+        assert same_bits(cdf(u), oracle(u))
+        assert cvm_grid_table(cdf, normal_cdf) == cvm_grid_table(oracle, normal_cdf)
+
+    @pytest.mark.parametrize("grid", EXTREME_GRIDS, ids=str)
+    @pytest.mark.parametrize("alpha", [Fraction(9, 10), Fraction(1, 10**6)], ids=str)
+    def test_extreme_grids(self, alpha, grid):
+        oracle, cdf = standardized_oracle(alpha, 10), counted(alpha, 10)
+        u = analysis._grid(*grid)
+        assert same_bits(cdf(u), oracle(u))
+        assert cvm_grid_table(cdf, normal_cdf, *grid) == cvm_grid_table(oracle, normal_cdf, *grid)
+        if grid[1] == 8e307:
+            assert np.isinf(u[1:]).all()
+
+    def test_scalars_and_edges(self):
+        oracle, cdf = standardized_oracle(Fraction(2, 3), 9), counted(Fraction(2, 3), 9)
+        points = [-math.inf, -1.0, -0.0, 0.0, 5e-324, 0.25, 1e300, math.inf]
+        for x in points + oracle.xs[::37].tolist():
+            got = cdf(x)
+            assert type(got) is float and same_bits(got, oracle(x)), x
+        u = np.array(points).reshape(2, 4)
+        assert same_bits(cdf(u), oracle(u))
+
+    def test_counts_only_when_called_and_once_a_grid(self, monkeypatch):
+        calls = []
+        count = exact._count_at_most
+
+        def recorded(alpha, t, ys):
+            calls.append(np.shape(ys))
+            return count(alpha, t, ys)
+
+        monkeypatch.setattr(exact, "_count_at_most", recorded)
+        cdf = counted(Fraction(9, 10), 12)
+        assert calls == []
+        cvm_distance(cdf, normal_cdf)
+        assert calls == [(600,)]
+
+    def test_checks_its_parameters_when_built(self):
+        with pytest.raises(ValueError, match="rational"):
+            _ExactGridCdf(Alpha.from_real(0.5), 4)
+        with pytest.raises(exact.HorizonTooLargeError):
+            counted(Fraction(1, 2), exact.DEFAULT_HORIZON_CAP + 1)
+        with pytest.raises(ValueError, match="t >= 1"):
+            counted(Fraction(1, 2), 0)
 
 
 class TestResidenceBinomial:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from antlion import analysis, bandit, cli
+from antlion import analysis, bandit, cli, exact
 from antlion.analysis import exact_standardized_cdf, normal_cdf, simple_rw_exact_cdf
 from antlion.bandit import BanditConfig, UniformSignal, run_bandit, sweep_alpha
 from antlion.cli import EXIT_HORIZON, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
@@ -573,6 +573,32 @@ class TestCvm:
         for i, row in enumerate(read_csv(tmp_path / "cvm.csv")[1:]):
             sq_diffs = [float(r[6]) for r in grid[60 * i : 60 * (i + 1)]]
             assert float(row[3]) == 6.0 / 60 * math.fsum(sq_diffs)
+
+
+    def test_exact_cvm_builds_nothing_over_all_paths(self, tmp_path, monkeypatch):
+        # The counted CDF writes the bytes of the CDF of the ordered support,
+        # with no positions, ordering or k over the 2^t paths.
+        argv = ["cvm", "--targets", "arw", "--alpha", "9/10", "--t", "12", "--mode", "exact"]
+        argv.append("--grid-table")
+
+        def ordered_cdf(alpha, t, mode, n, seed):
+            return exact_standardized_cdf(enumerate_distribution(WalkParams(alpha=alpha, p=0.5, t=t)))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_cvm_arw_cdf", ordered_cdf)
+            assert main([*argv, "--out", str(tmp_path / "ordered")]) == EXIT_OK
+
+        def refuse(*args):
+            raise AssertionError("an array over all paths was built")
+
+        for name in ("_positions", "_exact_order"):
+            monkeypatch.setattr(exact, name, refuse)
+        for name in ("ordered", "k"):
+            monkeypatch.setattr(exact.PathLattice, name, property(refuse))
+        assert main([*argv, "--out", str(tmp_path / "counted")]) == EXIT_OK
+        for name in ("cvm.csv", "cvm_grid.csv"):
+            ordered = (tmp_path / "ordered" / name).read_bytes()
+            assert (tmp_path / "counted" / name).read_bytes() == ordered
 
 
 class TestResidence:

@@ -28,7 +28,7 @@ from antlion import (
     support_size,
 )
 from antlion import exact
-from antlion.analysis import exact_standardized_cdf
+from antlion.analysis import _ExactGridCdf, _grid, exact_standardized_cdf
 from antlion.exact import DIST_HEADER, _exact_order
 from antlion.tables import Table, write_tables
 
@@ -347,6 +347,67 @@ class TestCertifiedRounding:
         assert np.array_equal(xs.view(np.int64), expected)
 
 
+class TestCountAtMost:
+    """``exact._count_at_most`` against the ranks of the ordered support."""
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(9, 10), Fraction(2, 7)], ids=str)
+    def test_own_positions_take_the_exact_band(self, alpha):
+        # At its own float position a path's quotient is within half an ulp
+        # of the threshold, inside the margin, so the ints decide: a count of
+        # rank + 1 there and rank one float lower. Dyadic at 1/2, where the
+        # quotient is the threshold itself. No two positions share a float.
+        for t in [*range(11), 16]:
+            xs = enumerate_distribution(params(alpha, t=t)).float_law()[0]
+            ranks = np.arange(xs.size)
+            if t == 16:  # some ranks, for a split with many rows
+                ranks = ranks[::997]
+            at = exact._count_at_most(alpha, t, xs[ranks])
+            below = exact._count_at_most(alpha, t, np.nextafter(xs[ranks], -np.inf))
+            assert np.array_equal(at, ranks + 1) and np.array_equal(below, ranks), t
+
+    def test_infinite_and_scalar_thresholds(self):
+        counts = exact._count_at_most(Fraction(9, 10), 8, [-np.inf, np.inf, -1e300, 1e300, 0.0])
+        assert counts.tolist() == [0, 256, 0, 256, 128]
+        assert exact._count_at_most(Fraction(9, 10), 8, 0.0) == 128
+        assert exact._count_at_most(Fraction(9, 10), 0, [-0.5, 0.0]).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("t, low_steps", [(0, 0), (5, 0), (5, 5), (6, 4), (7, 1)])
+    def test_uneven_splits(self, t, low_steps):
+        alpha = Fraction(2, 3)
+        lattice = exact._path_lattice(alpha, t, low_steps)
+        assert lattice.low.size == 2**low_steps and lattice.high.size == 2 ** (t - low_steps)
+        expected = sorted(path_numerators(exact._path_lattice(alpha, t)).tolist())
+        assert sorted(path_numerators(lattice).tolist()) == expected
+        assert lattice.k.tolist() == exact._path_lattice(alpha, t).k.tolist()
+
+    def test_exact_band_is_a_binary_search(self, monkeypatch):
+        # At alpha 1/10^6 the low half's floats (about 1e-24 here) all lie
+        # inside the margin, so thresholds squeezed around one position put
+        # the whole low half in the band of that position's rows. The exact
+        # test there is a binary search: a few int divisions a band.
+        alpha, t = Fraction(1, 10**6), 18
+        xs = enumerate_distribution(params(alpha, t=t)).float_law()[0]
+        x = xs[xs.size // 3]
+        ys = np.linspace(x - 4e-16, x + 4e-16, 600)
+        expected = np.searchsorted(xs, ys, "right")
+        assert np.unique(expected).size > 1
+        widths, tests = [], [0]
+        search = exact.bisect.bisect_left
+
+        def counted_search(band, x, *, key):
+            def tested(j):
+                tests[0] += 1
+                return key(j)
+
+            widths.append(len(band))
+            return search(band, x, key=tested)
+
+        monkeypatch.setattr(exact.bisect, "bisect_left", counted_search)
+        assert np.array_equal(exact._count_at_most(alpha, t, ys), expected)
+        assert sum(widths) >= ys.size * 2**14  # the whole low half, for every threshold
+        assert tests[0] <= sum(w.bit_length() for w in widths)
+
+
 class TestSupportSequence:
     # Ties of equal floats at 1/10^6, a full block at 9/10 and a dyadic lattice.
     CASES = [(Fraction(1, 10**6), 12), (Fraction(9, 10), 14), (Fraction(1, 2), 10)]
@@ -385,6 +446,24 @@ class TestSupportSequence:
             with pytest.raises(ValueError):
                 dist.point_probability(missing)
 
+    @pytest.mark.parametrize("alpha, t", CASES, ids=str)
+    def test_membership_is_a_lookup(self, monkeypatch, alpha, t):
+        lattice = enumerate_distribution(params(alpha, t=t)).entries
+        ends = lattice[0], lattice[-1], lattice[len(lattice) // 3]
+
+        def no_scan(self):
+            raise AssertionError("membership scanned the support")
+
+        monkeypatch.setattr(exact.PathLattice, "__iter__", no_scan)
+        for s in ends:
+            assert s in lattice and lattice.count(s) == 1
+            assert s - 1 not in lattice and s + 1 not in lattice
+            assert lattice.count(s + 1) == 0
+        assert 10**400 not in lattice and -(10**400) not in lattice
+        assert None not in lattice and "a" not in lattice and lattice.count(None) == 0
+        with pytest.raises(ValueError):
+            lattice.index(None)
+
 
 class TestExactOrder:
     def test_exact_ints_decide_near_floats(self):
@@ -409,6 +488,20 @@ class TestSupportSize:
     ])
     def test_powers_of_two(self, alpha, t, expected):
         assert support_size(enumerate_distribution(params(alpha, t=t))) == expected
+
+    def test_size_without_ordering(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("the support was ordered")
+
+        monkeypatch.setattr(exact, "_exact_order", refuse)
+        dist = enumerate_distribution(params(Fraction(9, 10), t=12))
+        assert len(dist.entries) == 2**12
+        # support_size and the uniqueness oracle count distinct points on the
+        # ordered support, which raises on a tie.
+        with pytest.raises(RuntimeError, match="ordered"):
+            support_size(dist)
+        with pytest.raises(RuntimeError, match="ordered"):
+            check_path_uniqueness_exact(Fraction(9, 10), 12)
 
 
 class TestPathUniqueness:
@@ -621,6 +714,18 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 20_000_000
 
+    def test_exact_cvm_peak(self):
+        # 2^20 paths counted on the CvM grid: under one float a path, where
+        # the ordered support and its standardized CDF take about 43 MB.
+        cdf = _ExactGridCdf(Alpha.from_fraction(Fraction(9, 10)), 20)
+        u = _grid(-3.0, 3.0, 600)
+        tracemalloc.start()
+        try:
+            cdf(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_residence_peak(self):
         # 2^20 paths: int8 visit counts and k, int16 cell codes counted a
