@@ -67,11 +67,12 @@ from .montecarlo import (
     empirical_cdf,
     residence_times,
     simulate,
-    simulate_simple_rw,
+    simulate_finals,
 )
-# is_eps_reachable and exact_standardized_cdf, which no command calls, stay
-# cli attributes: perfbench/spans.py wraps them.
+# is_eps_reachable, exact_standardized_cdf and simulate_simple_rw, which no
+# command calls, stay cli attributes: perfbench/spans.py wraps them.
 from .analysis import exact_standardized_cdf  # noqa: F401
+from .montecarlo import simulate_simple_rw  # noqa: F401
 from .reachability import decide_lanes, is_eps_reachable, reach_bound  # noqa: F401
 from .tables import SUFFIXES, Coded, Table, transpose, write_tables
 
@@ -185,18 +186,33 @@ def _cmd_dist(args):
         yield Table("trajectories", ["walker_id", "step", "position"], columns)
 
 
-def _cvm_arw_cdf(alpha: Alpha, t: int, mode: str, n: int, seed: int):
-    if mode == "exact":
-        return _ExactGridCdf(alpha, t)
-    batch = simulate(WalkParams(alpha=alpha, p=0.5, t=t), n_walkers=n, seed=seed)
-    return Ecdf(standardize_arw(batch.finals, alpha.as_float, t))
+# Finals one shared cvm walk holds at most (32 MB), where one law fits.
+_MC_GROUP_VALUES = 1 << 22
 
 
-def _cvm_srw_cdf(t: int, mode: str, n: int, seed: int):
-    if mode == "exact":
-        return simple_rw_exact_cdf(t)
-    batch = simulate_simple_rw(t, n_walkers=n, seed=seed)
-    return Ecdf(standardize_srw(batch.finals, t))
+def _cvm_cdfs(cases, t: int, args):
+    """``(target, alpha, cdf)`` of each case at horizon ``t``, in order.
+
+    Monte Carlo laws share the seed, walkers and p = 1/2, so they take the
+    same steps. They walk together, ``t + 1`` at most, so their finals hold
+    no more values than one walk's guard admits, and no more than
+    ``_MC_GROUP_VALUES`` unless one law alone holds more.
+    """
+    if args.mode == "exact":
+        for target, alpha in cases:
+            cdf = _ExactGridCdf(alpha, t) if target == "arw" else simple_rw_exact_cdf(t)
+            yield target, alpha, cdf
+        return
+    size = max(1, min(t + 1, _MC_GROUP_VALUES // max(args.n, 1)))
+    for i in range(0, len(cases), size):
+        group = cases[i : i + size]
+        alphas = [alpha.as_float if target == "arw" else 1.0 for target, alpha in group]
+        for (target, alpha), row in zip(group, simulate_finals(alphas, t, args.n, args.seed)):
+            if target == "arw":
+                row[:] = standardize_arw(row, alpha.as_float, t)
+            else:
+                row[:] = standardize_srw(row, t)
+            yield target, alpha, Ecdf(row)
 
 
 def _cmd_cvm(args):
@@ -214,11 +230,7 @@ def _cmd_cvm(args):
     rows = []
     grid = [[] for _ in range(7)]  # the cvm_grid columns
     for t in t_values:
-        for target, alpha in cases:
-            if target == "arw":
-                cdf = _cvm_arw_cdf(alpha, t, args.mode, args.n, args.seed)
-            else:
-                cdf = _cvm_srw_cdf(t, args.mode, args.n, args.seed)
+        for target, alpha, cdf in _cvm_cdfs(cases, t, args):
             key = (target, str(alpha), t)
             if args.grid_table:
                 law_grid = cvm_grid_table(cdf, normal_cdf, m1, m2, grid_n)

@@ -545,22 +545,31 @@ def check_path_uniqueness_real(alpha: float, t: int, tolerance: float = 1e-9) ->
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     _check_cap(t)
-    *_, (positions, _) = _levels(float(alpha), 1, t)
+    for positions, _ in _levels(float(alpha), 1, t):
+        pass  # keep only the last level
     order = np.argsort(positions, kind="stable")
     sorted_pos = positions[order]
+    del positions
     # Every pair below has sorted_pos[j] <= sorted_pos[i] + tolerance, so
-    # ends[i] bounds its j.
-    ends = np.searchsorted(sorted_pos, sorted_pos + tolerance, side="right")
-    candidates = ends - np.arange(1, sorted_pos.size + 1)
-    bound = int(candidates.sum())
+    # the count of such j > i bounds i's pairs. Counted a block of i at a
+    # time; the i with a count are kept only while the bound admits them.
+    bound, starts = 0, []
+    for lo in range(0, sorted_pos.size, _BLOCK):
+        block = sorted_pos[lo : lo + _BLOCK]
+        count = np.searchsorted(sorted_pos, block + tolerance, side="right")
+        count -= np.arange(lo + 1, lo + block.size + 1)
+        bound += int(count.sum())
+        if bound <= MAX_COLLISION_PAIRS:
+            hits = np.flatnonzero(count)
+            starts.extend(zip((hits + lo).tolist(), count[hits].tolist()))
     if bound > MAX_COLLISION_PAIRS:
         raise ResourceLimitError(
             f"up to {bound} path pairs lie within {tolerance} at t={t}; "
             f"the report is capped at {MAX_COLLISION_PAIRS}"
         )
     collisions = []
-    for i in np.flatnonzero(candidates).tolist():
-        for j in range(i + 1, int(ends[i])):
+    for i, count in starts:
+        for j in range(i + 1, i + 1 + count):
             if not sorted_pos[j] - sorted_pos[i] < tolerance:
                 break
             a = _path_from_index(int(order[i]), t)

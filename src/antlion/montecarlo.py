@@ -7,12 +7,13 @@ counter-based Philox stream derived from ``SeedSequence(seed, spawn_key=
 makes ``(params, n_walkers, seed)`` reproduce bit-identical output no matter
 how the work is partitioned.
 
-``simulate`` uses that freedom: one worker thread per CPU the process may run
-on (``os.sched_getaffinity``, else ``os.cpu_count``), at most one per chunk,
-takes chunks from a shared counter. Each chunk is walked by one thread with
-its own stream and writes only its own rows of the output, so the worker
-count and the order in which chunks finish cannot change a bit. Philox fills
-and the ufunc loops release the interpreter lock, so the threads overlap.
+``simulate`` and ``simulate_finals`` use that freedom: one worker thread per
+CPU the process may run on (``os.sched_getaffinity``, else ``os.cpu_count``),
+at most one per chunk, takes chunks from a shared counter. Each chunk is
+walked by one thread with its own stream and writes only its own walkers of
+the output, so the worker count and the order in which chunks finish cannot
+change a bit. Philox fills and the ufunc loops release the interpreter lock,
+so the threads overlap.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "TrajectoryBatch",
     "Ecdf",
     "simulate",
+    "simulate_finals",
     "simulate_simple_rw",
     "empirical_cdf",
     "residence_times",
@@ -86,25 +88,28 @@ def _worker_count(n_chunks: int) -> int:
     return max(1, min(cpus, n_chunks))
 
 
-def _simulate_chunks(claim, seed, a, p, t, out, counts) -> None:
+def _simulate_chunks(claim, seed, a, p, t, finals, paths, counts) -> None:
     """Walk every chunk that ``claim()`` hands out until it returns None.
 
     Each call owns its tile buffers. ``gen.random(out=u[:m])`` consumes the
     chunk's stream exactly like ``m`` draws of ``STREAM_CHUNK`` each, so a
-    tile of ``m`` steps sees the same uniforms as ``m`` single steps. In
-    paths mode the chunk's rows of ``out`` are written; in residence mode
-    ``counts`` gets the chunk's non-negative-step counts.
+    tile of ``m`` steps sees the same uniforms as ``m`` single steps. Every
+    alpha ``a[j, 0]`` takes the tile's steps, walked in place in row ``j``
+    of ``finals``. With one alpha, each step's row 0 is copied into a tile,
+    from which ``paths`` gets every position and ``counts`` the chunk's
+    non-negative-step counts.
     """
-    n = out.shape[0]
+    n = finals.shape[1]
     u = np.empty((_TILE, STREAM_CHUNK))
     xi = np.empty((_TILE, STREAM_CHUNK))
-    xs = np.empty((_TILE, STREAM_CHUNK))
+    xs = None if paths is None and counts is None else np.empty((_TILE, STREAM_CHUNK))
     while (chunk := claim()) is not None:
         start = chunk * STREAM_CHUNK
         stop = min(start + STREAM_CHUNK, n)
         size = stop - start
         gen = philox_stream(seed, chunk)
-        x = np.zeros(size)
+        x = finals[:, start:stop]
+        x.fill(0.0)
         for s0 in range(0, t, _TILE):
             m = min(_TILE, t - s0)
             # Draw the full chunk width even on the tail chunk so a walker's
@@ -115,19 +120,56 @@ def _simulate_chunks(claim, seed, a, p, t, out, counts) -> None:
             np.less(u[:m, :size], p, out=step)
             step *= -2.0
             step += 1.0  # exactly -1.0 where u < p, +1.0 elsewhere
-            tile = xs[:m, :size]
+            tile = None if xs is None else xs[:m, :size]
             for r in range(m):
-                np.multiply(x, a, out=tile[r])
-                tile[r] += step[r]
-                x = tile[r]
-            if out.ndim == 2:
-                out[start:stop, s0 + 1 : s0 + m + 1] = tile.T
+                x *= a
+                x += step[r]
+                if tile is not None:
+                    tile[r] = x[0]
+            if paths is not None:
+                paths[start:stop, s0 + 1 : s0 + m + 1] = tile.T
             if counts is not None:
                 counts[start:stop] += (tile >= 0.0).sum(axis=0)
-        if out.ndim == 2:
-            out[start:stop, 0] = 0.0
-        else:
-            out[start:stop] = x
+        if paths is not None:
+            paths[start:stop, 0] = 0.0
+
+
+def _walk(alphas, p: float, t: int, n_walkers: int, seed: int, mode: str = "finals"):
+    """Walk ``n_walkers`` walkers at every alpha on worker threads; return
+    the ``(k, n_walkers)`` finals, the paths (``mode="paths"``) or None and
+    the non-negative-step counts (``mode="residence"``) or None."""
+    if n_walkers < 1:
+        raise ValueError("n_walkers must be at least 1")
+    check_elements(n_walkers * (t + 1), f"{n_walkers} walkers over {t + 1} positions")
+    check_elements(n_walkers * len(alphas), f"{n_walkers} walkers at {len(alphas)} alphas")
+    finals = np.empty((len(alphas), n_walkers))
+    paths = np.empty((n_walkers, t + 1)) if mode == "paths" else None
+    counts = np.zeros(n_walkers, dtype=np.int64) if mode == "residence" else None
+    a = np.array(alphas, dtype=np.float64)[:, None]
+    n_chunks = -(-n_walkers // STREAM_CHUNK)
+    chunks = iter(range(n_chunks))
+    lock = threading.Lock()
+    errors = []
+
+    def claim():
+        with lock:
+            return None if errors else next(chunks, None)
+
+    def work():
+        try:
+            _simulate_chunks(claim, seed, a, p, t, finals, paths, counts)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(_worker_count(n_chunks) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return finals, paths, counts
 
 
 def simulate(
@@ -145,36 +187,25 @@ def simulate(
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {', '.join(map(repr, _MODES))}, got {mode!r}")
-    if n_walkers < 1:
-        raise ValueError("n_walkers must be at least 1")
-    t = params.t
-    check_elements(n_walkers * (t + 1), f"{n_walkers} walkers over {t + 1} positions")
-    out = np.empty((n_walkers, t + 1) if mode == "paths" else n_walkers)
-    counts = np.zeros(n_walkers, dtype=np.int64) if mode == "residence" else None
-    n_chunks = -(-n_walkers // STREAM_CHUNK)
-    chunks = iter(range(n_chunks))
-    lock = threading.Lock()
-    errors = []
+    alpha = params.alpha.as_float
+    finals, paths, counts = _walk([alpha], float(params.p), params.t, n_walkers, seed, mode)
+    positions = finals[0] if paths is None else paths
+    return TrajectoryBatch(params, n_walkers, seed, mode, positions, counts)
 
-    def claim():
-        with lock:
-            return None if errors else next(chunks, None)
 
-    def work():
-        try:
-            _simulate_chunks(claim, seed, params.alpha.as_float, float(params.p), t, out, counts)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
+def simulate_finals(
+    alphas, t: int, n_walkers: int = DEFAULT_WALKERS, seed: int = 0, p=0.5
+) -> np.ndarray:
+    """Final positions of the same ``n_walkers`` walks at each alpha.
 
-    threads = [threading.Thread(target=work) for _ in range(_worker_count(n_chunks) - 1)]
-    for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return TrajectoryBatch(params, n_walkers, seed, mode, out, counts)
+    Every alpha reads the same streams, so each chunk's steps are drawn
+    once for all of them. Row ``j`` of the ``(len(alphas), n_walkers)``
+    result is ``simulate(WalkParams(Alpha.from_real(alphas[j]), p, t),
+    n_walkers, seed).finals`` bit for bit.
+    """
+    for alpha in alphas:
+        WalkParams(Alpha.from_real(alpha), p, t)  # checks alpha, p and t
+    return _walk(alphas, float(p), t, n_walkers, seed)[0]
 
 
 def simulate_simple_rw(t: int, n_walkers: int = DEFAULT_WALKERS, seed: int = 0) -> TrajectoryBatch:

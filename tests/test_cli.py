@@ -14,13 +14,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from antlion import analysis, bandit, cli, exact
-from antlion.analysis import exact_standardized_cdf, normal_cdf, simple_rw_exact_cdf
+from antlion import analysis, bandit, cli, core, exact, montecarlo
+from antlion.analysis import (
+    exact_standardized_cdf,
+    normal_cdf,
+    simple_rw_exact_cdf,
+    standardize_arw,
+    standardize_srw,
+)
 from antlion.bandit import BanditConfig, UniformSignal, run_bandit, sweep_alpha
 from antlion.cli import EXIT_HORIZON, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from antlion.core import Alpha, WalkParams, closed_form_mean, closed_form_variance
 from antlion.exact import DIST_HEADER, enumerate_distribution, exact_residence_distribution
-from antlion.montecarlo import empirical_cdf, simulate
+from antlion.montecarlo import Ecdf, empirical_cdf, simulate, simulate_simple_rw
 from antlion.reachability import ReachQuery, is_eps_reachable
 from antlion.tables import BLOCK_ROWS, SUFFIXES, Coded, Table, transpose, write_tables
 
@@ -495,6 +501,42 @@ class TestErrors:
             assert capsys.readouterr().err.count("\n") == 1
 
 
+def per_law_cdfs(cases, t, args):
+    """The per-law cvm loop: one walk per case, standardized out of place."""
+    for target, alpha in cases:
+        if target == "arw":
+            batch = simulate(WalkParams(alpha=alpha, p=0.5, t=t), n_walkers=args.n, seed=args.seed)
+            yield target, alpha, Ecdf(standardize_arw(batch.finals, alpha.as_float, t))
+        else:
+            batch = simulate_simple_rw(t, n_walkers=args.n, seed=args.seed)
+            yield target, alpha, Ecdf(standardize_srw(batch.finals, t))
+
+
+def assert_cvm_matches_per_law(argv, out: Path, monkeypatch):
+    """``argv`` writes the per-law loop's bytes; returns its exit code."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_cvm_cdfs", per_law_cdfs)
+        code = main([*argv, "--out", str(out / "per_law")])
+    assert main([*argv, "--out", str(out / "shared")]) == code
+    names = sorted(p.name for p in (out / "per_law").iterdir() if "manifest" not in p.name)
+    for name in names:
+        assert (out / "shared" / name).read_bytes() == (out / "per_law" / name).read_bytes()
+    return code, names
+
+
+def record_shared_walks(monkeypatch) -> list:
+    """Patch ``cli.simulate_finals`` to record the shape of each block."""
+    shapes, shared_walk = [], cli.simulate_finals
+
+    def recorded(*args):
+        block = shared_walk(*args)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(cli, "simulate_finals", recorded)
+    return shapes
+
+
 class TestCvm:
     def test_exact_sweep(self, tmp_path):
         code = main(
@@ -527,6 +569,50 @@ class TestCvm:
         assert main(argv + ["--out", str(a_dir)]) == EXIT_OK
         assert main(argv + ["--out", str(b_dir)]) == EXIT_OK
         assert (a_dir / "cvm.csv").read_text() == (b_dir / "cvm.csv").read_text()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "gnuplot"])
+    def test_mc_per_law_bytes(self, tmp_path, monkeypatch, fmt):
+        argv = ["cvm", "--targets", "srw,arw", "--alpha", "0.9,1/3", "--t", "15,60"]
+        argv += ["--mode", "mc", "--n", "7000", "--grid-table", "--format", fmt]
+        code, names = assert_cvm_matches_per_law(argv, tmp_path, monkeypatch)
+        assert code == EXIT_OK
+        assert names == sorted(f"{name}{SUFFIXES[fmt]}" for name in ("cvm", "cvm_grid"))
+
+    def test_mc_per_law_bytes_under_element_limit(self, tmp_path, monkeypatch):
+        # The limit admits one walk of n walkers over t + 1 positions, as
+        # each per-law walk needs; eight laws then walk in groups of t + 1.
+        n, t = 1000, 3
+        argv = ["cvm", "--targets", "arw,srw", "--alpha", "0.1,0.2,0.3,0.4,0.5,0.6,0.7"]
+        argv += ["--t", str(t), "--mode", "mc", "--n", str(n)]
+        shapes = record_shared_walks(monkeypatch)
+        monkeypatch.setattr(core, "DEFAULT_ELEMENT_LIMIT", n * (t + 1))
+        assert assert_cvm_matches_per_law(argv, tmp_path / "a", monkeypatch)[0] == EXIT_OK
+        assert shapes == [(4, n), (4, n)]
+        monkeypatch.setattr(core, "DEFAULT_ELEMENT_LIMIT", n * (t + 1) - 1)
+        assert assert_cvm_matches_per_law(argv, tmp_path / "b", monkeypatch)[0] == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("bound, sizes", [(2 * 1000 + 1, [2, 2, 1]), (999, [1] * 5)])
+    def test_mc_per_law_bytes_under_group_bound(self, tmp_path, monkeypatch, bound, sizes):
+        argv = ["cvm", "--targets", "arw,srw", "--alpha", "0.1,0.5,0.9,0.99"]
+        argv += ["--t", "20", "--mode", "mc", "--n", "1000"]
+        shapes = record_shared_walks(monkeypatch)
+        monkeypatch.setattr(cli, "_MC_GROUP_VALUES", bound)
+        assert assert_cvm_matches_per_law(argv, tmp_path, monkeypatch)[0] == EXIT_OK
+        assert shapes == [(k, 1000) for k in sizes]
+
+    def test_mc_draws_each_stream_once_per_horizon(self, tmp_path, monkeypatch):
+        drawn = []
+        stream = montecarlo.philox_stream
+
+        def counted(seed, *spawn_key):
+            drawn.append(spawn_key)
+            return stream(seed, *spawn_key)
+
+        monkeypatch.setattr(montecarlo, "philox_stream", counted)
+        argv = ["cvm", "--targets", "arw,srw", "--alpha", "0.1,0.5,0.9", "--t", "20"]
+        argv += ["--mode", "mc", "--n", "9000", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert len(drawn) == 3  # three chunks, one horizon: not once per law
 
     @pytest.mark.parametrize("grid", ["-inf,3,10", "-1e308,1e308,10"])
     def test_bad_grid(self, tmp_path, capsys, grid):
@@ -581,11 +667,11 @@ class TestCvm:
         argv = ["cvm", "--targets", "arw", "--alpha", "9/10", "--t", "12", "--mode", "exact"]
         argv.append("--grid-table")
 
-        def ordered_cdf(alpha, t, mode, n, seed):
+        def ordered_cdf(alpha, t):
             return exact_standardized_cdf(enumerate_distribution(WalkParams(alpha=alpha, p=0.5, t=t)))
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_cvm_arw_cdf", ordered_cdf)
+            patch.setattr(cli, "_ExactGridCdf", ordered_cdf)
             assert main([*argv, "--out", str(tmp_path / "ordered")]) == EXIT_OK
 
         def refuse(*args):

@@ -538,6 +538,31 @@ class TestPathUniqueness:
             assert np.array_equal(positions.view(np.int64), reference.view(np.int64)), t
             assert np.array_equal(k, [i.bit_count() for i in range(2**t)])
 
+    @pytest.mark.parametrize(
+        "alpha, t, tolerance", [(0.75, 17, 1e-6), (0.6, 16, 1e-7), (GOLDEN, 15, 1e-9)]
+    )
+    def test_real_report_matches_whole_support_scan(self, alpha, t, tolerance):
+        # The scan over all sorted positions at once, as it was before the
+        # candidates were counted a block at a time: same pairs, same bound.
+        *_, (positions, _) = exact._levels(alpha, 1, t)
+        order = np.argsort(positions, kind="stable")
+        xs = positions[order]
+        ends = np.searchsorted(xs, xs + tolerance, side="right")
+        bound = int((ends - np.arange(1, xs.size + 1)).sum())
+        if bound > exact.MAX_COLLISION_PAIRS:
+            with pytest.raises(ResourceLimitError, match=f"up to {bound} path pairs"):
+                check_path_uniqueness_real(alpha, t, tolerance)
+            return
+        expected = []
+        for i in np.flatnonzero(ends > np.arange(1, xs.size + 1)).tolist():
+            for j in range(i + 1, int(ends[i])):
+                if xs[j] - xs[i] < tolerance:
+                    paths = sorted(exact._path_from_index(int(order[k]), t) for k in (i, j))
+                    expected.append((*paths, float((xs[i] + xs[j]) / 2.0)))
+        report = check_path_uniqueness_real(alpha, t, tolerance)
+        assert expected
+        assert [(c.path_a, c.path_b, c.shared_position) for c in report.collisions] == expected
+
     def test_real_pair_blow_up_guarded(self):
         # At alpha = 1 the 2^16 paths fall on 17 integers: ~3e8 pairs.
         with pytest.raises(ResourceLimitError):
@@ -755,6 +780,19 @@ class TestMemory:
         assert peak < 2**18 * 8
         assert probs == [Fraction(1, 2**18)] * 2
         assert (lowest, highest) == (dist.entries[0], dist.entries[-1])
+
+    def test_real_uniqueness_peak(self):
+        # 2^20 float positions, their order and the sorted copy: 24 MiB. The
+        # candidate counts go a block at a time; over the whole support
+        # they would add three more arrays of 8 bytes a path.
+        tracemalloc.start()
+        try:
+            report = check_path_uniqueness_real(0.9, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.empty
+        assert peak < 28 * 2**20
 
     def test_dist_table_write_peak(self, tmp_path):
         # 2^18 paths: the scaled_value ints are computed a block at a time.

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antlion import (
     Alpha,
@@ -17,6 +19,7 @@ from antlion import (
     enumerate_distribution,
     residence_times,
     simulate,
+    simulate_finals,
     simulate_simple_rw,
     standardize_arw,
     uniform_cdf,
@@ -283,6 +286,47 @@ class TestWorkers:
         monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
         assert montecarlo._worker_count(50) == 1
+
+
+class TestSimulateFinals:
+    """One walk of several alphas: row j is alpha j's own walk, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alphas=st.lists(st.sampled_from([0.0, 0.5, 0.9, 1.0]), min_size=1, max_size=4),
+        t=st.sampled_from([1, 17, 33]),
+        p=st.sampled_from([0.5, 0.3]),
+        seed=st.integers(0, 2**32),
+        one_worker=st.booleans(),
+    )
+    def test_rows_are_the_per_law_walks(self, alphas, t, p, seed, one_worker):
+        n = 3 * STREAM_CHUNK + 5  # four chunks, the last of 5 walkers
+        with pytest.MonkeyPatch.context() as patch:
+            if one_worker:
+                patch.setattr(montecarlo, "_worker_count", lambda n_chunks: 1)
+            block = simulate_finals(alphas, t, n, seed, p)
+        assert block.shape == (len(alphas), n)
+        for alpha, row in zip(alphas, block):
+            expected = simulate(params(alpha, p=p, t=t), n_walkers=n, seed=seed).finals
+            assert np.array_equal(row.view(np.int64), expected.view(np.int64)), alpha
+
+    @pytest.mark.parametrize(
+        "alphas, t, n, p",
+        [([1.5], 3, 10, 0.5), ([0.5], -1, 10, 0.5), ([0.5], 3, 0, 0.5), ([0.5], 3, 10, 1.5)],
+    )
+    def test_bad_arguments(self, alphas, t, n, p):
+        with pytest.raises(ValueError):
+            simulate_finals(alphas, t, n, 0, p)
+
+    def test_resource_guard(self, monkeypatch):
+        # The block holds n values per alpha, and the walk is guarded like
+        # one simulate of n walkers over t + 1 positions.
+        monkeypatch.setattr(core, "DEFAULT_ELEMENT_LIMIT", 10 * 8)
+        assert simulate_finals([0.5] * 8, 7, 10).shape == (8, 10)
+        with pytest.raises(ResourceLimitError, match="10 walkers at 9 alphas"):
+            simulate_finals([0.5] * 9, 7, 10)
+        with pytest.raises(ResourceLimitError, match="10 walkers over 9 positions"):
+            simulate_finals([0.5], 8, 10)
 
 
 class TestResidenceMode:
