@@ -9,11 +9,12 @@ Path ``i`` takes step ``xi_s = -1`` exactly when bit ``s - 1`` of ``i`` is
 set, so its minus-step count ``k`` is the popcount of ``i``. With ``h =
 t // 2``, ``S`` of path ``i * 2^h + j`` is ``high[i] + low[j]``: the first
 ``h`` steps give ``low`` and the rest ``high``, two half lattices of about
-``2^(t/2)`` Python ints each (ints, so position equality stays decidable,
-which floating point cannot certify). Nothing over all ``2^t`` paths is
-built eagerly; the moments use that the two halves are independent.
-``_path_lattice`` alone lays out the halves, also of each prefix for the
-residence law, and ``_levels`` alone walks levels, in ints and in floats.
+``2^(t/2)`` exact ints each, so position equality stays decidable: int64
+while ``n^t < 2^53`` (exact doubles too), Python ints past it. Nothing
+over all ``2^t`` paths is built eagerly; the moments use that the two
+halves are independent. ``_path_lattice`` alone lays out the halves, also
+of each prefix for the residence law, and ``_levels`` alone walks levels,
+in ints and in floats.
 
 The support is ordered when first read, by a sort of the exactly rounded
 positions ``S / n^(t-1)``. Each is composed in floats from double-double
@@ -99,9 +100,11 @@ def _check_cap(t: int) -> None:
 def _levels(m: Union[int, float], n: int, t: int):
     """Yield ``(S, k)`` of all ``s``-step paths for ``s = 0..t``, in path-index
     order, by doubling: step ``s`` is the new top index bit. An int ``m``
-    gives the exact numerators as Python ints; a float ``m`` with ``n = 1``
+    gives the exact numerators, in int64 if ``n^t < 2^53`` (``|S_s| < n^s``,
+    as ``m < n``) and as Python ints otherwise; a float ``m`` with ``n = 1``
     gives the float positions, each ``m * x +- 1`` rounded once."""
-    scaled = np.zeros(1, dtype=float if isinstance(m, float) else object)
+    exact = np.int64 if n**t < 2**53 else object
+    scaled = np.zeros(1, dtype=float if isinstance(m, float) else exact)
     k = np.zeros(1, dtype=np.int8)  # t < 128: 2^t paths never fit otherwise
     yield scaled, k
     weight = 1  # n^(s-1) at step s
@@ -229,11 +232,13 @@ class PathLattice(Sequence):
     """The endpoints of all ``2^t`` paths, held as their two half lattices.
 
     Path ``i * len(low) + j`` has the exact numerator ``high[i] + low[j]``
-    (Python ints) of its position over ``den``, and ``k[i * len(low) + j] =
-    high_k[i] + low_k[j]`` minus steps. Only ``k`` and the ordered positions
-    are built over all paths, each on first read. As a sequence it is the
-    support: item ``i`` is the ``i``-th smallest numerator, computed from the
-    halves when read, and iteration computes ``_BLOCK`` of them at a time.
+    (int64 or object halves) of its position over ``den``, and ``k[i *
+    len(low) + j] = high_k[i] + low_k[j]`` minus steps. Only ``k`` and the
+    ordered positions are built over all paths, each on first read. As a
+    sequence it is the support: item ``i`` is the ``i``-th smallest
+    numerator, a Python int computed from the halves when read (an object
+    array for slices and index arrays), and iteration computes ``_BLOCK``
+    of them at a time.
     Its length is ``2^t``, read off the halves; membership and ``count``
     are ``index``, a binary search.
     """
@@ -266,7 +271,8 @@ class PathLattice(Sequence):
 
     def __getitem__(self, ranks):
         """The numerators of support ranks ``ranks``: an int, a slice or an index array."""
-        return self._numerators(self.ordered[0][ranks])
+        values = self._numerators(self.ordered[0][ranks])
+        return values.astype(object) if isinstance(values, np.ndarray) else int(values)
 
     def __iter__(self):
         for lo in range(0, len(self), _BLOCK):
@@ -302,6 +308,8 @@ def _path_lattice(alpha: Fraction, t: int, _low_steps: Optional[int] = None) -> 
     walk = enumerate(_levels(m, n, max(h, t - h)))
     levels = {s: level for s, level in walk if s in (h, t - h)}  # only the two halves kept
     (low, low_k), (high, high_k) = levels[h], levels[t - h]
+    if n**t >= 2**53:  # their walk may fit a word where the scaled halves do not
+        low, high = low.astype(object), high.astype(object)
     # S_t = m^(t-h) S_h(steps 1..h) + n^h S_(t-h)(steps h+1..t); the later
     # steps are the high index bits, so they index the rows of the outer sum.
     return PathLattice(n**h * high, high_k, m ** (t - h) * low, low_k, n ** max(t - 1, 0))
@@ -313,21 +321,23 @@ def _count_at_most(alpha: Fraction, t: int, ys) -> np.ndarray:
 
     The support is never ordered and no array over all paths is built: the
     counts meet in the middle (Horowitz and Sahni, 1974) on a lattice split
-    ``S = high[i] + low[j]``. The low half takes ``ceil((t + log2 len(ys)) /
-    2)`` steps, which balances sorting it against the ``len(high) *
-    len(ys)`` (row, ``y``) queries. The low half is sorted once by its ints
-    (on its floats ``L = fl(low / den)``, unless two are equal), and ``L``
-    is then sorted too, as rounding is monotone. Per row, with ``H =
-    fl(high[i] / den)`` and ``d = fl(y - H)``, one ``searchsorted`` counts
-    the ``L <= fl(d - M)``, which all round to at most ``y``, and one the
-    ``L <= fl(d + M)``. Between them the exact test ``(high[i] + low[j]) /
-    den <= y``, in Python's correctly rounded int division, holds for a
-    prefix of ``j``, as both the ints and their rounding are monotone, so a
-    binary search decides the band in ``O(log)`` divisions even where all of
-    it is there (``alpha`` near 0). Every ``|S / den|`` is at most about
-    half of ``B = 2 (max |H| + max |L|) + 2^-1070``, so each rounded
-    position lies strictly inside ``(-B, B)`` and clipping ``y`` to ``[-B,
-    B]`` (an infinite ``y`` too) leaves its count unchanged.
+    ``S = high[i] + low[j]``. The low half takes ``ceil((t + log2 len(ys))
+    / 2) - 1`` steps, one fewer than balances sorting it against the
+    ``len(high) * len(ys)`` (row, ``y``) queries, as those are vectorised.
+    On int64 or object halves alike, ``half / den`` rounds once. The low
+    half is sorted once by its ints (on its floats ``L = fl(low / den)``,
+    unless two are equal), and ``L`` is then sorted too, as rounding is
+    monotone. Per row, with ``H = fl(high[i] / den)`` and ``d = fl(y -
+    H)``, one ``searchsorted`` counts the ``L <= fl(d - M)``, which all
+    round to at most ``y``, and one the ``L <= fl(d + M)``. Between them
+    the exact test ``(high[i] + low[j]) / den <= y``, in Python's correctly
+    rounded int division, holds for a prefix of ``j``, as both the ints and
+    their rounding are monotone, so a binary search decides the band in
+    ``O(log)`` divisions even where all of it is there (``alpha`` near 0).
+    Every ``|S / den|`` is at most about half of ``B = 2 (max |H| + max
+    |L|) + 2^-1070``, so each rounded position lies strictly inside ``(-B,
+    B)`` and clipping ``y`` to ``[-B, B]`` (an infinite ``y`` too) leaves
+    its count unchanged.
 
     The margin is ``M = 2^-50 (|H| + max |L| + |d|) + 2^-1070``. With ``u =
     2^-53`` and ``e = 2^-1074``, ``q = S / den`` lies within ``u|H| + u max|L|
@@ -343,16 +353,16 @@ def _count_at_most(alpha: Fraction, t: int, ys) -> np.ndarray:
     Nothing here rests on an ``assert``; the band is decided in ints.
     """
     ys = np.asarray(ys, dtype=float)
-    low_steps = min(t, math.ceil((t + math.log2(max(ys.size, 1))) / 2))
+    low_steps = min(t, max(0, math.ceil((t + math.log2(max(ys.size, 1))) / 2) - 1))
     lattice = _path_lattice(alpha, t, low_steps)
-    den, high = lattice.den, lattice.high.tolist()
-    high_x = np.array([v / den for v in high])
-    low = lattice.low.tolist()
-    low_x = np.array([v / den for v in low])
+    den, high, low = lattice.den, lattice.high, lattice.low
+    high_x = (high / den).astype(float)
+    low_x = (low / den).astype(float)
     by_x = np.argsort(low_x)
-    low_x, low = low_x[by_x], [low[j] for j in by_x.tolist()]
+    low_x, low = low_x[by_x], low[by_x]
     if (low_x[1:] == low_x[:-1]).any():  # equal floats: their ints decide
-        low.sort()
+        low = np.sort(low)
+    high, low = high.tolist(), low.tolist()
     low_max = float(np.abs(low_x).max())
     clip = 2.0 * (float(np.abs(high_x).max()) + low_max) + 2.0**-1070
     y = np.clip(ys.ravel(), -clip, clip)

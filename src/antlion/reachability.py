@@ -18,6 +18,10 @@ the same point. Decisions work on that form:
   each time, either lands within tolerance of an exact endpoint (reachable,
   witness = peeled prefix) or strands the target in the gap or beyond the
   bounds by at least the scaled tolerance (unreachable, certified interval).
+  A float hit counts once the prefix's forward replay lands strictly within
+  ``epsilon``; otherwise the target peels on, never to be certified, as a
+  tie in floats cannot rule it out. After ``_EXTRA_PEELS`` levels without
+  a confirmed hit the first float hit stands and its replay check raises.
 
 The decision is the finite relaxation "some time lands strictly within
 ``epsilon`` of ``r`` with positive probability" for the epsilon supplied;
@@ -52,6 +56,12 @@ __all__ = [
 ]
 
 _MAX_PEELS = 10_000
+
+# Levels a lane peels on past its first float hit while the replay of its
+# prefix misses; then that first hit stands, and the final replay check raises.
+# Over 35 000 uniform targets (alpha 0.05 to 0.499, epsilon 1e-16 to 0.25)
+# a confirmed hit came at most 9 levels past the first.
+_EXTRA_PEELS = 16
 
 # Deepest greedy witness built. Building and replaying it costs about 5 s
 # per million levels for a single target on a 2-core Xeon host (a few numpy
@@ -218,28 +228,42 @@ def _sparse(alpha, targets, eps, bound, inside, certificate):
     _, gap = central_gap(alpha)  # alpha < 1/2 here, so the gap exists
     lanes = np.flatnonzero(inside)
     rr = targets[lanes]
+    since = np.full(lanes.size, -1)  # levels past each lane's first float hit
     ee = eps
     scale = 1.0  # alpha^level
     rows = []  # rows[k][i]: increment peeled off lane i at level k, else 0
     for level in range(_MAX_PEELS):
         a = np.abs(rr)
-        hit = a < ee
+        near = a < ee
+        since[near & (since < 0)] = 0
+        forced = since >= _EXTRA_PEELS
+        hit = near | forced
+        check = np.flatnonzero(near & ~forced)
+        if check.size:  # a float hit counts once its prefix replays within eps
+            prefix = np.array([row[lanes[check]] for row in rows[::-1]], dtype=np.int8)
+            landed = replay_forward(alpha, prefix.reshape(level, check.size))
+            hit[check] = np.abs(landed - targets[lanes[check]]) < eps
         # Beyond what the remaining tail can span, by at least the scaled
         # tolerance; smaller overshoots keep peeling toward the extreme.
-        over = (a > bound) & (a - bound >= ee)
+        over = (a > bound) & (a - bound >= ee) & (since < 0)
         # Stranded in the central gap: nearest endpoints sit at the gap
         # edge on one side and at the peeled prefix itself on the other
         # (abs(rr) >= ee holds here, so both margins are at least ee).
-        stranded = (a < gap) & (gap - a >= ee) & ~hit
+        stranded = (a < gap) & (gap - a >= ee) & (since < 0)
         reachable[lanes[hit]] = True
         depth[lanes[hit]] = level
+        if forced.any():  # back to the first float hit, for the final check to replay
+            depth[lanes[forced]] = level - _EXTRA_PEELS
+            for row in rows[level - _EXTRA_PEELS :]:
+                row[lanes[forced]] = 0
         for mask, margin in ((over, a - bound), (stranded, np.minimum(a, gap - a))):
             if mask.any():
                 radius = scale * margin[mask]
                 r = targets[lanes[mask]]
                 certificate[lanes[mask]] = np.stack([r - radius, r + radius], axis=1)
         live = ~(hit | over | stranded)
-        lanes, rr = lanes[live], rr[live]
+        lanes, rr, since = lanes[live], rr[live], since[live]
+        since[since >= 0] += 1
         if lanes.size == 0:
             break
         check_elements(n * (level + 1), f"witnesses of {n} targets at depth {level + 1}")

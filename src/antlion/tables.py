@@ -99,19 +99,20 @@ def _cells(column, lo: int, hi: int, fmt: str):
     return map(by_kind.get(kind, fallback), cells)
 
 
-def _begin(fh, header: Sequence[str], fmt: str) -> str:
+def _begin(fh, header: Sequence[str], fmt: str) -> list:
     """Write the head of a table with fields ``header`` to ``fh``; return
-    the ``%`` template of one of its rows."""
+    the ``len(header) + 1`` text pieces around the cells of one of its rows.
+    A json row's last piece ends in the row separator."""
     if fmt == "json":
         fh.write("[")
-        keys = (json.dumps(name).replace("%", "%%") for name in header)
-        return "{" + ",".join(f"\n    {key}: %s" for key in keys) + "\n  }"
+        pieces = [f",\n    {json.dumps(name)}: " for name in header] + ["\n  },"]
+        return ["\n  {" + pieces[0].removeprefix(",")] + pieces[1:]
     if fmt == "csv":
         csv.writer(fh).writerow(header)
     else:
         fh.write("# " + " ".join(header) + "\n")
     sep, end = (",", "\r\n") if fmt == "csv" else (" ", "\n")
-    return sep.join(["%s"] * len(header)) + end
+    return [""] + [sep] * (len(header) - 1) + [end] if header else [end]
 
 
 def write_tables(items: Sequence, fmt: str) -> None:
@@ -145,23 +146,25 @@ def write_tables(items: Sequence, fmt: str) -> None:
         return list(text) if uses[id(column)] > 1 else text
 
     with ExitStack() as stack:
-        tables = []  # (file, columns, rows, row template)
+        tables = []  # (file, columns, rows, one row's pieces with a slot per cell)
         for path, (_, header, columns) in items:
             fh = stack.enter_context(open(path, "w", newline="" if fmt == "csv" else None))
             n_rows = len(columns[0]) if columns else 0
-            tables.append((fh, columns, n_rows, _begin(fh, header, fmt)))
+            row = [text for piece in _begin(fh, header, fmt) for text in (piece, None)][:-1]
+            tables.append((fh, columns, n_rows, row))
         for lo in range(0, max((n_rows for *_, n_rows, _ in tables), default=0), BLOCK_ROWS):
-            live = [(fh, columns, line) for fh, columns, n_rows, line in tables if lo < n_rows]
-            block = {id(c): c for _, columns, _ in live for c in columns}
+            live = [table for table in tables if lo < table[2]]
+            block = {id(c): c for _, columns, _, _ in live for c in columns}
             block = {key: cells(c, lo) for key, c in block.items()}
-            for fh, columns, line in live:
-                rows = zip(*[block[id(c)] for c in columns])
-                if fmt == "json":
-                    fh.write((",\n  " if lo else "\n  ") + ",\n  ".join(map(line.__mod__, rows)))
-                else:
+            for fh, columns, n_rows, row in live:
+                out = row * min(BLOCK_ROWS, n_rows - lo)
+                for j, column in enumerate(columns):
+                    column_text = block[id(column)]
                     if fmt == "csv" and len(columns) == 1:  # csv.writer quotes a lone empty field
-                        rows = ((cell or '""',) for (cell,) in rows)
-                    fh.write("".join(map(line.__mod__, rows)))
+                        column_text = [cell or '""' for cell in column_text]
+                    out[2 * j + 1 :: len(row)] = column_text
+                text = "".join(out)
+                fh.write(text[:-1] if fmt == "json" and lo + BLOCK_ROWS >= n_rows else text)
         if fmt == "json":
             for fh, _, n_rows, _ in tables:
                 fh.write("\n]" if n_rows else "]")

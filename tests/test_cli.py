@@ -761,6 +761,13 @@ class TestReach:
         assert message in err and err.count("\n") == 1
         assert not (tmp_path / "reach.csv").exists()
 
+    def test_float_tie_decides(self, tmp_path, capsys):
+        # A float hit that replays exactly epsilon away peels on to a witness.
+        argv = ["reach", "--alpha", "0.1", "--r", "-0.64", "--epsilon", "0.25"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert read_csv(tmp_path / "reach.csv")[1][3:] == ["1", "4"]
+
     def test_outside_bounds(self, tmp_path):
         code = main(
             ["reach", "--alpha", "0.5", "--r", "10", "--epsilon", "0.5", "--out", str(tmp_path)]

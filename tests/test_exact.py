@@ -69,8 +69,9 @@ def brute_paths(alpha: Fraction, t: int) -> list:
 
 
 def path_numerators(lattice) -> np.ndarray:
-    """Oracle: every numerator ``S`` of the lattice, in path-index order."""
-    return np.add.outer(lattice.high, lattice.low).ravel()
+    """Oracle: every numerator ``S`` of the lattice, in path-index order, as
+    Python ints (an int64 lattice's squares would wrap)."""
+    return np.add.outer(lattice.high.astype(object), lattice.low.astype(object)).ravel()
 
 
 def reduceat_moments(dist):
@@ -408,6 +409,45 @@ class TestCountAtMost:
         assert tests[0] <= sum(w.bit_length() for w in widths)
 
 
+class TestWordLattice:
+    """Both sides of ``n^t = 2^53``, where the lattice leaves int64 for Python ints."""
+
+    @staticmethod
+    def object_walk(m: int, n: int, s: int) -> list:
+        """Oracle: the numerators of all ``s``-step paths, walked in Python ints."""
+        scaled, weight = [0], 1
+        for _ in range(s):
+            scaled = [m * v + weight for v in scaled] + [m * v - weight for v in scaled]
+            weight *= n
+        return scaled
+
+    @pytest.mark.parametrize(
+        "alpha, t",
+        [
+            *((Fraction(9, 10), t) for t in (14, 15, 16)),
+            *((Fraction(11, 12), t) for t in (14, 15)),
+            *((Fraction(4, 5), t) for t in (22, 23)),
+            *((Fraction(1, 10), t) for t in (15, 16)),
+            *((Fraction(1, 10**6), t) for t in (2, 3)),
+        ],
+        ids=str,
+    )
+    def test_word_lattice_matches_object_walk(self, alpha, t):
+        m, n = alpha.numerator, alpha.denominator
+        for h in (t // 2, t // 2 + 1):
+            lattice = exact._path_lattice(alpha, t, h)
+            for half in (lattice.high, lattice.low):
+                assert half.dtype == (np.int64 if n**t < 2**53 else object)
+            assert lattice.high.tolist() == [n**h * v for v in self.object_walk(m, n, t - h)]
+            assert lattice.low.tolist() == [m ** (t - h) * v for v in self.object_walk(m, n, h)]
+        # Every support point and the float below it; a strided sample at
+        # 2^22 and more paths, where all of them would take a few hundred MB.
+        xs = enumerate_distribution(params(alpha, t=t)).float_law()[0]
+        ranks = np.arange(xs.size)[:: 509 if t >= 22 else 1]
+        for ys in (xs[ranks], np.nextafter(xs[ranks], -np.inf)):
+            assert np.array_equal(exact._count_at_most(alpha, t, ys), xs.searchsorted(ys, "right"))
+
+
 class TestSupportSequence:
     # Ties of equal floats at 1/10^6, a full block at 9/10 and a dyadic lattice.
     CASES = [(Fraction(1, 10**6), 12), (Fraction(9, 10), 14), (Fraction(1, 2), 10)]
@@ -423,6 +463,8 @@ class TestSupportSequence:
         assert (lattice[0], lattice[-1], lattice[n // 2]) == (full[0], full[-1], full[n // 2])
         ranks = np.array([n - 1, 0, n // 2, 7])
         assert lattice[ranks].tolist() == [full[r] for r in ranks.tolist()]
+        # Python ints, whatever the halves' dtype: squares never wrap.
+        assert type(lattice[-1]) is int and lattice[ranks].dtype == lattice[:3].dtype == object
         assert list(lattice) == full
         monkeypatch.setattr(exact, "_BLOCK", 1000)  # iteration across block edges
         assert list(lattice) == full

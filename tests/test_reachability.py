@@ -21,6 +21,7 @@ from antlion import (
 from antlion import core, reachability
 from antlion.core import evolve, philox_stream
 from antlion.reachability import (
+    _EXTRA_PEELS,
     _MAX_PEELS,
     MAX_WITNESS_DEPTH,
     ReachResult,
@@ -216,6 +217,38 @@ class TestReachability:
                 decide_lanes(alpha, targets, eps)
             monkeypatch.undo()
 
+    def test_unsound_witness_raises_on_unconfirmed_hit(self):
+        # The depth-46 prefix lies 0.375 epsilon from r in exact arithmetic,
+        # but its float replay lands 1.11 epsilon away, and no deeper prefix
+        # replays within epsilon. A float hit is never certified, so the
+        # first one stands and the replay check raises.
+        with pytest.raises(RuntimeError, match="depth-46 witness"):
+            decide_lanes(0.49, [-0.23310180992733298], 1e-16)
+
+    def test_float_tie_peels_on(self):
+        # The prefix (1, 1, -1) replays exactly 0.25 from the target, a float
+        # hit; one level deeper (1, 1, 1, -1) lands inside.
+        result = is_eps_reachable(ReachQuery(alpha=0.1, r=-0.64, epsilon=0.25))
+        assert result.witness == (1, 1, 1, -1)
+
+    def test_float_hits_peel_on_to_a_confirmed_witness(self, monkeypatch):
+        # 24 of these lanes have a float hit whose prefix replays epsilon or
+        # farther away; with no peel past it (the former rule) each raised.
+        bound = 1 / (1 - 0.49)
+        targets = philox_stream(0).uniform(-bound, bound, size=300)
+        decide_lanes(0.49, targets, 1e-16)  # no lane raises
+        assert_lanes_match_reference(0.49, targets, 1e-16)
+
+        def raises(r):
+            try:
+                decide_lanes(0.49, [r], 1e-16)
+            except RuntimeError:
+                return True
+            return False
+
+        monkeypatch.setattr(reachability, "_EXTRA_PEELS", 0)
+        assert sum(map(raises, targets)) == 24
+
     def test_witness_storage_guarded(self, monkeypatch):
         # Both phases check the n x depth witness matrix against the budget.
         monkeypatch.setattr(core, "DEFAULT_ELEMENT_LIMIT", 1000)
@@ -225,8 +258,11 @@ class TestReachability:
                 decide_lanes(alpha, targets, 1e-9)
 
 
-# The per-target decision that decide_lanes replaced, copied verbatim with its
-# scalar replay: every lane must equal it in decision, witness and certificate.
+# The per-target decision that decide_lanes replaced, with its scalar replay:
+# every lane must equal it in decision, witness and certificate. It was
+# copied verbatim, then given the confirmed sparse hit: a float hit counts
+# once its prefix replays within epsilon, and peels on (never certified)
+# while it does not, until the first float hit stands _EXTRA_PEELS levels on.
 
 
 def _ref_replay_forward(alpha, xi):
@@ -287,15 +323,22 @@ def reference_is_eps_reachable(query: ReachQuery) -> ReachResult:
     rr = r
     ee = eps
     scale = 1.0  # alpha^len(prefix)
+    first = None  # depth of the first float hit
     for _ in range(_MAX_PEELS):
-        if abs(rr) < ee:
-            return _ref_witnessed(alpha, r, eps, tuple(reversed(prefix)))
-        if abs(rr) > bound and abs(rr) - bound >= ee:
+        if abs(rr) < ee and first is None:
+            first = len(prefix)
+        if first is not None:
+            witness = tuple(reversed(prefix))
+            if len(prefix) - first >= _EXTRA_PEELS:
+                return _ref_witnessed(alpha, r, eps, tuple(reversed(prefix[:first])))
+            if abs(rr) < ee and abs(_ref_replay_forward(alpha, witness) - r) < eps:
+                return ReachResult(True, witness=witness)
+        elif abs(rr) > bound and abs(rr) - bound >= ee:
             # Beyond what the remaining tail can span, by at least the scaled
             # tolerance; smaller overshoots keep peeling toward the extreme.
             radius = scale * (abs(rr) - bound)
             return ReachResult(False, certificate=(r - radius, r + radius))
-        if abs(rr) < gap and gap - abs(rr) >= ee:
+        elif abs(rr) < gap and gap - abs(rr) >= ee:
             # Stranded in the central gap: nearest endpoints sit at the gap
             # edge on one side and at the peeled prefix itself on the other
             # (abs(rr) >= ee held above, so both margins are at least ee).
