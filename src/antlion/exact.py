@@ -17,11 +17,11 @@ of each prefix for the residence law, and ``_levels`` alone walks levels,
 in ints and in floats.
 
 The support is ordered when first read, by a sort of the exactly rounded
-positions ``S / n^(t-1)``. Each is composed in floats from double-double
-splits of the halves and certified against a proved error bound; the few
-that fail the test, such as exact rounding midpoints, are divided in ints.
-Rounding is monotone, so only points with equal floats can be out of order,
-and those are sorted on their ints, the only ``S`` the ordering computes.
+positions ``S / n^(t-1)``, divided a block of paths at a time: in int64
+both operands are exact doubles, so one float division rounds once, and on
+Python ints the division is correctly rounded. Rounding is monotone, so
+only points with equal floats can be out of order, and those are sorted on
+their ints, the only ``S`` the ordering computes.
 No array of all ``2^t`` ints is built; the lattice computes each ``S`` read.
 ``_count_at_most`` counts the positions at or below given floats on an
 uneven split of the halves and never orders the support.
@@ -116,88 +116,21 @@ def _levels(m: Union[int, float], n: int, t: int):
         yield scaled, k
 
 
-def _split(values: np.ndarray, den: int) -> tuple:
-    """Each ``v / den`` as a double-double ``hi + lo``: ``hi`` rounded to
-    nearest, and ``lo`` the remainder ``v / den - hi`` rounded to nearest."""
-    values = values.tolist()
-    hi = [v / den for v in values]
-    lo = []
-    for v, x in zip(values, hi):
-        num, scale = x.as_integer_ratio()  # hi = num / scale exactly
-        lo.append((v * scale - num * den) / (den * scale))
-    return np.array(hi), np.array(lo)
-
-
-def _two_sum(a, b, s, err, tmp) -> None:
-    """``s + err = a + b`` exactly, with ``s`` rounded to nearest (Knuth's
-    TwoSum), written into ``s`` and ``err``; ``tmp`` is scratch."""
-    np.add(a, b, out=s)
-    np.subtract(s, a, out=tmp)
-    np.subtract(s, tmp, out=err)
-    np.subtract(a, err, out=err)
-    np.subtract(b, tmp, out=tmp)
-    err += tmp
-
-
-# Sums composed per block of rows: the block's temporaries stay in cache.
+# Paths handled per block: a block's temporaries, Python ints and floats stay small.
 _BLOCK = 1 << 14
 
 
-def _positions(high: np.ndarray, low: np.ndarray, den: int) -> tuple:
-    """``(xs, fallback)``: ``xs[i * len(low) + j]`` is ``(high[i] + low[j]) / den``
-    rounded to nearest, exactly as Python's int division rounds it, and
-    ``fallback`` the flat indices that took that int division.
-
-    Each half is split into a double-double. A sum is the TwoSum of the two
-    ``hi`` plus a tail, rounded once to ``x`` with its exact rounding error
-    ``err``. The true quotient lies within ``margin`` of ``x + err``, so
-    ``x`` is its rounding if ``|err| + margin`` is below half the gap from
-    ``|x|`` to the next float towards zero: that gap is the smaller of the
-    two around ``x``, halved below a power of two. Every point that fails
-    the test, among them the exact midpoints, is divided in ints.
-
-    With ``u = 2^-53``, the margin adds ``4u |lo|`` per half (the rounding
-    of ``lo`` and its share of rounding ``lo_a + lo_b``), ``2u |tail|``
-    (rounding the tail) and ``2^-1073`` per half (a ``lo`` in the subnormal
-    range, where rounding is absolute). Each term is at least twice the
-    error it covers, which absorbs the rounding of the margin itself.
-    ``|err|`` is added last: rounding is monotone, so a true ``|err| +
-    margin`` at or above the half gap, itself a float, never rounds below it.
-    """
-    a_hi, a_lo = _split(high, den)
-    b_hi, b_lo = _split(low, den)
-    a_err = np.abs(a_lo) * 2.0**-51 + 2.0**-1073
-    b_err = np.abs(b_lo) * 2.0**-51 + 2.0**-1073
-    xs = np.empty((a_hi.size, b_hi.size))
-    rows = max(1, _BLOCK // b_hi.size)
-    shape = (min(rows, a_hi.size), b_hi.size)
-    buffers = [np.empty(shape) for _ in range(4)] + [np.empty(shape, dtype=bool)]
-    fallback = []
-    for start in range(0, a_hi.size, rows):
+def _positions(high: np.ndarray, low: np.ndarray, den: int) -> np.ndarray:
+    """``xs[i * len(low) + j] = (high[i] + low[j]) / den``, rounded once to
+    nearest, exactly as Python's int division rounds it: on int64 halves both
+    operands are exact doubles (below ``2^53``), so numpy's division rounds
+    once, and on object halves the division is Python's."""
+    xs = np.empty((high.size, low.size))
+    rows = max(1, _BLOCK // low.size)
+    for start in range(0, high.size, rows):
         block = slice(start, start + rows)
-        x = xs[block]
-        s, e, tail, tmp, ok = (buf[: len(x)] for buf in buffers)
-        _two_sum(a_hi[block, None], b_hi, s, e, tmp)
-        np.add(a_lo[block, None], b_lo, out=tail)
-        tail += e
-        _two_sum(s, tail, x, e, tmp)
-        margin = np.abs(tail, out=tail)
-        margin *= 2.0**-52
-        margin += np.add(a_err[block, None], b_err, out=tmp)
-        bound = np.abs(e, out=e)
-        bound += margin
-        bound *= 2.0
-        gap = np.abs(x, out=tail)
-        gap -= np.nextafter(gap, 0.0, out=tmp)
-        np.less(bound, gap, out=ok)
-        if not ok.all():
-            fallback.append(np.flatnonzero(~ok) + start * b_hi.size)
-    xs = xs.ravel()
-    fallback = np.concatenate(fallback) if fallback else np.zeros(0, dtype=np.intp)
-    for f in fallback.tolist():
-        i, j = divmod(f, low.size)
-        xs[f] = (high[i] + low[j]) / den
-    return xs, fallback
+        xs[block] = (high[block, None] + low) / den
+    return xs.ravel()
 
 
 def _exact_order(xs: np.ndarray, numerators) -> tuple:
@@ -261,7 +194,7 @@ class PathLattice(Sequence):
     def ordered(self) -> tuple:
         """``(order, positions)``, read-only: the path indices by increasing
         position, and each position ``S / den`` rounded once, in that order."""
-        xs, _ = _positions(self.high, self.low, self.den)
+        xs = _positions(self.high, self.low, self.den)
         order, positions = _exact_order(xs, self._numerators)
         order.flags.writeable = positions.flags.writeable = False
         return order, positions
@@ -436,10 +369,6 @@ class ExactDistribution:
         bit as Python's int division rounds it; the positions are read-only."""
         order, xs = self.entries.ordered
         return xs, np.array([float(w) for w in self.weights])[self.entries.k[order]]
-
-    def total_probability(self):
-        paths = np.bincount(self.entries.k, minlength=self.t + 1).tolist()
-        return sum(count * w for count, w in zip(paths, self.weights))
 
     @cached_property
     def cdf(self) -> DiscreteCdf:

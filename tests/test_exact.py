@@ -193,9 +193,10 @@ class TestEnumerate:
 
     def test_probabilities_sum_to_one(self):
         dist = enumerate_distribution(params(Fraction(2, 3), p=Fraction(7, 10), t=9))
-        assert dist.total_probability() == 1
+        assert sum(dist.point_probability(s) for s in dist.entries) == 1
         dist_f = enumerate_distribution(params(Fraction(2, 3), p=0.7, t=9))
-        assert dist_f.total_probability() == pytest.approx(1.0, abs=1e-12)
+        total = sum(dist_f.point_probability(s) for s in dist_f.entries)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_bound(self):
         dist = enumerate_distribution(params(Fraction(2, 3), t=8))
@@ -266,7 +267,16 @@ class TestLatticeDifferential:
                 assert got == (mean, var) and [type(v) for v in got] == [kind, kind]
 
     @pytest.mark.parametrize(
-        "alpha, t", [(Fraction(9, 10), 16), (Fraction(11, 12), 16), (Fraction(1, 10**6), 12)]
+        "alpha, t",
+        [
+            (Fraction(9, 10), 16),
+            (Fraction(11, 12), 16),
+            (Fraction(1, 10**6), 12),
+            # The halves cancel to positions near 1e-18.
+            (Fraction(10**6 - 1, 10**6), 12),
+            # The last int64 lattice at 9/10: numerators near 2^53.
+            (Fraction(9, 10), 15),
+        ],
     )
     def test_float_law_rounds_once(self, alpha, t):
         dist = enumerate_distribution(params(alpha, t=t))
@@ -277,75 +287,6 @@ class TestLatticeDifferential:
         if alpha == Fraction(1, 10**6):
             # Sorted neighbours on equal floats, which the ints order.
             assert np.count_nonzero(xs[1:] == xs[:-1]) == 4088
-
-
-class TestCertifiedRounding:
-    """``exact._positions`` composes each quotient in floats and certifies
-    it; every result must be Python's exactly rounded int division."""
-
-    @staticmethod
-    def targets():
-        """Exact rationals at and near rounding midpoints and powers of two,
-        for floats near 1, 2^10, 2^-1000 and in the subnormal range."""
-        floats = [1.0, 2.0**10, 0.75, math.nextafter(1.0, 0.0), math.nextafter(2.0, 0.0)]
-        floats += [2.0**-1000, math.nextafter(2.0**-1000, 1.0), 5 * 2.0**-1074]
-        for f in floats:
-            yield Fraction(f), False
-            yield Fraction(f) + Fraction(math.ulp(f)) / 2, True
-            yield Fraction(f) - Fraction(math.ulp(math.nextafter(f, 0.0))) / 2, True
-
-    @staticmethod
-    def compose(a, b, den):
-        xs, fallback = exact._positions(
-            np.array([a], dtype=object), np.array([b], dtype=object), den
-        )
-        return xs[0], fallback.size
-
-    def test_rounding_certificate(self):
-        composed = certified = 0
-        for den in (3 * 2**100, 3 * 2**1100, 7**40 * 2**1100):
-            for target, midpoint in self.targets():
-                centre = target * den
-                if centre.denominator != 1:
-                    continue  # den cannot hold this target exactly
-                centre = int(centre)
-                near = max(1, centre >> 100)  # about 2^-100 of the target
-                for offset in (0, 1, -1, near, -near):
-                    for sign in (1, -1):
-                        total = sign * (centre + offset)
-                        cancel = den * 2**60 + 12345
-                        splits = [(total, 0), (0, total), (total // 3, total - total // 3)]
-                        # A low half far below the high half's last bit.
-                        splits += [(total - (total >> g), total >> g) for g in (20, 60)]
-                        splits += [(total + cancel, -cancel), (-cancel, total + cancel)]
-                        for a, b in splits:
-                            x, fallback = self.compose(a, b, den)
-                            assert x == total / den, (den, a, b)
-                            if midpoint and offset == 0:
-                                assert fallback == 1
-                            composed += 1
-                            certified += not fallback
-        # Both ways are taken; about a third are certified in floats.
-        assert composed > 1000 and composed / 4 < certified < composed
-
-    def test_subnormal_lo(self):
-        den = 3 * 2**1100
-        # hi = 2^-1000 and lo about 2^-1062: a remainder in the subnormal range.
-        a = 3 * 2**100 + 2**40 + 1
-        hi, lo = exact._split(np.array([a], dtype=object), den)
-        assert hi[0] == 2.0**-1000 and 0 < lo[0] < 2.0**-1022
-        midpoint = 3 * 2**100 + 3 * 2**47
-        for b in (midpoint - a, midpoint - a + 1, midpoint - a - 1, -a - 1, 2**40):
-            assert self.compose(a, b, den)[0] == (a + b) / den
-
-    def test_int_division_fallback(self):
-        # Near 1 the halves cancel to positions near 1e-18, which the float
-        # composition cannot certify.
-        lattice = enumerate_distribution(params(Fraction(10**6 - 1, 10**6), t=12)).entries
-        xs, fallback = exact._positions(lattice.high, lattice.low, lattice.den)
-        assert fallback.size >= 1
-        expected = division_bits(path_numerators(lattice), lattice.den)
-        assert np.array_equal(xs.view(np.int64), expected)
 
 
 class TestCountAtMost:
@@ -658,7 +599,7 @@ class TestMoments:
         assert var == pytest.approx(closed_form_variance(prm), abs=1e-12)
 
     def test_support_never_ordered(self, monkeypatch):
-        # The moments and the total mass read the halves and k alone.
+        # The moments read the halves and k alone.
         def refuse(*args):
             raise AssertionError("the support was ordered")
 
@@ -667,11 +608,10 @@ class TestMoments:
         prm = params(Fraction(9, 10), p=Fraction(3, 10), t=10)
         dist = enumerate_distribution(prm)
         assert exact_moments(dist) == (closed_form_mean(prm), closed_form_variance(prm))
-        assert dist.total_probability() == 1
 
     @pytest.mark.parametrize("alpha, t", [(Fraction(9, 10), 10), (Fraction(1, 10**6), 12)])
     def test_cdf_never_builds_the_ints(self, monkeypatch, alpha, t):
-        # The CDF reads the certified positions; at 1/10^6 the ordering
+        # The CDF reads the divided positions; at 1/10^6 the ordering
         # computes ints only for the runs of equal floats.
         numerators = exact.PathLattice._numerators
         asked = [np.zeros(0, dtype=np.intp)]
@@ -771,7 +711,7 @@ class TestResidence:
 class TestMemory:
     def test_cdf_build_peak(self):
         # 2^18 paths: positions, order and the CDF columns at 8 bytes a path,
-        # no 2^t ints and no full-size temporaries of the float composition.
+        # no 2^t ints and no full-size temporaries of the division.
         prm = params(Fraction(9, 10), p=Fraction(1, 2), t=18)
         tracemalloc.start()
         try:
@@ -780,6 +720,20 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 20_000_000
+
+    def test_ordering_peak(self):
+        # 2^18 paths on object halves: positions and order at 8 bytes a path.
+        # Divided over all paths at once, the Python floats and their object
+        # array would peak near 19 MB.
+        dist = enumerate_distribution(params(Fraction(9, 10), p=Fraction(1, 2), t=18))
+        assert dist.entries.high.dtype == object
+        tracemalloc.start()
+        try:
+            dist.entries.ordered
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
     def test_exact_cvm_peak(self):
         # 2^20 paths counted on the CvM grid: under one float a path, where
