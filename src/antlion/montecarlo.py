@@ -9,15 +9,21 @@ how the work is partitioned.
 
 ``simulate`` and ``simulate_finals`` use that freedom: one worker thread per
 CPU the process may run on (``os.sched_getaffinity``, else ``os.cpu_count``),
-at most one per chunk, takes chunks from a shared counter. Each chunk is
-walked by one thread with its own stream and writes only its own walkers of
-the output, so the worker count and the order in which chunks finish cannot
-change a bit. Philox fills and the ufunc loops release the interpreter lock,
-so the threads overlap.
+at most one per block, takes blocks of up to ``_BLOCK_CHUNKS`` consecutive
+chunks from a shared counter. Each chunk of a block draws its own stream
+into its own columns of the block's step tile, and the block is walked by
+one thread that writes only its own walkers of the output, so the worker
+count and the order in which blocks finish cannot change a bit. Philox fills
+and the ufunc loops release the interpreter lock, so the threads overlap.
+
+A step is read off the stream's raw 64-bit words: numpy's uniform double is
+``(word >> 11) * 2**-53``, so ``word < _minus_threshold(p)`` is
+``Generator.random() < p`` bit for bit, without building the doubles.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -44,7 +50,13 @@ STREAM_CHUNK = 4096
 
 DEFAULT_WALKERS = 50_000
 
-# Steps drawn and walked per stream call; any value gives the same bits.
+# Consecutive chunks walked together, so that each walk call covers up to
+# this many chunks' walkers. Any value gives the same bits.
+_BLOCK_CHUNKS = 4
+
+# A step tile holds _TILE * STREAM_CHUNK values whatever the block's width:
+# a block of k chunks draws _TILE // k steps per stream call (16 for one
+# chunk, 4 for a full block). Any value gives the same bits.
 _TILE = 16
 
 _MODES = ("finals", "paths", "residence")
@@ -79,57 +91,83 @@ class TrajectoryBatch:
         return self.positions
 
 
-def _worker_count(n_chunks: int) -> int:
-    """One worker per CPU this process may run on, at most one per chunk."""
+def _worker_count(n_blocks: int) -> int:
+    """One worker per CPU this process may run on, at most one per block."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_chunks))
+    return max(1, min(cpus, n_blocks))
 
 
-def _simulate_chunks(claim, seed, a, p, t, finals, paths, counts) -> None:
-    """Walk every chunk that ``claim()`` hands out until it returns None.
+def _minus_threshold(p: float) -> int:
+    """The raw word below which a step is -1: ``ceil(p * 2**53) * 2**11``.
 
-    Each call owns its tile buffers. ``gen.random(out=u[:m])`` consumes the
-    chunk's stream exactly like ``m`` draws of ``STREAM_CHUNK`` each, so a
-    tile of ``m`` steps sees the same uniforms as ``m`` single steps. Every
-    alpha ``a[j, 0]`` takes the tile's steps, walked in place in row ``j``
-    of ``finals``. With one alpha, each step's row 0 is copied into a tile,
-    from which ``paths`` gets every position and ``counts`` the chunk's
-    non-negative-step counts.
+    numpy's double is ``(word >> 11) * 2**-53``, which is below ``p``
+    exactly when ``word >> 11 < ceil(p * 2**53)``, that is when ``word`` is
+    below the threshold. At ``p = 1`` it is ``2**64``, above every word.
+    """
+    return math.ceil(p * 2**53) << 11
+
+
+def _simulate_blocks(claim, seed, a, p, t, finals, paths, counts) -> None:
+    """Walk every block of chunks that ``claim()`` hands out until it
+    returns None.
+
+    Each call owns its tile buffers. ``random_raw((m, STREAM_CHUNK))``
+    consumes a chunk's stream exactly like ``m`` draws of ``STREAM_CHUNK``
+    words each, so a tile of ``m`` steps sees the same words as ``m`` single
+    steps. Every alpha ``a[j, 0]`` takes the tile's steps, walked in place in
+    row ``j`` of ``finals``. With one alpha and ``paths`` or ``counts``, row
+    ``r`` of a position tile is written as ``a`` times row ``r - 1`` plus
+    step ``r``; ``paths`` gets every position from it and ``counts`` the
+    block's non-negative-step counts.
     """
     n = finals.shape[1]
-    u = np.empty((_TILE, STREAM_CHUNK))
-    xi = np.empty((_TILE, STREAM_CHUNK))
-    xs = None if paths is None and counts is None else np.empty((_TILE, STREAM_CHUNK))
-    while (chunk := claim()) is not None:
-        start = chunk * STREAM_CHUNK
-        stop = min(start + STREAM_CHUNK, n)
-        size = stop - start
-        gen = philox_stream(seed, chunk)
+    minus = _minus_threshold(p)
+    below = None if minus >> 64 else np.uint64(minus)  # None at p = 1
+    xi = np.empty(_TILE * STREAM_CHUNK)
+    xs = None if paths is None and counts is None else np.empty(_TILE * STREAM_CHUNK)
+    while (chunks := claim()) is not None:
+        start = chunks.start * STREAM_CHUNK
+        stop = min(chunks.stop * STREAM_CHUNK, n)
+        width = stop - start
+        streams = [philox_stream(seed, chunk).bit_generator for chunk in chunks]
+        depth = _TILE // len(chunks)
         x = finals[:, start:stop]
         x.fill(0.0)
-        for s0 in range(0, t, _TILE):
-            m = min(_TILE, t - s0)
-            # Draw the full chunk width even on the tail chunk so a walker's
-            # stream depends only on (seed, walker_index), not on n_walkers:
-            # growing a run extends it, never reshuffles.
-            gen.random(out=u[:m])
-            step = xi[:m, :size]
-            np.less(u[:m, :size], p, out=step)
+        last = x[0]
+        for s0 in range(0, t, depth):
+            m = min(depth, t - s0)
+            step = xi[: m * width].reshape(m, width)
+            for col, stream in zip(range(0, width, STREAM_CHUNK), streams):
+                cols = step[:, col : col + STREAM_CHUNK]
+                if below is None:  # p = 1: every word is below 2**64, every step -1
+                    cols.fill(1.0)
+                    continue
+                # Draw the full chunk width even on the tail chunk so a
+                # walker's stream depends only on (seed, walker_index), not
+                # on n_walkers: growing a run extends it, never reshuffles.
+                words = stream.random_raw((m, STREAM_CHUNK))[:, : cols.shape[1]]
+                np.less(words, below, out=cols)
+                del words  # before the next chunk's words are drawn
             step *= -2.0
-            step += 1.0  # exactly -1.0 where u < p, +1.0 elsewhere
-            tile = None if xs is None else xs[:m, :size]
+            step += 1.0  # exactly -1.0 where the word is below, +1.0 elsewhere
+            if xs is None:
+                for r in range(m):
+                    x *= a
+                    x += step[r]
+                continue
+            tile = xs[: m * width].reshape(m, width)
             for r in range(m):
-                x *= a
-                x += step[r]
-                if tile is not None:
-                    tile[r] = x[0]
+                np.multiply(last, a[0, 0], out=tile[r])
+                tile[r] += step[r]
+                last = tile[r]
             if paths is not None:
                 paths[start:stop, s0 + 1 : s0 + m + 1] = tile.T
             if counts is not None:
                 counts[start:stop] += (tile >= 0.0).sum(axis=0)
+        x[0] = last  # a copy of itself in finals mode
         if paths is not None:
             paths[start:stop, 0] = 0.0
 
@@ -147,21 +185,25 @@ def _walk(alphas, p: float, t: int, n_walkers: int, seed: int, mode: str = "fina
     counts = np.zeros(n_walkers, dtype=np.int64) if mode == "residence" else None
     a = np.array(alphas, dtype=np.float64)[:, None]
     n_chunks = -(-n_walkers // STREAM_CHUNK)
-    chunks = iter(range(n_chunks))
+    # Paths are written a tile of columns at a time, row by row: one-chunk
+    # blocks keep those writes 16 columns wide and within a chunk's rows.
+    per_block = 1 if mode == "paths" else _BLOCK_CHUNKS
+    blocks = [range(c, min(c + per_block, n_chunks)) for c in range(0, n_chunks, per_block)]
+    pending = iter(blocks)
     lock = threading.Lock()
     errors = []
 
     def claim():
         with lock:
-            return None if errors else next(chunks, None)
+            return None if errors else next(pending, None)
 
     def work():
         try:
-            _simulate_chunks(claim, seed, a, p, t, finals, paths, counts)
+            _simulate_blocks(claim, seed, a, p, t, finals, paths, counts)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(_worker_count(n_chunks) - 1)]
+    threads = [threading.Thread(target=work) for _ in range(_worker_count(len(blocks)) - 1)]
     for thread in threads:
         thread.start()
     work()

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from antlion import (
     uniform_cdf,
 )
 from antlion import core, montecarlo
-from antlion.montecarlo import _TILE, STREAM_CHUNK, Ecdf
+from antlion.montecarlo import _BLOCK_CHUNKS, _TILE, STREAM_CHUNK, Ecdf
 
 
 def params(alpha: float, p=0.5, t=0) -> WalkParams:
@@ -221,8 +222,80 @@ def reference_simulate(prm: WalkParams, n: int, seed: int) -> np.ndarray:
 
 
 def simulate_with_workers(monkeypatch, workers: int, *args, **kwargs):
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda n_chunks: workers)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda n_blocks: workers)
     return simulate(*args, **kwargs)
+
+
+def assert_matches_reference(prm: WalkParams, n: int, seed: int) -> None:
+    """All three modes of ``simulate`` against ``reference_simulate``."""
+    expected = reference_simulate(prm, n, seed)
+    paths = simulate(prm, n_walkers=n, seed=seed, mode="paths")
+    assert np.array_equal(paths.positions, expected)
+    assert np.array_equal(simulate(prm, n_walkers=n, seed=seed).positions, expected[:, -1])
+    res = simulate(prm, n_walkers=n, seed=seed, mode="residence")
+    assert np.array_equal(res.positions, expected[:, -1])
+    assert np.array_equal(residence_times(res), (expected[:, 1:] >= 0.0).sum(axis=1))
+
+
+class TestRawWords:
+    """Steps read off raw Philox words are the steps of ``random() < p``."""
+
+    def test_double_is_the_top_53_bits(self):
+        # The premise of the threshold: numpy builds its double from a word.
+        words = core.philox_stream(5, 1).bit_generator.random_raw(3 * STREAM_CHUNK)
+        doubles = core.philox_stream(5, 1).random(3 * STREAM_CHUNK)
+        assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, doubles)
+
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 2.0**-60, 0.3, 1 / 3, 0.5, 0.55, 1 - 2.0**-53, 1.0])
+    def test_threshold_is_the_uniform_comparison(self, p):
+        threshold = montecarlo._minus_threshold(p)
+        words = core.philox_stream(6, 0).bit_generator.random_raw(STREAM_CHUNK).tolist()
+        doubles = core.philox_stream(6, 0).random(STREAM_CHUNK)
+        assert [w < threshold for w in words] == (doubles < p).tolist()
+        # The words next to the threshold and at both ends of the range.
+        edges = {0, 1, 2**11 - 1, 2**11, 2**64 - 1}
+        edges |= {w for d in (-2**11, -1, 0, 1) if 0 <= (w := threshold + d) < 2**64}
+        for w in edges:
+            assert (w < threshold) == ((w >> 11) * 2.0**-53 < p), (p, w)
+
+    def test_threshold_ends(self):
+        assert montecarlo._minus_threshold(0.0) == 0
+        assert montecarlo._minus_threshold(5e-324) == 2**11
+        assert montecarlo._minus_threshold(1 - 2.0**-53) == 2**64 - 2**11
+        assert montecarlo._minus_threshold(1.0) == 2**64
+
+    @pytest.mark.parametrize(
+        "p, word",
+        [
+            (1.0, 2**64 - 1),
+            (1 - 2.0**-53, 2**64 - 1),
+            (0.0, 0),
+            (5e-324, 0),
+            (5e-324, 2**11),
+            (0.3, montecarlo._minus_threshold(0.3) - 1),
+            (0.3, montecarlo._minus_threshold(0.3)),
+        ],
+    )
+    def test_kernel_steps_at_edge_words(self, monkeypatch, p, word):
+        # A stand-in stream whose every word is ``word``: the kernel's step
+        # must be the one numpy's double of that word gives.
+        class Words:
+            bit_generator = property(lambda self: self)
+
+            def random_raw(self, size):
+                return np.full(size, word, dtype=np.uint64)
+
+        monkeypatch.setattr(montecarlo, "philox_stream", lambda seed, *spawn_key: Words())
+        step = -1.0 if (word >> 11) * 2.0**-53 < p else 1.0
+        x = 0.0
+        for _ in range(5):
+            x = 0.5 * x + step
+        for mode in ("finals", "residence"):
+            assert np.all(simulate(params(0.5, p=p, t=5), n_walkers=3, mode=mode).finals == x)
+
+    @pytest.mark.parametrize("p", [0.0, 1 - 2.0**-53, 1.0])
+    def test_extreme_p_matches_reference_loop(self, p):
+        assert_matches_reference(params(0.7, p=p, t=_TILE + 3), _BLOCK_CHUNKS * STREAM_CHUNK + 9, 2)
 
 
 class TestWorkers:
@@ -231,14 +304,7 @@ class TestWorkers:
     @pytest.mark.parametrize("t", [0, 1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
     @pytest.mark.parametrize("n", [1, STREAM_CHUNK + 1, 2 * STREAM_CHUNK, 2 * STREAM_CHUNK + 77])
     def test_matches_reference_loop(self, t, n):
-        prm = params(0.7, p=0.4, t=t)
-        expected = reference_simulate(prm, n, seed=3)
-        paths = simulate(prm, n_walkers=n, seed=3, mode="paths")
-        assert np.array_equal(paths.positions, expected)
-        assert np.array_equal(simulate(prm, n_walkers=n, seed=3).positions, expected[:, -1])
-        res = simulate(prm, n_walkers=n, seed=3, mode="residence")
-        assert np.array_equal(res.positions, expected[:, -1])
-        assert np.array_equal(residence_times(res), (expected[:, 1:] >= 0.0).sum(axis=1))
+        assert_matches_reference(params(0.7, p=0.4, t=t), n, seed=3)
 
     @pytest.mark.parametrize("mode", ["finals", "paths", "residence"])
     def test_worker_count_never_changes_a_bit(self, monkeypatch, mode):
@@ -252,6 +318,29 @@ class TestWorkers:
             assert np.array_equal(batch.positions, runs[0].positions)
             if mode == "residence":
                 assert np.array_equal(batch.nonneg_steps, runs[0].nonneg_steps)
+
+    @pytest.mark.parametrize("mode", ["finals", "paths", "residence"])
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1,
+            4 * STREAM_CHUNK - 1,  # one block, its last chunk one walker short
+            4 * STREAM_CHUNK,
+            4 * STREAM_CHUNK + 1,  # a second block of one walker
+            9 * STREAM_CHUNK + 5,  # two full blocks and a tail chunk of 5
+        ],
+    )
+    def test_block_edges_match_reference(self, monkeypatch, mode, n):
+        assert _BLOCK_CHUNKS == 4  # the block edges above
+        prm = params(0.9, p=0.55, t=2 * _TILE + 1)
+        expected = reference_simulate(prm, n, seed=8)
+        counts = (expected[:, 1:] >= 0.0).sum(axis=1)
+        for workers in (1, 2, 3, 9):
+            batch = simulate_with_workers(monkeypatch, workers, prm, n_walkers=n, seed=8, mode=mode)
+            want = expected if mode == "paths" else expected[:, -1]
+            assert np.array_equal(batch.positions, want), workers
+            if mode == "residence":
+                assert np.array_equal(batch.nonneg_steps, counts), workers
 
     def test_many_workers_with_short_switch_interval(self, monkeypatch):
         prm = params(0.6, t=40)
@@ -274,6 +363,7 @@ class TestWorkers:
             return stream(seed, *spawn_key)
 
         monkeypatch.setattr(montecarlo, "philox_stream", failing)
+        # Chunk 2 is the third chunk of the first block.
         for workers in (1, 2, 4):
             with pytest.raises(MemoryError, match="chunk 2"):
                 simulate_with_workers(
@@ -303,12 +393,25 @@ class TestSimulateFinals:
         n = 3 * STREAM_CHUNK + 5  # four chunks, the last of 5 walkers
         with pytest.MonkeyPatch.context() as patch:
             if one_worker:
-                patch.setattr(montecarlo, "_worker_count", lambda n_chunks: 1)
+                patch.setattr(montecarlo, "_worker_count", lambda n_blocks: 1)
             block = simulate_finals(alphas, t, n, seed, p)
         assert block.shape == (len(alphas), n)
         for alpha, row in zip(alphas, block):
             expected = simulate(params(alpha, p=p, t=t), n_walkers=n, seed=seed).finals
             assert np.array_equal(row.view(np.int64), expected.view(np.int64)), alpha
+
+    def test_tile_memory(self, monkeypatch):
+        # Two blocks of four chunks on one worker: a step tile of _TILE *
+        # STREAM_CHUNK doubles and one chunk's words. A 16-step tile over a
+        # 4-chunk block would take 2 MB on its own.
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_blocks: 1)
+        tracemalloc.start()
+        try:
+            finals = simulate_finals([0.5, 0.9], 40, 8 * STREAM_CHUNK, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - finals.nbytes <= 2 * _TILE * STREAM_CHUNK * 8
 
     @pytest.mark.parametrize(
         "alphas, t, n, p",
