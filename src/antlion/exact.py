@@ -12,9 +12,8 @@ t // 2``, ``S`` of path ``i * 2^h + j`` is ``high[i] + low[j]``: the first
 ``2^(t/2)`` exact ints each, so position equality stays decidable: int64
 while ``n^t < 2^53`` (exact doubles too), Python ints past it. Nothing
 over all ``2^t`` paths is built eagerly; the moments use that the two
-halves are independent. ``_path_lattice`` alone lays out the halves, also
-of each prefix for the residence law, and ``_levels`` alone walks levels,
-in ints and in floats.
+halves are independent. ``_halves`` alone picks the two walks, which
+``_path_lattice`` scales, and ``_levels`` alone walks levels.
 
 The support is ordered when first read, by a sort of the exactly rounded
 positions ``S / n^(t-1)``, divided a block of paths at a time: in int64
@@ -23,8 +22,8 @@ Python ints the division is correctly rounded. Rounding is monotone, so
 only points with equal floats can be out of order, and those are sorted on
 their ints, the only ``S`` the ordering computes.
 No array of all ``2^t`` ints is built; the lattice computes each ``S`` read.
-``_count_at_most`` counts the positions at or below given floats on an
-uneven split of the halves and never orders the support.
+``_count_at_most`` counts the positions at or below given floats on the
+unscaled walks of an uneven split and never orders the support.
 Distinct paths land on distinct positions for rational alpha in (0, 1), and
 a tie raises. The probability of a point is entry ``k`` of the ``t + 1``
 path weights ``p^k (1-p)^(t-k)``, so the law is exact for any step
@@ -233,14 +232,19 @@ class PathLattice(Sequence):
         return int(scaled in self)  # no two paths share a position
 
 
+def _halves(alpha: Fraction, t: int, h: int) -> tuple:
+    """The unscaled walks ``(S, k)`` of the last ``t - h`` and first ``h`` steps."""
+    walk = enumerate(_levels(alpha.numerator, alpha.denominator, max(h, t - h)))
+    levels = {s: level for s, level in walk if s in (h, t - h)}  # only the two halves kept
+    return levels[t - h], levels[h]
+
+
 def _path_lattice(alpha: Fraction, t: int, _low_steps: Optional[int] = None) -> PathLattice:
     """The lattice of ``t`` steps whose low half holds the first ``_low_steps``
     (by default ``t // 2``) of them."""
     m, n = alpha.numerator, alpha.denominator
     h = t // 2 if _low_steps is None else _low_steps
-    walk = enumerate(_levels(m, n, max(h, t - h)))
-    levels = {s: level for s, level in walk if s in (h, t - h)}  # only the two halves kept
-    (low, low_k), (high, high_k) = levels[h], levels[t - h]
+    (high, high_k), (low, low_k) = _halves(alpha, t, h)
     if n**t >= 2**53:  # their walk may fit a word where the scaled halves do not
         low, high = low.astype(object), high.astype(object)
     # S_t = m^(t-h) S_h(steps 1..h) + n^h S_(t-h)(steps h+1..t); the later
@@ -253,49 +257,50 @@ def _count_at_most(alpha: Fraction, t: int, ys) -> np.ndarray:
     whose position ``S / den``, rounded to nearest, is at most ``y``.
 
     The support is never ordered and no array over all paths is built: the
-    counts meet in the middle (Horowitz and Sahni, 1974) on a lattice split
-    ``S = high[i] + low[j]``. The low half takes ``ceil((t + log2 len(ys))
-    / 2) - 1`` steps, one fewer than balances sorting it against the
+    counts meet in the middle (Horowitz and Sahni, 1974) on the split ``S =
+    top high[i] + bottom low[j]`` of ``_halves``' walks, ``top = n^h`` and
+    ``bottom = m^(t-h)``. The low half takes ``h = ceil((t + log2 len(ys)) /
+    2) - 1`` steps, one fewer than balances sorting it against the
     ``len(high) * len(ys)`` (row, ``y``) queries, as those are vectorised.
-    On int64 or object halves alike, ``half / den`` rounds once. The low
-    half is sorted once by its ints (on its floats ``L = fl(low / den)``,
-    unless two are equal), and ``L`` is then sorted too, as rounding is
-    monotone. Per row, with ``H = fl(high[i] / den)`` and ``d = fl(y -
-    H)``, one ``searchsorted`` counts the ``L <= fl(d - M)``, which all
-    round to at most ``y``, and one the ``L <= fl(d + M)``. Between them
-    the exact test ``(high[i] + low[j]) / den <= y``, in Python's correctly
-    rounded int division, holds for a prefix of ``j``, as both the ints and
-    their rounding are monotone, so a binary search decides the band in
-    ``O(log)`` divisions even where all of it is there (``alpha`` near 0).
-    Every ``|S / den|`` is at most about half of ``B = 2 (max |H| + max
-    |L|) + 2^-1070``, so each rounded position lies strictly inside ``(-B,
-    B)`` and clipping ``y`` to ``[-B, B]`` (an infinite ``y`` too) leaves
-    its count unchanged.
+    On an int64 walk (``n^max(h, t-h) < 2^53``) ``H = fl(high / (den /
+    top))`` rounds once and ``L = fl(low * fl(bottom / den))`` twice; on
+    Python ints both are ``fl(half / den)`` of the scaled half. The low half
+    is sorted on ``L``, and on its ints where two ``L`` are equal. Per row,
+    with ``d = fl(y - H)``, one ``searchsorted`` counts the ``L <= fl(d -
+    M)``, which all round to at most ``y``. Where the next ``L`` is at most
+    ``fl(d + M)`` a second search ends that band, in which the exact test
+    ``S / den <= y`` (Python's correctly rounded int division, on ints built
+    for band members only) holds for a prefix, as the ints and their
+    rounding are monotone: a binary search decides it in ``O(log)``
+    divisions even where all of the low half is in it (``alpha`` near 0).
+    Every ``|S / den|`` is at most about half of ``B = 2 (max |H| + max |L|)
+    + 2^-1070``, so clipping ``y`` to ``[-B, B]`` leaves its count unchanged.
 
     The margin is ``M = 2^-50 (|H| + max |L| + |d|) + 2^-1070``. With ``u =
-    2^-53`` and ``e = 2^-1074``, ``q = S / den`` lies within ``u|H| + u max|L|
-    + e`` of ``H + L`` (each quotient is rounded once, absolutely by at most
-    ``e / 2`` below the normal range), and ``y - H`` within ``u|d|`` of
-    ``d`` (a float sum is exact when subnormal). So ``L <= fl(d - M)``
-    gives ``q <= y``, hence ``fl(q) <= y``, once ``M`` covers ``u (|H| +
-    max|L| + 2|d|) + e``; and ``L > fl(d + M)`` puts ``q`` at or past the
-    float after ``y``, hence ``fl(q) > y``, once ``M`` covers ``u (3|H| +
-    max|L| + 4|d|) + 2e``, the gap above ``y`` being at most ``2u|y| + e``.
-    Computed in floats, ``M`` is within ``3u`` of ``8u (|H| + max|L| +
-    |d|) + 16e``: about twice either need after the rounding of ``d +- M``.
-    Nothing here rests on an ``assert``; the band is decided in ints.
+    2^-53`` and ``e = 2^-1074``, ``q = S / den`` lies within ``u|H| + 3u
+    max|L| + e`` of ``H + L``: ``H`` is rounded once (by at most ``e / 2``
+    below the normal range) and ``L`` at most twice, in int64 never below it
+    (``bottom / den >= 2^-106``). ``y - H`` lies within ``u|d|`` of ``d``.
+    So ``L <= fl(d - M)`` gives ``q <= y``, hence ``fl(q) <= y``, once ``M``
+    covers ``u (|H| + 3 max|L| + 2|d|) + e``; and ``L > fl(d + M)`` puts
+    ``q`` at or past the float after ``y`` (at most ``2u|y| + e`` above),
+    hence ``fl(q) > y``, once ``M`` covers ``u (3|H| + 3 max|L| + 4|d|) +
+    2e``. Computed in floats, ``M`` is within ``3u`` of ``8u (|H| + max|L|
+    + |d|) + 16e``: about twice either need after the rounding of ``d +-
+    M``. Nothing here rests on an ``assert``; the band is decided in ints.
     """
     ys = np.asarray(ys, dtype=float)
-    low_steps = min(t, max(0, math.ceil((t + math.log2(max(ys.size, 1))) / 2) - 1))
-    lattice = _path_lattice(alpha, t, low_steps)
-    den, high, low = lattice.den, lattice.high, lattice.low
-    high_x = (high / den).astype(float)
-    low_x = (low / den).astype(float)
+    h = min(t, max(0, math.ceil((t + math.log2(max(ys.size, 1))) / 2) - 1))
+    (high, _), (low, _) = _halves(alpha, t, h)
+    top, bottom = alpha.denominator**h, alpha.numerator ** (t - h)
+    den = alpha.denominator ** max(t - 1, 0)
+    scaled = low.dtype == object  # Python ints; at h = t, den / top is 1/n and high is [0]
+    high_x = (top * high / den).astype(float) if scaled else high / (den / top)
+    low_x = (bottom * low / den).astype(float) if scaled else low * (bottom / den)
     by_x = np.argsort(low_x)
     low_x, low = low_x[by_x], low[by_x]
     if (low_x[1:] == low_x[:-1]).any():  # equal floats: their ints decide
         low = np.sort(low)
-    high, low = high.tolist(), low.tolist()
     low_max = float(np.abs(low_x).max())
     clip = 2.0 * (float(np.abs(high_x).max()) + low_max) + 2.0**-1070
     y = np.clip(ys.ravel(), -clip, clip)
@@ -305,13 +310,18 @@ def _count_at_most(alpha: Fraction, t: int, ys) -> np.ndarray:
     margin *= 2.0**-50
     margin += 2.0**-1070
     sure = np.searchsorted(low_x, d - margin, "right")
-    maybe = np.searchsorted(low_x, d + margin, "right")
+    margin += d  # fl(d + M), the band's upper end
+    del d
+    cells = np.flatnonzero(np.append(low_x, np.inf)[sure] <= margin)
+    ends = np.searchsorted(low_x, margin.ravel()[cells], "right").tolist()
     counts = sure.sum(axis=0)
     y = y.tolist()
-    for i, q in zip(*(a.tolist() for a in np.nonzero(maybe > sure))):
-        top, y_q = high[i], y[q]
-        band = range(int(sure[i, q]), int(maybe[i, q]))
-        counts[q] += bisect.bisect_left(band, True, key=lambda j: (top + low[j]) / den > y_q)
+    for cell, end in zip(cells.tolist(), ends):
+        (i, q), start = divmod(cell, len(y)), int(sure.flat[cell])
+        row, y_q = top * int(high[i]), y[q]
+        counts[q] += bisect.bisect_left(
+            range(start, end), True, key=lambda j: (row + bottom * int(low[j])) / den > y_q
+        )
     return counts.reshape(ys.shape)
 
 
@@ -397,14 +407,21 @@ def support_size(dist: ExactDistribution) -> int:
     return len(dist.entries.ordered[0])
 
 
-def _half_moments(values: np.ndarray, k: np.ndarray, weights: list) -> tuple:
-    """``(E[v], E[v^2])`` over one half lattice, path ``i`` weighted ``weights[k[i]]``."""
+def _int_weights(p, t: int) -> tuple:
+    """``([a^k (b-a)^(t-k) for k in 0..t], b^t)``: ``path_weights(p = a/b, t)`` over ``b^t``."""
+    a, b = Fraction(p).as_integer_ratio()
+    return [a**k * (b - a) ** (t - k) for k in range(t + 1)], b**t
+
+
+def _half_moments(values: np.ndarray, k: np.ndarray, p) -> tuple:
+    """``(b^s, sum w v, sum w v^2)`` over a half of ``s`` steps, ``w`` of ``_int_weights(p, s)``."""
+    weights, total = _int_weights(p, values.size.bit_length() - 1)
     sums = [[0, 0] for _ in weights]
     for v, j in zip(values.tolist(), k.tolist()):
         row = sums[j]
         row[0] += v
         row[1] += v * v
-    return tuple(sum(w * s for w, s in zip(weights, column)) for column in zip(*sums))
+    return (total, *(sum(w * s for w, s in zip(weights, column)) for column in zip(*sums)))
 
 
 def exact_moments(dist: ExactDistribution):
@@ -414,16 +431,20 @@ def exact_moments(dist: ExactDistribution):
     product of its halves' weights, so ``high`` and ``low`` are independent:
     ``E[S] = E[high] + E[low]`` and ``E[S^2] = E[high^2] + 2 E[high] E[low]
     + E[low^2]``, each from one pass over its half. That is ``O(2^(t/2))``
-    big-int operations, and only ``O(t)`` rational terms are weighted.
-    Returns Fractions when ``p`` is a Fraction, floats otherwise (the float
-    path still evaluates the rational sum exactly and rounds once).
+    big-int operations. For ``p = a/b`` each half of ``s`` steps weighs its
+    paths by the ints ``a^k (b-a)^(s-k)`` over ``b^s``, so the sums are ints
+    and each result is one Fraction. Returns Fractions when ``p`` is a
+    Fraction, floats otherwise (the float path evaluates the rational sum
+    exactly at ``p``'s binary value and rounds once).
     """
-    lattice, t, p = dist.entries, dist.t, Fraction(dist.p)
-    high, high2 = _half_moments(lattice.high, lattice.high_k, path_weights(p, t - t // 2))
-    low, low2 = _half_moments(lattice.low, lattice.low_k, path_weights(p, t // 2))
-    scale = Fraction(dist.scale_denominator)
-    mean = (high + low) / scale
-    var = (high2 + 2 * high * low + low2) / (scale * scale) - mean * mean
+    lattice = dist.entries
+    b_high, high, high2 = _half_moments(lattice.high, lattice.high_k, dist.p)
+    b_low, low, low2 = _half_moments(lattice.low, lattice.low_k, dist.p)
+    scale = b_high * b_low * dist.scale_denominator  # b^t n^(t-1)
+    sum1 = high * b_low + low * b_high  # E[S] b^t
+    sum2 = high2 * b_low + 2 * high * low + low2 * b_high  # E[S^2] b^t
+    mean = Fraction(sum1, scale)
+    var = Fraction(sum2 * b_high * b_low - sum1 * sum1, scale * scale)
     if isinstance(dist.p, Fraction):
         return mean, var
     return float(mean), float(var)
@@ -530,14 +551,15 @@ def exact_residence_distribution(params: WalkParams) -> dict:
 
     ``T_+`` counts the steps ``s in 1..t`` with ``X_s >= 0``; a position of
     exactly zero counts as positive side. Returns ``{j: P(T_+ = j)}`` over
-    ``j = 0..t`` with Fraction probabilities (``p`` is converted exactly, so
-    a float ``p`` uses its binary value).
+    ``j = 0..t``, each the Fraction ``c / b^t`` of an int ``c`` for ``p =
+    a/b`` (a float ``p`` at its binary value).
 
     The ``s``-step paths are the half lattices of ``_path_lattice(alpha,
     s)``: ``S_s = high[i] + low[j]`` is nonnegative exactly when ``low[j] >=
     -high[i]``, so with ``low`` ranked on its ints each sign is an int
     comparison of ``rank[j]`` with the first rank at or above ``-high[i]``.
-    Cells ``T_+ * (t + 1) + k`` are int16 codes, counted a block at a time.
+    Cells ``T_+ * (t + 1) + k`` are int16 codes, counted a block at a time
+    and weighted by the ints ``a^k (b-a)^(t-k)``.
     """
     frac = _require_exact_alpha(params.alpha)
     _check_cap(params.t)
@@ -556,8 +578,6 @@ def exact_residence_distribution(params: WalkParams) -> dict:
     codes += lattice.k
     blocks = np.split(codes, range(_BLOCK, codes.size, _BLOCK))
     cells = sum(np.bincount(block, minlength=(t + 1) ** 2) for block in blocks)
-    weights = path_weights(Fraction(params.p), t)
-    return {
-        j: sum(paths * w for paths, w in zip(row, weights))
-        for j, row in enumerate(cells.reshape(t + 1, t + 1).tolist())
-    }
+    weights, total = _int_weights(params.p, t)
+    sums = cells.reshape(t + 1, t + 1).astype(object) @ np.array(weights, dtype=object)
+    return {j: Fraction(paths, total) for j, paths in enumerate(sums.tolist())}

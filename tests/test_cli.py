@@ -445,6 +445,23 @@ class TestErrors:
             assert message in err and err.count("\n") == 1
         assert not (tmp_path / "reach.csv").exists()
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="the float replay of a true witness drifts past an epsilon a few ulps wide",
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alpha", "0.49", "--r", "-0.23310180992733298", "--epsilon", "1e-16"],
+            ["--alpha", "0.9", "--r", "-9.718659286687048", "--epsilon", "1e-15"],
+            ["--alpha", "0.5", "--sweep", "300", "--epsilon", "1e-16", "--seed", "0"],
+        ],
+    )
+    def test_reach_decides_near_an_ulp(self, tmp_path, argv):
+        # Valid queries: each must end in a decision, not a traceback.
+        assert main(["reach", *argv, "--out", str(tmp_path)]) == EXIT_OK
+
     def test_bad_alpha(self, tmp_path, capsys):
         assert main(["dist", "--alpha", "3/2", "--t", "2", "--out", str(tmp_path)]) == EXIT_USAGE
         assert "alpha" in capsys.readouterr().err

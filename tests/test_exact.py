@@ -28,7 +28,7 @@ from antlion import (
     support_size,
 )
 from antlion import exact
-from antlion.analysis import _ExactGridCdf, _grid, exact_standardized_cdf
+from antlion.analysis import _ExactGridCdf, _grid, _preimage, exact_standardized_cdf
 from antlion.exact import DIST_HEADER, _exact_order
 from antlion.tables import Table, write_tables
 
@@ -88,6 +88,26 @@ def reduceat_moments(dist):
     mean = sum(w * s for w, s in zip(weights, sums1)) / scale
     ex2 = sum(w * s for w, s in zip(weights, sums2)) / (scale * scale)
     return mean, ex2 - mean * mean
+
+
+def fraction_moments(dist):
+    """Oracle: the moments from each half's sums weighted by ``path_weights``
+    Fractions."""
+    lattice, t, p = dist.entries, dist.t, Fraction(dist.p)
+
+    def half(values, k, weights):
+        sums = [[0, 0] for _ in weights]
+        for v, j in zip(values.tolist(), k.tolist()):
+            sums[j][0] += v
+            sums[j][1] += v * v
+        return tuple(sum(w * s for w, s in zip(weights, column)) for column in zip(*sums))
+
+    high, high2 = half(lattice.high, lattice.high_k, path_weights(p, t - t // 2))
+    low, low2 = half(lattice.low, lattice.low_k, path_weights(p, t // 2))
+    scale = Fraction(dist.scale_denominator)
+    mean = (high + low) / scale
+    var = (high2 + 2 * high * low + low2) / (scale * scale) - mean * mean
+    return (mean, var) if isinstance(dist.p, Fraction) else (float(mean), float(var))
 
 
 def division_bits(numerators, den) -> np.ndarray:
@@ -389,6 +409,76 @@ class TestWordLattice:
             assert np.array_equal(exact._count_at_most(alpha, t, ys), xs.searchsorted(ys, "right"))
 
 
+class TestWordWalkCount:
+    """``_count_at_most`` on a walk of int64 where the scaled lattice needs
+    Python ints (``n^t >= 2^53``), and on both sides of the walk's own
+    ``2^53``."""
+
+    @staticmethod
+    def walk_dtypes(monkeypatch) -> list:
+        """The dtype of each low walk that ``_count_at_most`` reads from now on."""
+        dtypes, halves = [], exact._halves
+
+        def recorded(*args):
+            walks = halves(*args)
+            dtypes.append(walks[1][0].dtype)
+            return walks
+
+        monkeypatch.setattr(exact, "_halves", recorded)
+        return dtypes
+
+    @staticmethod
+    def grid(alpha, t) -> np.ndarray:
+        """The 600 thresholds that ``cvm --mode exact`` counts at."""
+        factor = _ExactGridCdf(Alpha.from_fraction(alpha), t).factor
+        return _preimage(_grid(-3.0, 3.0, 600), factor)
+
+    @pytest.mark.parametrize(
+        "alpha, t",
+        [
+            *((Fraction(9, 10), t) for t in (17, 20, 22)),  # 22: a walk of 15 steps
+            (Fraction(1, 10), 18),  # many equal floats
+            (Fraction(11, 12), 16),
+        ],
+        ids=str,
+    )
+    def test_word_walk_matches_float_law(self, monkeypatch, alpha, t):
+        # About 1000 own positions and the floats below them, which the band
+        # decides, and the CvM grid; each call walks at most 15 steps.
+        assert alpha.denominator**t >= 2**53
+        xs = enumerate_distribution(params(alpha, t=t)).float_law()[0]
+        own = xs[:: xs.size // 997]
+        dtypes = self.walk_dtypes(monkeypatch)
+        for ys in (own, np.nextafter(own, -np.inf), self.grid(alpha, t)):
+            assert np.array_equal(exact._count_at_most(alpha, t, ys), xs.searchsorted(ys, "right"))
+        assert dtypes == [np.int64] * 3
+
+    def test_word_walk_edge_at_the_cap(self, monkeypatch):
+        # At 9/10, t = 24, 600 thresholds take a low half of 16 steps, a walk
+        # of Python ints (10^16 > 2^53), and 75 of them 15 steps, in int64.
+        # Ordering the 2^24 positions would take seconds, so the two walks
+        # check each other on the grid, and on the exact floats of 600 paths
+        # and the floats below them, where the band decides.
+        alpha, t = Fraction(9, 10), 24
+        m, n = alpha.numerator, alpha.denominator
+        steps = exact._path_from_index
+        paths = np.random.default_rng(0).integers(0, 2**t, 600).tolist()
+        scaled = [
+            sum(m ** (t - s) * n ** (s - 1) * xi for s, xi in enumerate(steps(i, t), 1))
+            for i in paths
+        ]
+        own = np.array([s / n ** (t - 1) for s in scaled])
+        dtypes = self.walk_dtypes(monkeypatch)
+        counts = []
+        for ys in (own, np.nextafter(own, -np.inf), self.grid(alpha, t)):
+            whole = exact._count_at_most(alpha, t, ys)
+            parts = [exact._count_at_most(alpha, t, part) for part in np.split(ys, 8)]
+            assert np.array_equal(whole, np.concatenate(parts))
+            counts.append(whole)
+        assert np.all(counts[0] > counts[1])  # a path ends at each own float
+        assert dtypes == ([object] + [np.int64] * 8) * 3
+
+
 class TestSupportSequence:
     # Ties of equal floats at 1/10^6, a full block at 9/10 and a dyadic lattice.
     CASES = [(Fraction(1, 10**6), 12), (Fraction(9, 10), 14), (Fraction(1, 2), 10)]
@@ -580,6 +670,33 @@ class TestCdf:
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
+class TestIntegerWeights:
+    """The int path weights ``a^k (b-a)^(t-k)`` over ``b^t`` against sums
+    weighted by ``path_weights`` Fractions."""
+
+    @given(
+        n=st.integers(2, 30),
+        data=st.data(),
+        p=st.one_of(
+            st.builds(Fraction, st.integers(0, 50), st.integers(1, 50)).filter(lambda p: p <= 1),
+            st.sampled_from([Fraction(0), Fraction(1)]),
+            st.floats(0.0, 1.0),
+        ),
+        t=st.integers(0, 10),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_match_fraction_sums(self, n, data, p, t):
+        alpha = Fraction(data.draw(st.integers(1, n - 1)), n)
+        prm = params(alpha, p=p, t=t)
+        kind = float if isinstance(p, float) else Fraction
+        got = exact_moments(enumerate_distribution(prm))
+        assert got == fraction_moments(enumerate_distribution(prm))
+        assert [type(v) for v in got] == [kind, kind]
+        residence = exact_residence_distribution(prm)
+        assert residence == walk_residence(prm)
+        assert all(type(v) is Fraction for v in residence.values())
+
+
 class TestMoments:
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize(
@@ -747,6 +864,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("t, bound", [(20, 2_750_000), (24, 11_000_000)])
+    def test_count_peak(self, t, bound):
+        # The counting of cvm --mode exact at 9/10 on its 600 thresholds.
+        # Counted on scaled Python-int halves it peaked at 2.68 MB (t = 20)
+        # and 10.7 MB (t = 24); the bounds keep it there.
+        alpha = Fraction(9, 10)
+        ys = TestWordWalkCount.grid(alpha, t)
+        tracemalloc.start()
+        try:
+            exact._count_at_most(alpha, t, ys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_residence_peak(self):
         # 2^20 paths: int8 visit counts and k, int16 cell codes counted a
