@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 from typing import Callable, Mapping, NamedTuple, Union
 
@@ -147,7 +148,7 @@ def simple_rw_exact_cdf(t: int) -> DiscreteCdf:
     if not 1 <= t <= 64:
         raise ValueError("exact simple-RW CDF supports 1 <= t <= 64")
     xs = [(2 * j - t) / math.sqrt(t) for j in range(t + 1)]
-    probs = [float(Fraction(comb(t, j), 2**t)) for j in range(t + 1)]
+    probs = [comb(t, j) / 2**t for j in range(t + 1)]  # int division rounds once
     return DiscreteCdf(xs, probs)
 
 
@@ -202,24 +203,32 @@ class CvmGrid(NamedTuple):
     sq_diff: list
 
 
+# Typed caches: an int and a float bound of equal value can give different
+# grids, since ``m2 - m1`` is exact in int64 and rounded in floats.
+@lru_cache(maxsize=16, typed=True)
 def _grid(m1: float, m2: float, n: int) -> np.ndarray:
     # The same floats as ``m1 + (m2 - m1) * k / n`` point by point, which
-    # overflow to inf as quietly as Python's floats do.
+    # overflow to inf as quietly as Python's floats do. Every law on a grid
+    # shares this array, so it is read-only.
     with np.errstate(over="ignore"):
-        return m1 + (m2 - m1) * np.arange(1, n + 1) / n
+        u = m1 + (m2 - m1) * np.arange(1, n + 1) / n
+    u.flags.writeable = False
+    return u
 
 
-@lru_cache(maxsize=16)
-def _normal_column(m1: float, m2: float, n: int) -> tuple:
-    return tuple(map(normal_cdf, _grid(m1, m2, n).tolist()))
+@lru_cache(maxsize=16, typed=True)
+def _normal_column(m1: float, m2: float, n: int) -> np.ndarray:
+    column = np.array(list(map(normal_cdf, _grid(m1, m2, n).tolist())))
+    column.flags.writeable = False
+    return column
 
 
-def _on_grid(cdf: CdfFn, u: np.ndarray, m1: float, m2: float, n: int) -> list:
+def _on_grid(cdf: CdfFn, u: np.ndarray, m1: float, m2: float, n: int) -> np.ndarray:
     if isinstance(cdf, (DiscreteCdf, _ExactGridCdf)):  # one call for the whole grid
-        return cdf(u).tolist()
+        return cdf(u)
     if cdf is normal_cdf:  # the same column for every law on this grid
-        return list(_normal_column(m1, m2, n))
-    return [float(cdf(x)) for x in u.tolist()]
+        return _normal_column(m1, m2, n)
+    return np.array([float(cdf(x)) for x in u.tolist()])
 
 
 def cvm_grid_table(
@@ -230,8 +239,10 @@ def cvm_grid_table(
     check_cvm_grid(m1, m2, n)
     u = _grid(m1, m2, n)
     fu, fv = _on_grid(cdf_u, u, m1, m2, n), _on_grid(cdf_v, u, m1, m2, n)
-    # Python's square, not numpy's: the two can differ in the last bit.
-    return CvmGrid(u.tolist(), fu, fv, [(a - b) ** 2 for a, b in zip(fu, fv)])
+    # Python's ``(a - b) ** 2`` is libm's pow of ``|a - b|``; numpy's square
+    # and ``d * d`` can differ from it in the last bit.
+    sq_diff = list(map(math.pow, np.abs(fu - fv).tolist(), repeat(2.0)))
+    return CvmGrid(u.tolist(), fu.tolist(), fv.tolist(), sq_diff)
 
 
 def residence_binomial(t: int, p: Union[float, Fraction], num=float) -> list:

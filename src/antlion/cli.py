@@ -13,6 +13,7 @@ cap, 4 resource guard, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -376,7 +377,62 @@ def _cmd_moments(args):
     yield Table("moments", header, transpose(rows, len(header)))
 
 
+_SHARED = {
+    "--alpha": dict(required=True, help="memory parameter, 'm/n' or decimal"),
+    "--p": dict(default="0.5", help="minus-step probability, 'm/n' or decimal"),
+    "--mode": dict(choices=("exact", "mc"), default="exact"),
+    "--n": dict(type=int, default=DEFAULT_WALKERS, help="Monte Carlo walkers"),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(default=".", help="output directory"),
+    "--format": dict(choices=("csv", "json", "gnuplot"), default="csv"),
+    "--t": dict(type=int, required=True),
+}
+_LAW = ("--alpha", "--p", "--mode", "--n", "--seed", "--out", "--format", "--t")
+_OUT = ("--out", "--format")
+
+# name -> (handler, help, shared flags, own arguments), each in --help order.
+COMMANDS = {
+    "dist": (_cmd_dist, "distribution of the walk at a horizon", _LAW, {
+        "--store": dict(choices=("finals", "paths"), default="finals",
+                        help="mc mode: also dump full trajectories (large files)"),
+    }),
+    "cvm": (_cmd_cvm, "CvM distance to the standard normal", ("--mode", "--n", "--seed", *_OUT), {
+        "--targets": dict(default="arw,srw"),
+        "--alpha": dict(default="", help="comma list for the arw target"),
+        "--t": dict(required=True, help="horizons, e.g. '1..15' or '15,60'"),
+        "--grid": dict(default="-3,3,600", help="m1,m2,n"),
+        "--grid-table": dict(action="store_true", dest="grid_table",
+                             help="also write the per-point CDF tabulation"),
+    }),
+    "residence": (_cmd_residence, "positive-side residence time law", _LAW, {}),
+    "reach": (_cmd_reach, "epsilon-reachability of targets", ("--alpha", "--seed", *_OUT), {
+        "--r": dict(type=float, default=None),
+        "--epsilon": dict(type=float, required=True),
+        "--sweep": dict(type=int, default=None, help="number of random targets"),
+    }),
+    "bandit": (_cmd_bandit, "two-armed bandit threshold simulation", ("--seed", *_OUT), {
+        "--alpha": dict(default="1.0"),
+        "--k": dict(type=float, default=1.0),
+        "--delta": dict(type=float, default=1.0),
+        "--omega": dict(type=float, default=1.0),
+        "--pa": dict(type=float, required=True),
+        "--pb": dict(type=float, required=True),
+        "--horizon": dict(type=int, required=True),
+        "--signal": dict(default="normal", help="normal | uniform:lo,hi | ar1:rho"),
+        "--swap-at": dict(type=int, default=None, dest="swap_at"),
+        "--sweep-alphas": dict(default="", dest="sweep_alphas"),
+        "--seeds": dict(type=int, default=1),
+    }),
+    "moments": (_cmd_moments, "closed-form moment table", ("--alpha", "--p", *_OUT), {
+        "--t-max": dict(type=int, required=True, dest="t_max"),
+    }),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it was,
+    and help is laid out for the terminal width at the time it is printed."""
     parser = argparse.ArgumentParser(
         prog="antlion",
         description="Antlion random walk: exact enumeration, Monte Carlo, "
@@ -384,82 +440,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    shared = {
-        "--alpha": dict(required=True, help="memory parameter, 'm/n' or decimal"),
-        "--p": dict(default="0.5", help="minus-step probability, 'm/n' or decimal"),
-        "--mode": dict(choices=("exact", "mc"), default="exact"),
-        "--n": dict(type=int, default=DEFAULT_WALKERS, help="Monte Carlo walkers"),
-        "--seed": dict(type=int, default=0),
-        "--out": dict(default=".", help="output directory"),
-        "--format": dict(choices=("csv", "json", "gnuplot"), default="csv"),
-    }
-
-    def command(name, func, help, *flags):
+    for name, (func, help, flags, arguments) in COMMANDS.items():
         sp = sub.add_parser(name, help=help)
-        for flag in (*flags, "--out", "--format"):
-            sp.add_argument(flag, **shared[flag])
+        for flag in flags:
+            sp.add_argument(flag, **_SHARED[flag])
+        for flag, kwargs in arguments.items():
+            sp.add_argument(flag, **kwargs)
         sp.set_defaults(func=func)
-        return sp
-
-    sp = command(
-        "dist", _cmd_dist, "distribution of the walk at a horizon",
-        "--alpha", "--p", "--mode", "--n", "--seed",
-    )
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument(
-        "--store",
-        choices=("finals", "paths"),
-        default="finals",
-        help="mc mode: also dump full trajectories (large files)",
-    )
-
-    sp = command(
-        "cvm", _cmd_cvm, "CvM distance to the standard normal", "--mode", "--n", "--seed"
-    )
-    sp.add_argument("--targets", default="arw,srw")
-    sp.add_argument("--alpha", default="", help="comma list for the arw target")
-    sp.add_argument("--t", required=True, help="horizons, e.g. '1..15' or '15,60'")
-    sp.add_argument("--grid", default="-3,3,600", help="m1,m2,n")
-    sp.add_argument(
-        "--grid-table",
-        action="store_true",
-        dest="grid_table",
-        help="also write the per-point CDF tabulation",
-    )
-
-    sp = command(
-        "residence", _cmd_residence, "positive-side residence time law",
-        "--alpha", "--p", "--mode", "--n", "--seed",
-    )
-    sp.add_argument("--t", type=int, required=True)
-
-    sp = command("reach", _cmd_reach, "epsilon-reachability of targets", "--alpha", "--seed")
-    sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--sweep", type=int, default=None, help="number of random targets")
-
-    sp = command("bandit", _cmd_bandit, "two-armed bandit threshold simulation", "--seed")
-    sp.add_argument("--alpha", default="1.0")
-    sp.add_argument("--k", type=float, default=1.0)
-    sp.add_argument("--delta", type=float, default=1.0)
-    sp.add_argument("--omega", type=float, default=1.0)
-    sp.add_argument("--pa", type=float, required=True)
-    sp.add_argument("--pb", type=float, required=True)
-    sp.add_argument("--horizon", type=int, required=True)
-    sp.add_argument("--signal", default="normal", help="normal | uniform:lo,hi | ar1:rho")
-    sp.add_argument("--swap-at", type=int, default=None, dest="swap_at")
-    sp.add_argument("--sweep-alphas", default="", dest="sweep_alphas")
-    sp.add_argument("--seeds", type=int, default=1)
-
-    sp = command("moments", _cmd_moments, "closed-form moment table", "--alpha", "--p")
-    sp.add_argument("--t-max", type=int, required=True, dest="t_max")
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         out_dir = Path(args.out)

@@ -1,0 +1,102 @@
+"""Record ``golden.json``: the sha256 of every data file each golden command
+writes (``<cmd>_manifest.json`` left out: it holds a clock reading).
+
+The golden commands are every command of the README CLI block, in each of
+the three formats, and the exact ``dist`` and ``cvm`` points at the edges of
+the word-size lattices. ``test_golden.py`` reruns them and compares digests.
+
+The table defines correct output, so record it only at a commit whose
+outputs are known to be right, and state in CHANGES.md why any digest
+changed. Each command runs twice and must exit 0 with identical bytes both
+times. Run from the repository root, never from a test:
+
+    python3 tests/record_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import re
+import shlex
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden.json"
+FORMATS = ("csv", "json", "gnuplot")
+
+# 9/10 at t = 15 is the last int64 lattice and t = 16 the first of Python
+# ints; the halves of 999999/1000000 cancel; 1/2 at t = 18 is a large
+# int64 lattice; the grid table prints every grid value of two laws.
+EXACT_POINTS = (
+    "dist --alpha 9/10 --t 15 --mode exact",
+    "dist --alpha 9/10 --t 16 --mode exact",
+    "dist --alpha 999999/1000000 --t 12 --mode exact",
+    "dist --alpha 1/2 --t 18 --mode exact",
+    "cvm --targets arw,srw --alpha 9/10 --t 12 --mode exact --grid-table",
+)
+
+
+def code_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under the README's ``## heading``."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(f"## {heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def readme_commands() -> list:
+    """The README CLI block's commands, ``antlion`` and ``--out`` dropped."""
+    commands = []
+    for line in code_block("CLI", "sh").splitlines():
+        program, *argv = shlex.split(line, comments=True)
+        out = argv.index("--out")
+        del argv[out : out + 2]
+        commands.append(" ".join(argv))
+    return commands
+
+
+def golden_commands() -> list:
+    return [f"{cmd} --format {fmt}" for cmd in readme_commands() for fmt in FORMATS] + list(
+        EXACT_POINTS
+    )
+
+
+def run(main, command: str, out_dir: Path) -> tuple:
+    """``(exit code, {data file name: sha256})`` of one command run into the
+    empty directory ``out_dir``."""
+    code = main([*command.split(), "--out", str(out_dir)])
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.iterdir())
+        if not path.name.endswith("_manifest.json")
+    }
+    return code, digests
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from antlion.cli import main as cli_main
+
+    golden = {}
+    work = Path(tempfile.mkdtemp(prefix="antlion-golden-"))
+    try:
+        for i, command in enumerate(golden_commands()):
+            first = run(cli_main, command, work / f"{i}a")
+            second = run(cli_main, command, work / f"{i}b")
+            if first[0] != 0 or first != second:
+                print(f"record_golden: not reproducible: antlion {command}", file=sys.stderr)
+                return 1
+            golden[command] = first[1]
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    with open(GOLDEN, "w") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"record_golden: {len(golden)} commands")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

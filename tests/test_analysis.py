@@ -149,6 +149,30 @@ class TestCvmDistance:
         res = cvm_distance(u, point, m1=0.0, m2=1.0, n=4)
         assert res.distance == pytest.approx(0.09375, abs=1e-15)
 
+    def test_squares_as_python_does(self):
+        # Python's (a - b) ** 2 is libm's pow, which differs in the last bit
+        # from a correctly rounded square (np.square, d * d) on some values:
+        # the table keeps Python's.
+        rng = np.random.default_rng(0)
+        a, b = rng.random(10**5), rng.random(10**5)
+        python = np.array([(x - y) ** 2 for x, y in zip(a.tolist(), b.tolist())])
+        pick = np.square(a - b) != python
+        assert pick.sum() >= 20
+        a, b, n = a[pick].tolist(), b[pick].tolist(), int(pick.sum())
+        grid = cvm_grid_table(lambda u: a[int(u) - 1], lambda u: b[int(u) - 1], 0.0, n, n)
+        assert grid.sq_diff == python[pick].tolist()
+
+    def test_int_and_float_bounds_keep_their_own_grids(self):
+        # 2**53 + 1 is exact as an int and rounds to 2**53 as a float, so the
+        # last grid point differs; the grid cache must not hand one to the other.
+        def last_u(m1, m2):
+            return cvm_grid_table(normal_cdf, normal_cdf, m1, m2, 3).u[-1]
+
+        fresh = last_u(-(2**53), 1), last_u(-(2.0**53), 1.0)
+        assert fresh == (2.0, 0.0)
+        assert (last_u(-(2**53), 1), last_u(-(2.0**53), 1.0)) == fresh
+        assert (last_u(-(2.0**53), 1.0), last_u(-(2**53), 1)) == fresh[::-1]
+
     def test_grid_table_matches_distance(self):
         u = uniform_cdf(-1.0, 1.0)
         grid = cvm_grid_table(u, normal_cdf, -3.0, 3.0, 600)

@@ -427,6 +427,48 @@ class TestFormattedOnce:
         assert peak < column_text / 2
 
 
+class TestParser:
+    """``main`` reuses one parser per process; after any number of parses it
+    must exit, print and parse as a freshly built parser does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([name, "-h"] for name in cli.COMMANDS),
+            ["-h"],
+            ["-h", "dist"],
+            ["--version"],
+            [],
+            ["bogus"],
+            ["--out", "dist", "cvm"],
+            ["dist", "--alpha", "1/2", "--t", "3", "--bogus"],
+            ["dist", "--alpha", "1/2", "--version"],
+            ["cvm", "--alpha", "1/2"],
+            ["residence", "--alpha", "1/2", "--t", "3", "--mode", "both"],
+        ],
+        ids=" ".join,
+    )
+    @pytest.mark.parametrize("columns", ["60", "120"])
+    def test_exits_as_a_fresh_parser(self, tmp_path, capsys, monkeypatch, argv, columns):
+        assert main(["moments", "--alpha", "1/2", "--t-max", "2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("COLUMNS", columns)
+        outcomes = []
+        for parse in (main, cli.build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            outcomes.append((exc.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] or outcomes[0][2]
+
+    def test_one_full_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+        (sub,) = [a for a in cli.build_parser()._actions if a.dest == "subcommand"]
+        assert list(sub.choices) == list(cli.COMMANDS) == [
+            "dist", "cvm", "residence", "reach", "bandit", "moments"
+        ]
+
+
 class TestErrors:
     def test_sweep_guards(self, tmp_path, capsys):
         # About 3e5 greedy levels for each of 1000 targets: 3e8 witness

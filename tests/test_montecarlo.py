@@ -181,6 +181,43 @@ class TestEcdf:
             assert float(e(x)) == pytest.approx(exact.cdf(x), abs=0.01)
 
 
+class TestAgainstExactLaw:
+    """Monte Carlo's empirical CDF against the exact CDF, over the whole law.
+
+    By the Dvoretzky-Kiefer-Wolfowitz inequality with Massart's constant,
+    ``P(sup |F_n - F| > e) <= 2 exp(-2 n e^2)``: a correct engine exceeds
+    ``e`` below with probability ``DELTA``, so at a fixed seed a failure
+    points at a bug. Monte Carlo walks at alpha's float, so its finals sit
+    within a rounding drift of the exact support; between two support
+    points both CDFs are flat, so they are compared at the midpoints.
+    """
+
+    N = 100_000
+    DELTA = 1e-9
+
+    @pytest.mark.parametrize(
+        "alpha, p, t",
+        [
+            (Fraction(9, 10), Fraction(1, 2), 12),
+            (Fraction(999, 1000), Fraction(1, 2), 12),
+            (Fraction(1, 10), Fraction(1, 3), 12),
+            (Fraction(2, 7), Fraction(3, 4), 12),
+            (Fraction(1, 2), Fraction(1, 2), 16),
+        ],
+        ids=str,
+    )
+    def test_cdf_within_dkw_bound(self, alpha, p, t):
+        dist = enumerate_distribution(WalkParams(alpha=Alpha.from_fraction(alpha), p=p, t=t))
+        xs, _ = dist.float_law()
+        finals = simulate(params(float(alpha), float(p), t), n_walkers=self.N, seed=0).finals
+        nearest = np.clip(np.searchsorted(xs, finals), 1, xs.size - 1)
+        drift = np.minimum(abs(finals - xs[nearest - 1]), abs(xs[nearest] - finals)).max()
+        assert 100 * drift < np.diff(xs).min()
+        mids = (xs[1:] + xs[:-1]) / 2
+        sup = np.abs(Ecdf(finals)(mids) - dist.cdf(mids)).max()
+        assert sup <= math.sqrt(math.log(2 / self.DELTA) / (2 * self.N))
+
+
 class TestResidenceTimes:
     def test_all_positive_when_p_zero(self):
         batch = simulate(params(0.5, p=0.0, t=12), n_walkers=50, seed=1, mode="paths")

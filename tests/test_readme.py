@@ -6,20 +6,12 @@ Runs against whichever ``antlion`` is importable: the source tree under
 
 import csv
 import json
-import re
 import shlex
 from fractions import Fraction
-from pathlib import Path
 
 from antlion import Ecdf, ExactDistribution, ReachResult, TrajectoryBatch
 from antlion.cli import main
-
-README = Path(__file__).resolve().parent.parent / "README.md"
-
-
-def code_block(heading: str, language: str) -> str:
-    section = README.read_text(encoding="utf-8").split(f"## {heading}\n", 1)[1]
-    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
+from record_golden import code_block
 
 
 def test_quick_tour_runs():
