@@ -124,11 +124,11 @@ def _parse_signal(text: str):
     kind, _, rest = text.partition(":")
     if kind == "normal":
         return NormalSignal()
-    if kind == "uniform":
-        lo, _, hi = rest.partition(",")
-        return UniformSignal(int(lo or -5), int(hi or 5))
+    if kind == "uniform":  # a field left out keeps the signal's own default
+        low, _, high = rest.partition(",")
+        return UniformSignal(**{k: int(v) for k, v in (("low", low), ("high", high)) if v})
     if kind == "ar1":
-        return Ar1Signal(float(rest or -0.7))
+        return Ar1Signal(**({"rho": float(rest)} if rest else {}))
     raise ValueError(f"unknown signal source {text!r}")
 
 

@@ -171,8 +171,8 @@ class PathLattice(Sequence):
     numerator, a Python int computed from the halves when read (an object
     array for slices and index arrays), and iteration computes ``_BLOCK``
     of them at a time.
-    Its length is ``2^t``, read off the halves; membership and ``count``
-    are ``index``, a binary search.
+    Its length is ``2^t``, read off the halves; ``index`` is a binary
+    search, while membership and ``count`` are the ``Sequence`` scans.
     """
 
     def __init__(self, high, high_k, low, low_k, den: int):
@@ -220,16 +220,6 @@ class PathLattice(Sequence):
             return int(lo) + self[lo:hi].tolist().index(scaled)
         except (OverflowError, TypeError, ValueError):
             raise ValueError(f"{scaled!r} is not a numerator of the support") from None
-
-    def __contains__(self, scaled) -> bool:
-        try:
-            self.index(scaled)
-        except ValueError:
-            return False
-        return True
-
-    def count(self, scaled) -> int:
-        return int(scaled in self)  # no two paths share a position
 
 
 def _halves(alpha: Fraction, t: int, h: int) -> tuple:

@@ -68,9 +68,9 @@ class TrajectoryBatch:
 
     ``positions`` is ``(n_walkers,)`` in finals and residence mode and
     ``(n_walkers, t+1)`` in paths mode with column 0 holding the common start
-    at 0. ``nonneg_steps`` is set in residence mode only: per walker, the
-    number of steps ``s in 1..t`` with ``X_s >= 0``. Treat both as
-    immutable; batches are shared freely.
+    at 0. ``nonneg_steps`` is set in paths and residence mode, counted by
+    the walk itself: per walker, the number of steps ``s in 1..t`` with
+    ``X_s >= 0``. Treat both as immutable; batches are shared freely.
     """
 
     params: WalkParams
@@ -117,17 +117,19 @@ def _simulate_blocks(claim, seed, a, p, t, finals, paths, counts) -> None:
     Each call owns its tile buffers. ``random_raw((m, STREAM_CHUNK))``
     consumes a chunk's stream exactly like ``m`` draws of ``STREAM_CHUNK``
     words each, so a tile of ``m`` steps sees the same words as ``m`` single
-    steps. Every alpha ``a[j, 0]`` takes the tile's steps, walked in place in
-    row ``j`` of ``finals``. With one alpha and ``paths`` or ``counts``, row
-    ``r`` of a position tile is written as ``a`` times row ``r - 1`` plus
-    step ``r``; ``paths`` gets every position from it and ``counts`` the
-    block's non-negative-step counts.
+    steps. One loop walks every mode: step ``r`` writes ``a`` times the
+    walk so far plus step ``r`` into the walk's next home. Without
+    ``counts`` that is the block's own columns of ``finals``, in place,
+    alpha ``a[j, 0]`` in row ``j``. With ``counts`` (one alpha) it is row
+    ``r`` of a position tile, computed from row ``r - 1``; each filled tile
+    adds its non-negative positions to ``counts`` and, given ``paths``, is
+    copied into it. The block's last position goes to ``finals`` once.
     """
     n = finals.shape[1]
     minus = _minus_threshold(p)
     below = None if minus >> 64 else np.uint64(minus)  # None at p = 1
     xi = np.empty(_TILE * STREAM_CHUNK)
-    xs = None if paths is None and counts is None else np.empty(_TILE * STREAM_CHUNK)
+    xs = None if counts is None else np.empty(_TILE * STREAM_CHUNK)
     while (chunks := claim()) is not None:
         start = chunks.start * STREAM_CHUNK
         stop = min(chunks.stop * STREAM_CHUNK, n)
@@ -136,7 +138,6 @@ def _simulate_blocks(claim, seed, a, p, t, finals, paths, counts) -> None:
         depth = _TILE // len(chunks)
         x = finals[:, start:stop]
         x.fill(0.0)
-        last = x[0]
         for s0 in range(0, t, depth):
             m = min(depth, t - s0)
             step = xi[: m * width].reshape(m, width)
@@ -153,36 +154,30 @@ def _simulate_blocks(claim, seed, a, p, t, finals, paths, counts) -> None:
                 del words  # before the next chunk's words are drawn
             step *= -2.0
             step += 1.0  # exactly -1.0 where the word is below, +1.0 elsewhere
-            if xs is None:
-                for r in range(m):
-                    x *= a
-                    x += step[r]
-                continue
-            tile = xs[: m * width].reshape(m, width)
+            tile = (x,) * m if xs is None else xs[: m * width].reshape(m, 1, width)
             for r in range(m):
-                np.multiply(last, a[0, 0], out=tile[r])
-                tile[r] += step[r]
-                last = tile[r]
+                x = np.multiply(x, a, out=tile[r])
+                x += step[r]
             if paths is not None:
-                paths[start:stop, s0 + 1 : s0 + m + 1] = tile.T
+                paths[start:stop, s0 + 1 : s0 + m + 1] = tile[:, 0].T
             if counts is not None:
-                counts[start:stop] += (tile >= 0.0).sum(axis=0)
-        x[0] = last  # a copy of itself in finals mode
-        if paths is not None:
-            paths[start:stop, 0] = 0.0
+                counts[start:stop] += (tile[:, 0] >= 0.0).sum(axis=0)
+        finals[:, start:stop] = x  # a copy of itself in finals mode
 
 
 def _walk(alphas, p: float, t: int, n_walkers: int, seed: int, mode: str = "finals"):
     """Walk ``n_walkers`` walkers at every alpha on worker threads; return
     the ``(k, n_walkers)`` finals, the paths (``mode="paths"``) or None and
-    the non-negative-step counts (``mode="residence"``) or None."""
+    the non-negative-step counts (paths and residence mode) or None."""
     if n_walkers < 1:
         raise ValueError("n_walkers must be at least 1")
     check_elements(n_walkers * (t + 1), f"{n_walkers} walkers over {t + 1} positions")
     check_elements(n_walkers * len(alphas), f"{n_walkers} walkers at {len(alphas)} alphas")
     finals = np.empty((len(alphas), n_walkers))
     paths = np.empty((n_walkers, t + 1)) if mode == "paths" else None
-    counts = np.zeros(n_walkers, dtype=np.int64) if mode == "residence" else None
+    if paths is not None:
+        paths[:, 0] = 0.0
+    counts = None if mode == "finals" else np.zeros(n_walkers, dtype=np.int64)
     a = np.array(alphas, dtype=np.float64)[:, None]
     n_chunks = -(-n_walkers // STREAM_CHUNK)
     # Paths are written a tile of columns at a time, row by row: one-chunk
@@ -223,8 +218,9 @@ def simulate(
     """Simulate ``n_walkers`` independent walks from ``X_0 = 0``.
 
     ``mode`` is ``"finals"`` (final positions only), ``"paths"`` (every
-    intermediate position) or ``"residence"`` (final positions plus each
-    walker's count of non-negative steps, without the path matrix).
+    intermediate position) or ``"residence"`` (final positions only). Paths
+    and residence batches also carry each walker's count of non-negative
+    steps, which residence mode gets without the path matrix.
     Identical inputs produce bit-identical batches.
     """
     if mode not in _MODES:
@@ -282,13 +278,10 @@ def empirical_cdf(batch: TrajectoryBatch) -> Ecdf:
 
 
 def residence_times(batch: TrajectoryBatch) -> np.ndarray:
-    """Per-walker count of steps ``s in 1..t`` with ``X_s >= 0``.
-
-    Requires a residence-mode or paths-mode batch; finals-only batches lack
-    the intermediate positions.
+    """Per-walker count of steps ``s in 1..t`` with ``X_s >= 0``: the
+    batch's ``nonneg_steps``, which the walk counts in residence and paths
+    mode. Finals-only batches never see the intermediate positions.
     """
-    if batch.mode == "residence":
-        return batch.nonneg_steps
-    if batch.mode != "paths":
+    if batch.nonneg_steps is None:
         raise ValueError("residence_times requires a residence-mode or paths-mode batch")
-    return (batch.positions[:, 1:] >= 0.0).sum(axis=1)
+    return batch.nonneg_steps

@@ -22,7 +22,7 @@ from antlion.analysis import (
     standardize_arw,
     standardize_srw,
 )
-from antlion.bandit import BanditConfig, UniformSignal, run_bandit, sweep_alpha
+from antlion.bandit import Ar1Signal, BanditConfig, UniformSignal, run_bandit, sweep_alpha
 from antlion.cli import EXIT_HORIZON, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from antlion.core import Alpha, WalkParams, closed_form_mean, closed_form_variance
 from antlion.exact import DIST_HEADER, enumerate_distribution, exact_residence_distribution
@@ -912,6 +912,27 @@ class TestBandit:
         assert code == EXIT_OK
         rows = read_csv(tmp_path / "bandit_trace.csv")
         assert all(float(r[1]) == int(float(r[1])) for r in rows[1:])
+
+    @pytest.mark.parametrize(
+        "text, signal",
+        [
+            ("uniform", UniformSignal()),
+            ("uniform:", UniformSignal()),
+            ("uniform:-3", UniformSignal(-3, 5)),
+            ("uniform:,3", UniformSignal(-5, 3)),
+            ("uniform:-3,3", UniformSignal(-3, 3)),
+            ("ar1", Ar1Signal()),
+            ("ar1:-0.5", Ar1Signal(-0.5)),
+        ],
+    )
+    def test_signal_spellings(self, text, signal):
+        assert cli._parse_signal(text) == signal
+
+    def test_bad_signal_bound_is_a_usage_error(self, tmp_path, capsys):
+        argv = ["bandit", "--pa", "0.5", "--pb", "0.5", "--horizon", "10", "--signal", "uniform:a"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'a'" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("window", [5, 1000])
     def test_summary_reads_the_last_window(self, tmp_path, monkeypatch, window):

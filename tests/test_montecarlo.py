@@ -2,6 +2,8 @@
 
 import math
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from antlion import (
     closed_form_variance,
     empirical_cdf,
     enumerate_distribution,
+    exact_residence_distribution,
     residence_times,
     simulate,
     simulate_finals,
@@ -182,30 +185,31 @@ class TestEcdf:
 
 
 class TestAgainstExactLaw:
-    """Monte Carlo's empirical CDF against the exact CDF, over the whole law.
+    """Monte Carlo against the exact laws: the CDF of the finals and the law
+    of the residence time.
 
     By the Dvoretzky-Kiefer-Wolfowitz inequality with Massart's constant,
     ``P(sup |F_n - F| > e) <= 2 exp(-2 n e^2)``: a correct engine exceeds
     ``e`` below with probability ``DELTA``, so at a fixed seed a failure
     points at a bug. Monte Carlo walks at alpha's float, so its finals sit
     within a rounding drift of the exact support; between two support
-    points both CDFs are flat, so they are compared at the midpoints.
+    points both CDFs are flat, so they are compared at the midpoints. The
+    residence time takes ``t + 1`` values, so by the Bretagnolle-Huber-Carol
+    inequality its total-variation distance exceeds ``e`` with probability
+    at most ``2^(t+1) exp(-2 n e^2)``.
     """
 
     N = 100_000
     DELTA = 1e-9
+    LAWS = [
+        (Fraction(9, 10), Fraction(1, 2), 12),
+        (Fraction(999, 1000), Fraction(1, 2), 12),
+        (Fraction(1, 10), Fraction(1, 3), 12),
+        (Fraction(2, 7), Fraction(3, 4), 12),
+        (Fraction(1, 2), Fraction(1, 2), 16),
+    ]
 
-    @pytest.mark.parametrize(
-        "alpha, p, t",
-        [
-            (Fraction(9, 10), Fraction(1, 2), 12),
-            (Fraction(999, 1000), Fraction(1, 2), 12),
-            (Fraction(1, 10), Fraction(1, 3), 12),
-            (Fraction(2, 7), Fraction(3, 4), 12),
-            (Fraction(1, 2), Fraction(1, 2), 16),
-        ],
-        ids=str,
-    )
+    @pytest.mark.parametrize("alpha, p, t", LAWS, ids=str)
     def test_cdf_within_dkw_bound(self, alpha, p, t):
         dist = enumerate_distribution(WalkParams(alpha=Alpha.from_fraction(alpha), p=p, t=t))
         xs, _ = dist.float_law()
@@ -216,6 +220,15 @@ class TestAgainstExactLaw:
         mids = (xs[1:] + xs[:-1]) / 2
         sup = np.abs(Ecdf(finals)(mids) - dist.cdf(mids)).max()
         assert sup <= math.sqrt(math.log(2 / self.DELTA) / (2 * self.N))
+
+    @pytest.mark.parametrize("mode", ["residence", "paths"])
+    @pytest.mark.parametrize("alpha, p, t", LAWS, ids=str)
+    def test_residence_within_tv_bound(self, alpha, p, t, mode):
+        law = exact_residence_distribution(WalkParams(alpha=Alpha.from_fraction(alpha), p=p, t=t))
+        batch = simulate(params(float(alpha), float(p), t), n_walkers=self.N, seed=0, mode=mode)
+        freq = np.bincount(residence_times(batch), minlength=t + 1) / self.N
+        tv = sum(abs(f - float(law[j])) for j, f in enumerate(freq)) / 2
+        assert tv < math.sqrt(((t + 1) * math.log(2) + math.log(1 / self.DELTA)) / (2 * self.N))
 
 
 class TestResidenceTimes:
@@ -266,12 +279,14 @@ def simulate_with_workers(monkeypatch, workers: int, *args, **kwargs):
 def assert_matches_reference(prm: WalkParams, n: int, seed: int) -> None:
     """All three modes of ``simulate`` against ``reference_simulate``."""
     expected = reference_simulate(prm, n, seed)
+    counts = (expected[:, 1:] >= 0.0).sum(axis=1)
     paths = simulate(prm, n_walkers=n, seed=seed, mode="paths")
     assert np.array_equal(paths.positions, expected)
+    assert np.array_equal(residence_times(paths), counts)
     assert np.array_equal(simulate(prm, n_walkers=n, seed=seed).positions, expected[:, -1])
     res = simulate(prm, n_walkers=n, seed=seed, mode="residence")
     assert np.array_equal(res.positions, expected[:, -1])
-    assert np.array_equal(residence_times(res), (expected[:, 1:] >= 0.0).sum(axis=1))
+    assert np.array_equal(residence_times(res), counts)
 
 
 class TestRawWords:
@@ -353,7 +368,7 @@ class TestWorkers:
         ]
         for batch in runs[1:]:
             assert np.array_equal(batch.positions, runs[0].positions)
-            if mode == "residence":
+            if mode != "finals":
                 assert np.array_equal(batch.nonneg_steps, runs[0].nonneg_steps)
 
     @pytest.mark.parametrize("mode", ["finals", "paths", "residence"])
@@ -376,7 +391,7 @@ class TestWorkers:
             batch = simulate_with_workers(monkeypatch, workers, prm, n_walkers=n, seed=8, mode=mode)
             want = expected if mode == "paths" else expected[:, -1]
             assert np.array_equal(batch.positions, want), workers
-            if mode == "residence":
+            if mode != "finals":
                 assert np.array_equal(batch.nonneg_steps, counts), workers
 
     def test_many_workers_with_short_switch_interval(self, monkeypatch):
@@ -406,6 +421,31 @@ class TestWorkers:
                 simulate_with_workers(
                     monkeypatch, workers, params(0.5, t=5), n_walkers=4 * STREAM_CHUNK, seed=1
                 )
+
+    def test_failing_block_stops_the_walk(self, monkeypatch):
+        stream = montecarlo.philox_stream
+        drawn = []
+
+        def failing(seed, *spawn_key):
+            drawn.append(spawn_key[0])
+            if spawn_key == (2,):
+                time.sleep(0.05)  # so that with 4 workers the second block is claimed
+                raise MemoryError("chunk 2")
+            if spawn_key == (4,):
+                time.sleep(0.1)  # and still walked when the first block fails
+            return stream(seed, *spawn_key)
+
+        monkeypatch.setattr(montecarlo, "philox_stream", failing)
+        prm = params(0.5, t=5)
+        # Two blocks of four chunks: the first fails, so the second is never claimed.
+        with pytest.raises(MemoryError, match="chunk 2"):
+            simulate_with_workers(monkeypatch, 1, prm, n_walkers=8 * STREAM_CHUNK, seed=1)
+        assert not set(drawn) & set(range(4, 8))
+        # Every worker is joined before the error reaches the caller.
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="chunk 2"):
+            simulate_with_workers(monkeypatch, 4, prm, n_walkers=8 * STREAM_CHUNK, seed=1)
+        assert threading.active_count() == threads
 
     def test_worker_count_follows_affinity(self, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
