@@ -174,7 +174,7 @@ def cvm_distance(
     The sum runs over the squared differences of :func:`cvm_grid_table` in
     grid order (fsum), so results do not depend on evaluation scheduling.
     """
-    return cvm_from_grid(cvm_grid_table(cdf_u, cdf_v, m1, m2, n), m1, m2, n)
+    return cvm_from_grid(_tabulate(cdf_u, cdf_v, m1, m2, n), m1, m2, n)
 
 
 def cvm_from_grid(grid: "CvmGrid", m1: float, m2: float, n: int) -> CvmResult:
@@ -231,17 +231,22 @@ def _on_grid(cdf: CdfFn, u: np.ndarray, m1: float, m2: float, n: int) -> np.ndar
     return np.array([float(cdf(x)) for x in u.tolist()])
 
 
-def cvm_grid_table(
-    cdf_u: CdfFn, cdf_v: CdfFn, m1: float = -3.0, m2: float = 3.0, n: int = 600
-) -> CvmGrid:
-    """Columns ``u_k, F_U(u_k), F_V(u_k)`` and the squared differences, at
-    ``u_k = m1 + (m2 - m1) k / n`` for ``k = 1..n``."""
+def _tabulate(cdf_u: CdfFn, cdf_v: CdfFn, m1: float, m2: float, n: int) -> CvmGrid:
+    """:func:`cvm_grid_table`'s grid, its first three columns left as arrays."""
     check_cvm_grid(m1, m2, n)
     u = _grid(m1, m2, n)
     fu, fv = _on_grid(cdf_u, u, m1, m2, n), _on_grid(cdf_v, u, m1, m2, n)
     # Python's ``(a - b) ** 2`` is libm's pow of ``|a - b|``; numpy's square
     # and ``d * d`` can differ from it in the last bit.
-    sq_diff = list(map(math.pow, np.abs(fu - fv).tolist(), repeat(2.0)))
+    return CvmGrid(u, fu, fv, list(map(math.pow, np.abs(fu - fv).tolist(), repeat(2.0))))
+
+
+def cvm_grid_table(
+    cdf_u: CdfFn, cdf_v: CdfFn, m1: float = -3.0, m2: float = 3.0, n: int = 600
+) -> CvmGrid:
+    """Columns ``u_k, F_U(u_k), F_V(u_k)`` and the squared differences, at
+    ``u_k = m1 + (m2 - m1) k / n`` for ``k = 1..n``."""
+    u, fu, fv, sq_diff = _tabulate(cdf_u, cdf_v, m1, m2, n)
     return CvmGrid(u.tolist(), fu.tolist(), fv.tolist(), sq_diff)
 
 

@@ -466,6 +466,8 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, ResourceLimitError, OSError) as exc:
         print(f"antlion: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    finally:
+        exact._level.cache_clear()  # no level walk outlives its command
     return EXIT_OK
 
 

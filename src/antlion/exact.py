@@ -13,7 +13,8 @@ t // 2``, ``S`` of path ``i * 2^h + j`` is ``high[i] + low[j]``: the first
 while ``n^t < 2^53`` (exact doubles too), Python ints past it. Nothing
 over all ``2^t`` paths is built eagerly; the moments use that the two
 halves are independent. ``_halves`` alone picks the two walks, which
-``_path_lattice`` scales, and ``_levels`` alone walks levels.
+``_path_lattice`` scales; each is a level of one cached walk per alpha
+(``_level``), shared by the horizons of a command.
 
 The support is ordered when first read, by a sort of the exactly rounded
 positions ``S / n^(t-1)``, divided a block of paths at a time: in int64
@@ -23,7 +24,8 @@ only points with equal floats can be out of order, and those are sorted on
 their ints, the only ``S`` the ordering computes.
 No array of all ``2^t`` ints is built; the lattice computes each ``S`` read.
 ``_count_at_most`` counts the positions at or below given floats on the
-unscaled walks of an uneven split and never orders the support.
+unscaled walks of an uneven split, on int64 walks wherever a split allows
+them, and never orders the support.
 Distinct paths land on distinct positions for rational alpha in (0, 1), and
 a tie raises. The probability of a point is entry ``k`` of the ``t + 1``
 path weights ``p^k (1-p)^(t-k)``, so the law is exact for any step
@@ -37,7 +39,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -96,23 +98,34 @@ def _check_cap(t: int) -> None:
         )
 
 
-def _levels(m: Union[int, float], n: int, t: int):
-    """Yield ``(S, k)`` of all ``s``-step paths for ``s = 0..t``, in path-index
-    order, by doubling: step ``s`` is the new top index bit. An int ``m``
-    gives the exact numerators, in int64 if ``n^t < 2^53`` (``|S_s| < n^s``,
-    as ``m < n``) and as Python ints otherwise; a float ``m`` with ``n = 1``
-    gives the float positions, each ``m * x +- 1`` rounded once."""
-    exact = np.int64 if n**t < 2**53 else object
-    scaled = np.zeros(1, dtype=float if isinstance(m, float) else exact)
-    k = np.zeros(1, dtype=np.int8)  # t < 128: 2^t paths never fit otherwise
-    yield scaled, k
-    weight = 1  # n^(s-1) at step s
-    for _ in range(t):
-        base = m * scaled
-        scaled = np.concatenate([base + weight, base - weight])
-        k = np.concatenate([k, k + 1])
-        weight *= n
-        yield scaled, k
+def _double(m, scaled: np.ndarray, k: np.ndarray, weight) -> tuple:
+    """``(S, k)`` of all ``s``-step paths in path-index order, from those of
+    the ``s - 1``-step paths and ``weight = n^(s-1)``: step ``s`` is the new
+    top index bit. On floats (``weight = 1``) each ``m x +- 1`` rounds once."""
+    base = m * scaled
+    return np.concatenate([base + weight, base - weight]), np.concatenate([k, k + 1])
+
+
+@lru_cache(maxsize=16)
+def _level(m: int, n: int, s: int) -> tuple:
+    """``(S, k)`` of all ``s``-step paths of ``alpha = m/n``, read-only: level
+    ``s - 1`` of this cache doubled once, ``S`` in int64 while ``n^s < 2^53``
+    (``|S| < n^s``, as ``m < n``) and Python ints past it. The horizons of a
+    command share its levels, and ``cli.main`` empties it when the command
+    ends. A library caller keeps the 16 levels last read, at 9 bytes a path
+    in int64 and up to about 60 in Python ints: at most about 10 and 60 MB
+    where no level exceeds 2^16 paths, as for a 600-point CvM grid at ``t
+    <= 24``.
+    """
+    if s == 0:  # k fits int8: 2^t paths never fit for t >= 128
+        scaled, k = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int8)
+    else:
+        scaled, k = _level(m, n, s - 1)
+        if n**s >= 2**53:
+            scaled = scaled.astype(object, copy=False)
+        scaled, k = _double(m, scaled, k, n ** (s - 1))
+    scaled.flags.writeable = k.flags.writeable = False
+    return scaled, k
 
 
 # Paths handled per block: a block's temporaries, Python ints and floats stay small.
@@ -223,10 +236,13 @@ class PathLattice(Sequence):
 
 
 def _halves(alpha: Fraction, t: int, h: int) -> tuple:
-    """The unscaled walks ``(S, k)`` of the last ``t - h`` and first ``h`` steps."""
-    walk = enumerate(_levels(alpha.numerator, alpha.denominator, max(h, t - h)))
-    levels = {s: level for s, level in walk if s in (h, t - h)}  # only the two halves kept
-    return levels[t - h], levels[h]
+    """The unscaled walks ``(S, k)`` of the last ``t - h`` and first ``h``
+    steps: both of Python ints if ``n^max(h, t-h) >= 2^53``, else int64."""
+    m, n = alpha.numerator, alpha.denominator
+    (high, high_k), (low, low_k) = _level(m, n, t - h), _level(m, n, h)
+    if n ** max(h, t - h) >= 2**53:
+        high, low = high.astype(object, copy=False), low.astype(object, copy=False)
+    return (high, high_k), (low, low_k)
 
 
 def _path_lattice(alpha: Fraction, t: int, _low_steps: Optional[int] = None) -> PathLattice:
@@ -251,7 +267,8 @@ def _count_at_most(alpha: Fraction, t: int, ys) -> np.ndarray:
     top high[i] + bottom low[j]`` of ``_halves``' walks, ``top = n^h`` and
     ``bottom = m^(t-h)``. The low half takes ``h = ceil((t + log2 len(ys)) /
     2) - 1`` steps, one fewer than balances sorting it against the
-    ``len(high) * len(ys)`` (row, ``y``) queries, as those are vectorised.
+    ``len(high) * len(ys)`` (row, ``y``) queries, as those are vectorised,
+    or fewer if that is the deepest split whose walks both fit int64.
     On an int64 walk (``n^max(h, t-h) < 2^53``) ``H = fl(high / (den /
     top))`` rounds once and ``L = fl(low * fl(bottom / den))`` twice; on
     Python ints both are ``fl(half / den)`` of the scaled half. The low half
@@ -281,9 +298,10 @@ def _count_at_most(alpha: Fraction, t: int, ys) -> np.ndarray:
     """
     ys = np.asarray(ys, dtype=float)
     h = min(t, max(0, math.ceil((t + math.log2(max(ys.size, 1))) / 2) - 1))
+    m, n = alpha.numerator, alpha.denominator
+    h = next((s for s in range(h, -1, -1) if n ** max(s, t - s) < 2**53), h)
     (high, _), (low, _) = _halves(alpha, t, h)
-    top, bottom = alpha.denominator**h, alpha.numerator ** (t - h)
-    den = alpha.denominator ** max(t - 1, 0)
+    top, bottom, den = n**h, m ** (t - h), n ** max(t - 1, 0)
     scaled = low.dtype == object  # Python ints; at h = t, den / top is 1/n and high is [0]
     high_x = (top * high / den).astype(float) if scaled else high / (den / top)
     low_x = (bottom * low / den).astype(float) if scaled else low * (bottom / den)
@@ -299,15 +317,16 @@ def _count_at_most(alpha: Fraction, t: int, ys) -> np.ndarray:
     margin += np.abs(high_x)[:, None] + low_max
     margin *= 2.0**-50
     margin += 2.0**-1070
-    sure = np.searchsorted(low_x, d - margin, "right")
-    margin += d  # fl(d + M), the band's upper end
+    upper = d + margin  # fl(d + M), the band's upper end
+    d -= margin
+    del margin
+    sure = np.searchsorted(low_x, d, "right")
     del d
-    cells = np.flatnonzero(np.append(low_x, np.inf)[sure] <= margin)
-    ends = np.searchsorted(low_x, margin.ravel()[cells], "right").tolist()
+    cells = np.flatnonzero(np.append(low_x, np.inf)[sure] <= upper)
+    ends = np.searchsorted(low_x, upper.ravel()[cells], "right").tolist()
     counts = sure.sum(axis=0)
-    y = y.tolist()
     for cell, end in zip(cells.tolist(), ends):
-        (i, q), start = divmod(cell, len(y)), int(sure.flat[cell])
+        (i, q), start = divmod(cell, y.size), int(sure.flat[cell])
         row, y_q = top * int(high[i]), y[q]
         counts[q] += bisect.bisect_left(
             range(start, end), True, key=lambda j: (row + bottom * int(low[j])) / den > y_q
@@ -495,8 +514,9 @@ def check_path_uniqueness_real(alpha: float, t: int, tolerance: float = 1e-9) ->
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     _check_cap(t)
-    for positions, _ in _levels(float(alpha), 1, t):
-        pass  # keep only the last level
+    positions, k = np.zeros(1), np.zeros(1, dtype=np.int8)
+    for _ in range(t):  # the int walk's doubling, in floats
+        positions, k = _double(float(alpha), positions, k, 1)
     order = np.argsort(positions, kind="stable")
     sorted_pos = positions[order]
     del positions

@@ -209,6 +209,26 @@ class TestCvmDistance:
                     math.copysign(1.0, r[0]) for r in rows
                 ]
 
+    @pytest.mark.parametrize(
+        "m1, m2, n", [(-3.0, 3.0, 600), (-3, 3, 600), (0, 1, 4), (-2.5, 4.0, 777), (-2**53, 1, 3)]
+    )
+    def test_distance_is_the_grid_table_sum(self, m1, m2, n):
+        # cvm_distance skips the grid table's list columns; its distance must
+        # still be the table's, bit for bit, for every kind of CDF.
+        laws = [
+            _ExactGridCdf(Alpha.from_fraction(Fraction(9, 10)), 12),
+            simple_rw_exact_cdf(12),
+            Ecdf(np.random.default_rng(3).standard_normal(999)),
+            normal_cdf,
+            uniform_cdf(-1.0, 2.0),
+        ]
+        for cdf_u in laws:
+            for cdf_v in (normal_cdf, laws[0]):
+                grid = cvm_grid_table(cdf_u, cdf_v, m1, m2, n)
+                table = analysis.cvm_from_grid(grid, m1, m2, n).distance
+                distance = cvm_distance(cdf_u, cdf_v, m1, m2, n).distance
+                assert same_bits(distance, table), (cdf_u, cdf_v)
+
     def test_early_time_ordering(self):
         # At t=15 the walk with strong memory is already closer to normal
         # than both the weak-memory walk and the simple RW.

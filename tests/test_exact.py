@@ -27,7 +27,7 @@ from antlion import (
     reach_bound,
     support_size,
 )
-from antlion import exact
+from antlion import cli, exact
 from antlion.analysis import _ExactGridCdf, _grid, _preimage, exact_standardized_cdf
 from antlion.exact import DIST_HEADER, _exact_order
 from antlion.tables import Table, write_tables
@@ -137,10 +137,10 @@ def walk_residence(params: WalkParams) -> dict:
     frac = exact._require_exact_alpha(params.alpha)
     exact._check_cap(params.t)
     t = params.t
-    levels = exact._levels(frac.numerator, frac.denominator, t)
-    _, k = next(levels)
+    levels = [exact._level(frac.numerator, frac.denominator, s) for s in range(t + 1)]
+    _, k = levels[0]
     visits = np.zeros(1, dtype=np.int8)  # nonnegative steps of each path so far
-    for scaled, k in levels:
+    for scaled, k in levels[1:]:
         # A path's prefix of s - 1 steps is its index without the top bit.
         visits = np.concatenate([visits, visits]) + (scaled >= 0)
     cells = np.bincount(visits.astype(np.intp) * (t + 1) + k, minlength=(t + 1) ** 2)
@@ -411,8 +411,8 @@ class TestWordLattice:
 
 class TestWordWalkCount:
     """``_count_at_most`` on a walk of int64 where the scaled lattice needs
-    Python ints (``n^t >= 2^53``), and on both sides of the walk's own
-    ``2^53``."""
+    Python ints (``n^t >= 2^53``), on both sides of the walk's own ``2^53``,
+    and on Python ints where no split's walks fit int64."""
 
     @staticmethod
     def walk_dtypes(monkeypatch) -> list:
@@ -433,6 +433,17 @@ class TestWordWalkCount:
         factor = _ExactGridCdf(Alpha.from_fraction(alpha), t).factor
         return _preimage(_grid(-3.0, 3.0, 600), factor)
 
+    def walks_match_float_law(self, monkeypatch, alpha, t) -> list:
+        """Check about 1000 own positions and the floats below them, which the
+        band decides, and the CvM grid; return the dtypes of the low walks."""
+        assert alpha.denominator**t >= 2**53
+        xs = enumerate_distribution(params(alpha, t=t)).float_law()[0]
+        own = xs[:: xs.size // 997]
+        dtypes = self.walk_dtypes(monkeypatch)
+        for ys in (own, np.nextafter(own, -np.inf), self.grid(alpha, t)):
+            assert np.array_equal(exact._count_at_most(alpha, t, ys), xs.searchsorted(ys, "right"))
+        return dtypes
+
     @pytest.mark.parametrize(
         "alpha, t",
         [
@@ -443,22 +454,22 @@ class TestWordWalkCount:
         ids=str,
     )
     def test_word_walk_matches_float_law(self, monkeypatch, alpha, t):
-        # About 1000 own positions and the floats below them, which the band
-        # decides, and the CvM grid; each call walks at most 15 steps.
-        assert alpha.denominator**t >= 2**53
-        xs = enumerate_distribution(params(alpha, t=t)).float_law()[0]
-        own = xs[:: xs.size // 997]
-        dtypes = self.walk_dtypes(monkeypatch)
-        for ys in (own, np.nextafter(own, -np.inf), self.grid(alpha, t)):
-            assert np.array_equal(exact._count_at_most(alpha, t, ys), xs.searchsorted(ys, "right"))
-        assert dtypes == [np.int64] * 3
+        # Each call walks at most 15 steps.
+        assert self.walks_match_float_law(monkeypatch, alpha, t) == [np.int64] * 3
+
+    def test_object_walk_where_no_split_fits(self, monkeypatch):
+        # 1000^7 > 2^53, so at t = 14 one of the two walks of every split
+        # needs Python ints, and both are counted in them.
+        alpha = Fraction(999, 1000)
+        assert self.walks_match_float_law(monkeypatch, alpha, 14) == [object] * 3
 
     def test_word_walk_edge_at_the_cap(self, monkeypatch):
-        # At 9/10, t = 24, 600 thresholds take a low half of 16 steps, a walk
-        # of Python ints (10^16 > 2^53), and 75 of them 15 steps, in int64.
-        # Ordering the 2^24 positions would take seconds, so the two walks
-        # check each other on the grid, and on the exact floats of 600 paths
-        # and the floats below them, where the band decides.
+        # At 9/10, t = 24, 600 thresholds would balance at a low half of 16
+        # steps, a walk of Python ints (10^16 > 2^53), and take 15, the
+        # deepest split in int64; 24 thresholds take 14. Ordering the 2^24
+        # positions would take seconds, so the two splits check each other
+        # on the grid, and on the exact floats of 600 paths and the floats
+        # below them, where the band decides.
         alpha, t = Fraction(9, 10), 24
         m, n = alpha.numerator, alpha.denominator
         steps = exact._path_from_index
@@ -472,11 +483,11 @@ class TestWordWalkCount:
         counts = []
         for ys in (own, np.nextafter(own, -np.inf), self.grid(alpha, t)):
             whole = exact._count_at_most(alpha, t, ys)
-            parts = [exact._count_at_most(alpha, t, part) for part in np.split(ys, 8)]
+            parts = [exact._count_at_most(alpha, t, part) for part in np.split(ys, 25)]
             assert np.array_equal(whole, np.concatenate(parts))
             counts.append(whole)
         assert np.all(counts[0] > counts[1])  # a path ends at each own float
-        assert dtypes == ([object] + [np.int64] * 8) * 3
+        assert dtypes == [np.int64] * 26 * 3
 
 
 class TestSupportSequence:
@@ -593,13 +604,15 @@ class TestPathUniqueness:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.37, 1.0, GOLDEN, 0.9, 1e-300, 0.999999])
     def test_float_levels_are_the_former_positions(self, alpha):
-        # The float walk of the collision scan is the int walk's recursion
+        # The float walk of the collision scan is the int walk's doubling
         # in floats: the same bits as the former dedicated float doubling.
-        for t, (positions, k) in enumerate(exact._levels(alpha, 1, 16)):
+        positions, k = np.zeros(1), np.zeros(1, dtype=np.int8)
+        for t in range(17):
             assert positions.dtype == np.float64
             reference = _float_positions(alpha, t)
             assert np.array_equal(positions.view(np.int64), reference.view(np.int64)), t
             assert np.array_equal(k, [i.bit_count() for i in range(2**t)])
+            positions, k = exact._double(alpha, positions, k, 1)
 
     @pytest.mark.parametrize(
         "alpha, t, tolerance", [(0.75, 17, 1e-6), (0.6, 16, 1e-7), (GOLDEN, 15, 1e-9)]
@@ -607,7 +620,7 @@ class TestPathUniqueness:
     def test_real_report_matches_whole_support_scan(self, alpha, t, tolerance):
         # The scan over all sorted positions at once, as it was before the
         # candidates were counted a block at a time: same pairs, same bound.
-        *_, (positions, _) = exact._levels(alpha, 1, t)
+        positions = _float_positions(alpha, t)
         order = np.argsort(positions, kind="stable")
         xs = positions[order]
         ends = np.searchsorted(xs, xs + tolerance, side="right")
@@ -802,17 +815,89 @@ class TestResidence:
 
     @pytest.mark.parametrize("t", [0, 1, 2, 5, 12])
     def test_walks_only_half_the_levels(self, monkeypatch, t):
-        levels = exact._levels
-
-        def half_levels(m, n, depth):
-            assert depth <= t - t // 2, f"walked {depth} levels at t={t}"
-            return levels(m, n, depth)
-
-        monkeypatch.setattr(exact, "_levels", half_levels)
+        # From an empty cache the deepest level built is the high half's of
+        # the last horizon, and each level is built once.
+        built = TestSharedWalk.levels_built(monkeypatch)
         prm = params(Fraction(9, 10), p=Fraction(1, 3), t=t)
         assert exact_residence_distribution(prm) == brute_residence_pmf(
             Fraction(9, 10), Fraction(1, 3), t
         )
+        assert built == list(range(1, t - t // 2 + 1))
+
+
+class TestSharedWalk:
+    """``exact._level``: one cached walk per alpha, read-only, int64 while
+    ``n^s < 2^53``, and emptied when a ``cli.main`` command ends."""
+
+    @staticmethod
+    def levels_built(monkeypatch) -> list:
+        """Empty the cache, then record the level each doubling builds from now on."""
+        built, double = [], exact._double
+
+        def recorded(m, scaled, k, weight):
+            built.append(scaled.size.bit_length())  # 2^(s-1) paths doubled to level s
+            return double(m, scaled, k, weight)
+
+        exact._level.cache_clear()
+        monkeypatch.setattr(exact, "_double", recorded)
+        return built
+
+    def test_cached_level_is_read_only(self):
+        for s in (0, 3, 16):  # int64 and, at 10^16 > 2^53, Python ints
+            scaled, k = exact._level(9, 10, s)
+            assert exact._level(9, 10, s)[0] is scaled
+            for level in (scaled, k):
+                with pytest.raises(ValueError, match="read-only"):
+                    level[0] = 1
+            _, (low, low_k) = exact._halves(Fraction(9, 10), 2 * s, s)
+            for half in (low, low_k):
+                with pytest.raises(ValueError, match="read-only"):
+                    half[0] = 1
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_halves_dtypes_on_both_sides_of_2_53(self, warm):
+        # 10^15 < 2^53 <= 10^16. Level 8 is int64 in the cache, and both
+        # halves are Python ints whenever the deeper walk needs them.
+        alpha = Fraction(9, 10)
+        exact._level.cache_clear()
+        if warm:
+            exact._halves(alpha, 24, 8)  # levels 0..16 cached, 16 of Python ints
+        for t, h, dtype in [
+            (16, 8, np.int64),
+            (23, 8, np.int64),
+            (24, 8, object),
+            (24, 16, object),
+            (30, 15, np.int64),
+            (31, 15, object),
+        ]:
+            (high, high_k), (low, low_k) = exact._halves(alpha, t, h)
+            assert high.dtype == low.dtype == dtype, (t, h)
+            assert high_k.dtype == low_k.dtype == np.int8
+            assert high.tolist() == TestWordLattice.object_walk(9, 10, t - h)
+            assert low.tolist() == TestWordLattice.object_walk(9, 10, h)
+            assert high_k.tolist() == [i.bit_count() for i in range(2 ** (t - h))]
+        assert exact._level(9, 10, 15)[0].dtype == np.int64
+        assert exact._level(9, 10, 16)[0].dtype == object
+
+    def test_shared_walk_builds_each_level_once(self, monkeypatch):
+        # The horizons of fig4b's exact cvm command at one alpha, counted on
+        # a 600-point grid, read their halves from one walk of 12 levels.
+        built = self.levels_built(monkeypatch)
+        u = _grid(-3.0, 3.0, 600)
+        for t in range(1, 16):
+            _ExactGridCdf(Alpha.from_fraction(Fraction(9, 10)), t)(u)
+        assert built == list(range(1, 13))
+
+    def test_shared_walk_is_emptied_by_main(self, tmp_path):
+        # A successful command and one that fails after walking (its table
+        # path is a directory) both leave no level behind.
+        exact._level(9, 10, 5)
+        assert cli.main(["moments", "--alpha", "9/10", "--t-max", "6", "--out", str(tmp_path)]) == 0
+        assert exact._level.cache_info().currsize == 0
+        (tmp_path / "dist.csv").mkdir()
+        argv = ["dist", "--alpha", "9/10", "--t", "8", "--mode", "exact", "--out", str(tmp_path)]
+        assert cli.main(argv) == 5
+        assert exact._level.cache_info().currsize == 0
 
 
 class TestMemory:

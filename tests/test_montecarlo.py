@@ -28,7 +28,8 @@ from antlion import (
     standardize_arw,
     uniform_cdf,
 )
-from antlion import core, montecarlo
+from antlion import analysis, core, montecarlo
+from antlion.analysis import _ExactGridCdf, cvm_distance, normal_cdf
 from antlion.montecarlo import _BLOCK_CHUNKS, _TILE, STREAM_CHUNK, Ecdf
 
 
@@ -220,6 +221,35 @@ class TestAgainstExactLaw:
         mids = (xs[1:] + xs[:-1]) / 2
         sup = np.abs(Ecdf(finals)(mids) - dist.cdf(mids)).max()
         assert sup <= math.sqrt(math.log(2 / self.DELTA) / (2 * self.N))
+
+    @pytest.mark.parametrize("grid", [(-3.0, 3.0, 600), (-2.5, 4.0, 777)], ids=str)
+    @pytest.mark.parametrize("alpha, p, t", [law for law in LAWS if law[1] == 0.5], ids=str)
+    def test_cvm_within_dkw_bound(self, alpha, p, t, grid):
+        # Where the two CDFs F_mc and F differ by at most e at each grid
+        # point, (F_mc - Phi)^2 - (F - Phi)^2 = (F_mc - F) (F_mc - F + 2 (F -
+        # Phi)) is at most e (e + 2 |F - Phi|), and at most 2 e as all three
+        # lie in [0, 1]: the distances differ by at most 2 (m2 - m1) e, and
+        # by at most the sum of the first bound. No grid point lies within
+        # the drift of a standardized support point, where the walk's float
+        # could fall on the other side of it.
+        m1, m2, n = grid
+        a, exact_alpha = float(alpha), Alpha.from_fraction(alpha)
+        dist = enumerate_distribution(WalkParams(alpha=exact_alpha, p=p, t=t))
+        xs = standardize_arw(dist.float_law()[0], a, t)
+        finals = simulate(params(a, float(p), t), n_walkers=self.N, seed=0).finals
+        walk = standardize_arw(finals, a, t)
+        nearest = np.clip(np.searchsorted(xs, walk), 1, xs.size - 1)
+        drift = np.minimum(abs(walk - xs[nearest - 1]), abs(xs[nearest] - walk)).max()
+        u = analysis._grid(m1, m2, n)
+        nearest = np.clip(np.searchsorted(xs, u), 1, xs.size - 1)
+        assert np.minimum(abs(u - xs[nearest - 1]), abs(xs[nearest] - u)).min() > 100 * drift
+        exact_cdf = _ExactGridCdf(exact_alpha, t)
+        d_exact = cvm_distance(exact_cdf, normal_cdf, m1, m2, n).distance
+        d_mc = cvm_distance(Ecdf(walk), normal_cdf, m1, m2, n).distance
+        e = math.sqrt(math.log(2 / self.DELTA) / (2 * self.N))
+        gap = np.abs(exact_cdf(u) - [normal_cdf(x) for x in u.tolist()])
+        bound = (m2 - m1) / n * e * (n * e + 2 * gap.sum())
+        assert abs(d_mc - d_exact) <= bound <= 2 * (m2 - m1) * e
 
     @pytest.mark.parametrize("mode", ["residence", "paths"])
     @pytest.mark.parametrize("alpha, p, t", LAWS, ids=str)
