@@ -98,34 +98,34 @@ def _check_cap(t: int) -> None:
         )
 
 
-def _double(m, scaled: np.ndarray, k: np.ndarray, weight) -> tuple:
-    """``(S, k)`` of all ``s``-step paths in path-index order, from those of
-    the ``s - 1``-step paths and ``weight = n^(s-1)``: step ``s`` is the new
-    top index bit. On floats (``weight = 1``) each ``m x +- 1`` rounds once."""
+def _double(m, scaled: np.ndarray, weight) -> np.ndarray:
+    """``S`` of all ``s``-step paths in path-index order, from that of the
+    ``s - 1``-step paths and ``weight = n^(s-1)``: step ``s`` is the new top
+    index bit. On floats (``weight = 1``) each ``m x +- 1`` rounds once."""
     base = m * scaled
-    return np.concatenate([base + weight, base - weight]), np.concatenate([k, k + 1])
+    return np.concatenate([base + weight, base - weight])
 
 
 @lru_cache(maxsize=16)
-def _level(m: int, n: int, s: int) -> tuple:
-    """``(S, k)`` of all ``s``-step paths of ``alpha = m/n``, read-only: level
-    ``s - 1`` of this cache doubled once, ``S`` in int64 while ``n^s < 2^53``
+def _level(m: int, n: int, s: int) -> np.ndarray:
+    """``S`` of all ``s``-step paths of ``alpha = m/n``, read-only: level
+    ``s - 1`` of this cache doubled once, in int64 while ``n^s < 2^53``
     (``|S| < n^s``, as ``m < n``) and Python ints past it. The horizons of a
     command share its levels, and ``cli.main`` empties it when the command
-    ends. A library caller keeps the 16 levels last read, at 9 bytes a path
-    in int64 and up to about 60 in Python ints: at most about 10 and 60 MB
+    ends. A library caller keeps the 16 levels last read, at 8 bytes a path
+    in int64 and up to about 60 in Python ints: at most about 8 and 60 MB
     where no level exceeds 2^16 paths, as for a 600-point CvM grid at ``t
     <= 24``.
     """
-    if s == 0:  # k fits int8: 2^t paths never fit for t >= 128
-        scaled, k = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int8)
+    if s == 0:
+        scaled = np.zeros(1, dtype=np.int64)
     else:
-        scaled, k = _level(m, n, s - 1)
+        scaled = _level(m, n, s - 1)
         if n**s >= 2**53:
             scaled = scaled.astype(object, copy=False)
-        scaled, k = _double(m, scaled, k, n ** (s - 1))
-    scaled.flags.writeable = k.flags.writeable = False
-    return scaled, k
+        scaled = _double(m, scaled, n ** (s - 1))
+    scaled.flags.writeable = False
+    return scaled
 
 
 # Paths handled per block: a block's temporaries, Python ints and floats stay small.
@@ -177,26 +177,18 @@ class PathLattice(Sequence):
     """The endpoints of all ``2^t`` paths, held as their two half lattices.
 
     Path ``i * len(low) + j`` has the exact numerator ``high[i] + low[j]``
-    (int64 or object halves) of its position over ``den``, and ``k[i *
-    len(low) + j] = high_k[i] + low_k[j]`` minus steps. Only ``k`` and the
-    ordered positions are built over all paths, each on first read. As a
-    sequence it is the support: item ``i`` is the ``i``-th smallest
-    numerator, a Python int computed from the halves when read (an object
-    array for slices and index arrays), and iteration computes ``_BLOCK``
-    of them at a time.
+    (int64 or object halves) of its position over ``den``; its minus-step
+    count is the popcount of its index. Only the ordered positions are
+    built over all paths, on first read. As a sequence it is the support:
+    item ``i`` is the ``i``-th smallest numerator, a Python int computed
+    from the halves when read (an object array for slices and index
+    arrays), and iteration computes ``_BLOCK`` of them at a time.
     Its length is ``2^t``, read off the halves; ``index`` is a binary
     search, while membership and ``count`` are the ``Sequence`` scans.
     """
 
-    def __init__(self, high, high_k, low, low_k, den: int):
-        self.high, self.high_k = high, high_k
-        self.low, self.low_k = low, low_k
-        self.den = den
-
-    @cached_property
-    def k(self) -> np.ndarray:
-        """The minus-step count of each path, in path-index order."""
-        return np.add.outer(self.high_k, self.low_k).ravel()
+    def __init__(self, high, low, den: int):
+        self.high, self.low, self.den = high, low, den
 
     def _numerators(self, paths):
         rows, cols = np.divmod(paths, self.low.size)
@@ -236,13 +228,13 @@ class PathLattice(Sequence):
 
 
 def _halves(alpha: Fraction, t: int, h: int) -> tuple:
-    """The unscaled walks ``(S, k)`` of the last ``t - h`` and first ``h``
-    steps: both of Python ints if ``n^max(h, t-h) >= 2^53``, else int64."""
+    """The unscaled walks ``S`` of the last ``t - h`` and first ``h`` steps:
+    both of Python ints if ``n^max(h, t-h) >= 2^53``, else int64."""
     m, n = alpha.numerator, alpha.denominator
-    (high, high_k), (low, low_k) = _level(m, n, t - h), _level(m, n, h)
+    high, low = _level(m, n, t - h), _level(m, n, h)
     if n ** max(h, t - h) >= 2**53:
         high, low = high.astype(object, copy=False), low.astype(object, copy=False)
-    return (high, high_k), (low, low_k)
+    return high, low
 
 
 def _path_lattice(alpha: Fraction, t: int, _low_steps: Optional[int] = None) -> PathLattice:
@@ -250,12 +242,12 @@ def _path_lattice(alpha: Fraction, t: int, _low_steps: Optional[int] = None) -> 
     (by default ``t // 2``) of them."""
     m, n = alpha.numerator, alpha.denominator
     h = t // 2 if _low_steps is None else _low_steps
-    (high, high_k), (low, low_k) = _halves(alpha, t, h)
+    high, low = _halves(alpha, t, h)
     if n**t >= 2**53:  # their walk may fit a word where the scaled halves do not
         low, high = low.astype(object), high.astype(object)
     # S_t = m^(t-h) S_h(steps 1..h) + n^h S_(t-h)(steps h+1..t); the later
     # steps are the high index bits, so they index the rows of the outer sum.
-    return PathLattice(n**h * high, high_k, m ** (t - h) * low, low_k, n ** max(t - 1, 0))
+    return PathLattice(n**h * high, m ** (t - h) * low, n ** max(t - 1, 0))
 
 
 def _count_at_most(alpha: Fraction, t: int, ys) -> np.ndarray:
@@ -300,7 +292,7 @@ def _count_at_most(alpha: Fraction, t: int, ys) -> np.ndarray:
     h = min(t, max(0, math.ceil((t + math.log2(max(ys.size, 1))) / 2) - 1))
     m, n = alpha.numerator, alpha.denominator
     h = next((s for s in range(h, -1, -1) if n ** max(s, t - s) < 2**53), h)
-    (high, _), (low, _) = _halves(alpha, t, h)
+    high, low = _halves(alpha, t, h)
     top, bottom, den = n**h, m ** (t - h), n ** max(t - 1, 0)
     scaled = low.dtype == object  # Python ints; at h = t, den / top is 1/n and high is [0]
     high_x = (top * high / den).astype(float) if scaled else high / (den / top)
@@ -340,7 +332,7 @@ class ExactDistribution:
     ``entries`` is the :class:`PathLattice` of the ``2^t`` paths; as a
     sequence it holds the scaled integer positions ``S = X_t * n^(t-1)`` in
     increasing order. The one path that lands on ``S`` has ``k`` minus
-    steps and probability ``weights[k]``.
+    steps, the popcount of its index, and probability ``weights[k]``.
     """
 
     def __init__(self, t: int, alpha: Fraction, p, entries: PathLattice):
@@ -367,14 +359,14 @@ class ExactDistribution:
     def point_probability(self, scaled: int):
         """Probability of one support point, in the arithmetic of ``p``."""
         lattice = self.entries
-        return self.weights[lattice.k[lattice.ordered[0][lattice.index(scaled)]]]
+        return self.weights[int(lattice.ordered[0][lattice.index(scaled)]).bit_count()]
 
     def columns(self) -> tuple:
         """``(positions, scaled, k, probabilities)``, the table columns of
         ``DIST_HEADER`` in increasing position order: ``float_law``'s positions,
         the lattice, whose ints are computed when read, and two coded by ``k``."""
         order, xs = self.entries.ordered
-        k = self.entries.k[order]
+        k = np.bitwise_count(order)
         probs = Coded(k, [float(w) for w in self.weights])
         return xs, self.entries, Coded(k, range(self.t + 1)), probs
 
@@ -387,7 +379,7 @@ class ExactDistribution:
         position order. Each position is ``S / n^(t-1)`` rounded once, bit for
         bit as Python's int division rounds it; the positions are read-only."""
         order, xs = self.entries.ordered
-        return xs, np.array([float(w) for w in self.weights])[self.entries.k[order]]
+        return xs, np.array([float(w) for w in self.weights])[np.bitwise_count(order)]
 
     @cached_property
     def cdf(self) -> DiscreteCdf:
@@ -399,11 +391,11 @@ def enumerate_distribution(params: WalkParams) -> ExactDistribution:
     """Enumerate the exact law of ``X_t`` for rational alpha.
 
     Builds the two half-horizon lattices of scaled numerators, each by level
-    doubling, and the minus-step counts of all ``2^t`` paths. The support is
-    ordered when first read, by a sort of the exactly rounded positions whose
-    equal-float runs are sorted on the ints; that raises ``RuntimeError`` if
-    two paths shared a position. Raises :class:`HorizonTooLargeError` past
-    the cap.
+    doubling; a path's minus-step count is the popcount of its index. The
+    support is ordered when first read, by a sort of the exactly rounded
+    positions whose equal-float runs are sorted on the ints; that raises
+    ``RuntimeError`` if two paths shared a position. Raises
+    :class:`HorizonTooLargeError` past the cap.
     """
     frac = _require_exact_alpha(params.alpha)
     _check_cap(params.t)
@@ -422,12 +414,13 @@ def _int_weights(p, t: int) -> tuple:
     return [a**k * (b - a) ** (t - k) for k in range(t + 1)], b**t
 
 
-def _half_moments(values: np.ndarray, k: np.ndarray, p) -> tuple:
-    """``(b^s, sum w v, sum w v^2)`` over a half of ``s`` steps, ``w`` of ``_int_weights(p, s)``."""
+def _half_moments(values: np.ndarray, p) -> tuple:
+    """``(b^s, sum w v, sum w v^2)`` over a half of ``s`` steps, ``w`` of
+    ``_int_weights(p, s)`` at the popcount of the path index."""
     weights, total = _int_weights(p, values.size.bit_length() - 1)
     sums = [[0, 0] for _ in weights]
-    for v, j in zip(values.tolist(), k.tolist()):
-        row = sums[j]
+    for i, v in enumerate(values.tolist()):
+        row = sums[i.bit_count()]
         row[0] += v
         row[1] += v * v
     return (total, *(sum(w * s for w, s in zip(weights, column)) for column in zip(*sums)))
@@ -447,8 +440,8 @@ def exact_moments(dist: ExactDistribution):
     exactly at ``p``'s binary value and rounds once).
     """
     lattice = dist.entries
-    b_high, high, high2 = _half_moments(lattice.high, lattice.high_k, dist.p)
-    b_low, low, low2 = _half_moments(lattice.low, lattice.low_k, dist.p)
+    b_high, high, high2 = _half_moments(lattice.high, dist.p)
+    b_low, low, low2 = _half_moments(lattice.low, dist.p)
     scale = b_high * b_low * dist.scale_denominator  # b^t n^(t-1)
     sum1 = high * b_low + low * b_high  # E[S] b^t
     sum2 = high2 * b_low + 2 * high * low + low2 * b_high  # E[S^2] b^t
@@ -514,9 +507,9 @@ def check_path_uniqueness_real(alpha: float, t: int, tolerance: float = 1e-9) ->
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     _check_cap(t)
-    positions, k = np.zeros(1), np.zeros(1, dtype=np.int8)
+    positions = np.zeros(1)
     for _ in range(t):  # the int walk's doubling, in floats
-        positions, k = _double(float(alpha), positions, k, 1)
+        positions = _double(float(alpha), positions, 1)
     order = np.argsort(positions, kind="stable")
     sorted_pos = positions[order]
     del positions
@@ -568,8 +561,9 @@ def exact_residence_distribution(params: WalkParams) -> dict:
     s)``: ``S_s = high[i] + low[j]`` is nonnegative exactly when ``low[j] >=
     -high[i]``, so with ``low`` ranked on its ints each sign is an int
     comparison of ``rank[j]`` with the first rank at or above ``-high[i]``.
-    Cells ``T_+ * (t + 1) + k`` are int16 codes, counted a block at a time
-    and weighted by the ints ``a^k (b-a)^(t-k)``.
+    Cells ``T_+ * (t + 1) + k`` are int16 codes, ``k`` the uint8 sum of the
+    halves' index popcounts, counted a block at a time and weighted by the
+    ints ``a^k (b-a)^(t-k)``.
     """
     frac = _require_exact_alpha(params.alpha)
     _check_cap(params.t)
@@ -585,7 +579,8 @@ def exact_residence_distribution(params: WalkParams) -> dict:
         visits += (np.argsort(order) >= first[:, None]).ravel()
     codes = visits.astype(np.int16)
     codes *= t + 1
-    codes += lattice.k
+    row_k, col_k = (np.bitwise_count(np.arange(half.size)) for half in (lattice.high, lattice.low))
+    codes += np.add.outer(row_k, col_k).ravel()  # uint8, the popcount of i * len(low) + j
     blocks = np.split(codes, range(_BLOCK, codes.size, _BLOCK))
     cells = sum(np.bincount(block, minlength=(t + 1) ** 2) for block in blocks)
     weights, total = _int_weights(params.p, t)

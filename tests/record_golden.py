@@ -2,8 +2,9 @@
 writes (``<cmd>_manifest.json`` left out: it holds a clock reading).
 
 The golden commands are every command of the README CLI block, in each of
-the three formats, and the exact ``dist`` and ``cvm`` points at the edges of
-the word-size lattices. ``test_golden.py`` reruns them and compares digests.
+the three formats, the exact ``dist`` and ``cvm`` points at the edges of
+the word-size lattices, the benchmark's small workloads and one Monte Carlo
+horizon list. ``test_golden.py`` reruns them and compares digests.
 
 The table defines correct output, so record it only at a commit whose
 outputs are known to be right, and state in CHANGES.md why any digest
@@ -39,6 +40,32 @@ EXACT_POINTS = (
     "cvm --targets arw,srw --alpha 9/10 --t 12 --mode exact --grid-table",
 )
 
+# The small-size command lists of the benchmark's three workloads at seed 3,
+# written out here so that the table does not depend on the benchmark's own
+# files; together they run in about 0.1 s.
+TINY_WORKLOADS = (
+    "cvm --targets arw,srw --alpha 1/10,1/2,9/10 --t 1..5 --mode exact",
+    "cvm --targets arw --alpha 9/10 --t 8 --mode exact",
+    "moments --alpha 9/10 --p 1/2 --t-max 6",
+    "residence --alpha 1/2 --t 6 --mode exact",
+    "cvm --targets arw,srw --alpha 0.1,0.9 --t 20 --mode mc --n 2000 --seed 3",
+    "cvm --targets arw --alpha 0.5 --t 30 --mode mc --n 5000 --seed 3",
+    "residence --alpha 0.98 --t 20 --mode mc --n 2000 --seed 3",
+    "bandit --pa 0.8 --pb 0.2 --horizon 300 --sweep-alphas 0.5,1.0 --seeds 2 --seed 3",
+    "dist --alpha 9/10 --p 1/2 --t 8 --mode exact",
+    "dist --alpha 0.5 --t 20 --mode mc --n 2000 --format json --seed 3",
+    "dist --alpha 0.9 --t 20 --mode mc --n 30 --store paths --format gnuplot --seed 3",
+    "bandit --alpha 0.99 --pa 0.8 --pb 0.2 --horizon 500 --signal uniform:-5,5 --seed 3",
+    "reach --alpha 0.5 --sweep 300 --epsilon 0.000244140625 --seed 3",
+    "reach --alpha 0.3 --sweep 300 --epsilon 0.001 --seed 3",
+    "cvm --targets arw,srw --alpha 9/10 --t 5 --mode exact --grid-table --format gnuplot",
+)
+
+# Monte Carlo over a list of horizons. The finals at each horizon are that
+# step of every chunk's stream, so a walk shared by the horizons must write
+# these bytes too.
+MC_HORIZONS = ("cvm --targets arw,srw --alpha 0.1,0.9 --t 1..30 --mode mc --n 2000 --seed 3",)
+
 
 def code_block(heading: str, language: str) -> str:
     """The first ``language`` code block under the README's ``## heading``."""
@@ -58,9 +85,8 @@ def readme_commands() -> list:
 
 
 def golden_commands() -> list:
-    return [f"{cmd} --format {fmt}" for cmd in readme_commands() for fmt in FORMATS] + list(
-        EXACT_POINTS
-    )
+    readme = [f"{cmd} --format {fmt}" for cmd in readme_commands() for fmt in FORMATS]
+    return readme + [*EXACT_POINTS, *TINY_WORKLOADS, *MC_HORIZONS]
 
 
 def run(main, command: str, out_dir: Path) -> tuple:

@@ -281,3 +281,80 @@ class TestLockstep:
         cfg = config(horizon=10**6, delta=1e303, alpha=0.5)
         with pytest.raises(ValueError, match="overflow"):
             sweep_alpha(cfg, [0.5, 1.0], n_seeds=1)
+
+
+def exact_correct_curve(config: BanditConfig) -> np.ndarray:
+    """Oracle: ``P(correct at step s)`` for ``s = 1..horizon`` of a +-1
+    adjuster (``k = delta = omega = 1``) with a uniform-integer signal.
+
+    Every sign sequence is walked forward with one weight a path. Arm A is
+    played with ``q = P(signal >= theta)``, a count over ``low..high``, and
+    the adjuster steps down when A pays or B fails: ``P(xi = -1 | x) = q pa +
+    (1 - q)(1 - pb)``. A reward is ``u < p`` on a 53-bit uniform ``u``, which
+    holds with chance ``ceil(p 2^53) / 2^53``. Arm A pays more, so ``q`` is
+    also the chance of a correct choice. For dyadic alpha the float positions
+    are the exact ones up to ``3^16 < 2^53``, so ``theta`` sees the
+    simulator's own values, ties included.
+    """
+    assert config.k == config.delta == config.omega == 1 and config.p_a > config.p_b
+    lo, hi = config.signal.low, config.signal.high
+    pa, pb = (math.ceil(p * 2**53) / 2**53 for p in (config.p_a, config.p_b))
+    x, weight, curve = np.zeros(1), np.ones(1), []
+    for _ in range(config.horizon):
+        theta = np.sign(x) * np.floor(np.abs(x) + 0.5)  # nearest, ties away from zero
+        q = np.clip(hi - theta + 1, 0, hi - lo + 1) / (hi - lo + 1)
+        curve.append(float(weight @ q))
+        minus = q * pa + (1 - q) * (1 - pb)
+        x = np.concatenate([config.alpha * x + 1, config.alpha * x - 1])
+        weight = np.concatenate([weight * (1 - minus), weight * minus])
+    return np.array(curve)
+
+
+class TestExactOracle:
+    """The lockstep simulator against the exact law of its +-1 adjuster."""
+
+    CONFIG = BanditConfig(p_a=0.8, p_b=0.2, horizon=16, signal=UniformSignal(-3, 3))
+    ALPHAS = (0.5, 0.75, 1.0)
+    SEEDS = 20_000
+    WINDOW = 5
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        """``(sweep_alpha rows, the lockstep correct array they averaged)``,
+        from one lockstep run of every alpha."""
+        calls = []
+
+        def recorded(*args):
+            calls.append(_lockstep_correct(*args))
+            return calls[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bandit, "_lockstep_correct", recorded)
+            patch.setattr(bandit, "LAST_WINDOW", self.WINDOW)
+            rows = sweep_alpha(self.CONFIG, self.ALPHAS, self.SEEDS, seed_base=4)
+        (correct,) = calls
+        return rows, correct
+
+    @pytest.mark.parametrize("col", range(len(ALPHAS)), ids=[f"alpha={a}" for a in ALPHAS])
+    def test_per_step_rate_within_hoeffding_bound(self, sweep, col):
+        # Each step's rate is a mean of SEEDS independent indicators, so by
+        # Hoeffding and a union over the steps all of them lie within eps of
+        # the exact chance except with probability 1e-9.
+        _, correct = sweep
+        h = self.CONFIG.horizon
+        eps = math.sqrt(math.log(2 * h / 1e-9) / (2 * self.SEEDS))
+        assert eps < 0.025
+        exact = exact_correct_curve(replace(self.CONFIG, alpha=self.ALPHAS[col]))
+        assert exact[0] == 4 / 7  # theta = 0 at the start: signal in 0..3
+        assert np.abs(correct[:, col, :].mean(axis=1) - exact).max() < eps
+
+    def test_rates_are_averages_of_the_per_step_curve(self, sweep):
+        rows, correct = sweep
+        steps = np.arange(1, self.CONFIG.horizon + 1)
+        for col, row in enumerate(rows):
+            curve = correct[:, col, :].mean(axis=1)
+            assert row.alpha == self.ALPHAS[col]
+            assert row.mean_correct_trajectory == pytest.approx(np.cumsum(curve) / steps, abs=1e-12)
+            assert row.final_rate == pytest.approx(curve.mean(), abs=1e-12)
+            assert row.last_window_rate == pytest.approx(curve[-self.WINDOW :].mean(), abs=1e-12)
+            assert row.last_window_rate != pytest.approx(row.final_rate, abs=1e-6)

@@ -738,8 +738,7 @@ class TestCvm:
 
         for name in ("_positions", "_exact_order"):
             monkeypatch.setattr(exact, name, refuse)
-        for name in ("ordered", "k"):
-            monkeypatch.setattr(exact.PathLattice, name, property(refuse))
+        monkeypatch.setattr(exact.PathLattice, "ordered", property(refuse))
         assert main([*argv, "--out", str(tmp_path / "counted")]) == EXIT_OK
         for name in ("cvm.csv", "cvm_grid.csv"):
             ordered = (tmp_path / "ordered" / name).read_bytes()
@@ -1008,8 +1007,8 @@ def _dist_exact_rows():
     den = dist.scale_denominator
     lattice = dist.entries
     rows = [
-        (s / den, s, k, float(dist.point_probability(s)))
-        for s, k in zip(lattice, lattice.k[lattice.ordered[0]].tolist())
+        (s / den, s, path.bit_count(), float(dist.point_probability(s)))
+        for s, path in zip(lattice, lattice.ordered[0].tolist())
     ]
     cdf = dist.cdf
     return {

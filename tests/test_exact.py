@@ -68,6 +68,12 @@ def brute_paths(alpha: Fraction, t: int) -> list:
     return paths
 
 
+def path_k(size: int) -> np.ndarray:
+    """Oracle: the minus-step count of each of ``size`` paths, in path-index
+    order, as the popcount of the index."""
+    return np.array([i.bit_count() for i in range(size)])
+
+
 def path_numerators(lattice) -> np.ndarray:
     """Oracle: every numerator ``S`` of the lattice, in path-index order, as
     Python ints (an int64 lattice's squares would wrap)."""
@@ -78,8 +84,9 @@ def reduceat_moments(dist):
     """Oracle: the mean and variance from per-``k`` sums of ``S`` and ``S^2``
     over every path of the lattice."""
     lattice = dist.entries
-    by_k = np.argsort(lattice.k, kind="stable")
-    starts = np.searchsorted(lattice.k[by_k], np.arange(dist.t + 1))
+    k = path_k(len(lattice))
+    by_k = np.argsort(k, kind="stable")
+    starts = np.searchsorted(k[by_k], np.arange(dist.t + 1))
     scaled = path_numerators(lattice)[by_k]
     sums1 = np.add.reduceat(scaled, starts).tolist()
     sums2 = np.add.reduceat(scaled * scaled, starts).tolist()
@@ -95,15 +102,15 @@ def fraction_moments(dist):
     Fractions."""
     lattice, t, p = dist.entries, dist.t, Fraction(dist.p)
 
-    def half(values, k, weights):
+    def half(values, weights):
         sums = [[0, 0] for _ in weights]
-        for v, j in zip(values.tolist(), k.tolist()):
+        for v, j in zip(values.tolist(), path_k(values.size).tolist()):
             sums[j][0] += v
             sums[j][1] += v * v
         return tuple(sum(w * s for w, s in zip(weights, column)) for column in zip(*sums))
 
-    high, high2 = half(lattice.high, lattice.high_k, path_weights(p, t - t // 2))
-    low, low2 = half(lattice.low, lattice.low_k, path_weights(p, t // 2))
+    high, high2 = half(lattice.high, path_weights(p, t - t // 2))
+    low, low2 = half(lattice.low, path_weights(p, t // 2))
     scale = Fraction(dist.scale_denominator)
     mean = (high + low) / scale
     var = (high2 + 2 * high * low + low2) / (scale * scale) - mean * mean
@@ -138,9 +145,9 @@ def walk_residence(params: WalkParams) -> dict:
     exact._check_cap(params.t)
     t = params.t
     levels = [exact._level(frac.numerator, frac.denominator, s) for s in range(t + 1)]
-    _, k = levels[0]
+    k = path_k(2**t)
     visits = np.zeros(1, dtype=np.int8)  # nonnegative steps of each path so far
-    for scaled, k in levels[1:]:
+    for scaled in levels[1:]:
         # A path's prefix of s - 1 steps is its index without the top bit.
         visits = np.concatenate([visits, visits]) + (scaled >= 0)
     cells = np.bincount(visits.astype(np.intp) * (t + 1) + k, minlength=(t + 1) ** 2)
@@ -257,17 +264,18 @@ class TestLatticeDifferential:
             support = sorted(x for _, x, _, _ in paths)
             assert dist.support_fractions() == support
             assert dist.float_law()[0].tolist() == [float(x) for x in support]
-            by_rank = zip(lattice, lattice.k[lattice.ordered[0]])
+            by_rank = zip(lattice, dist.columns()[2].codes.tolist())
             assert {Fraction(s, den): k for s, k in by_rank} == {x: k for _, x, k, _ in paths}
             scaled = path_numerators(lattice)
             for index, x, k, _ in paths:
                 assert Fraction(scaled[index], den) == x
-                assert lattice.k[index] == k
+                assert index.bit_count() == k
             residence = exact_residence_distribution(params(alpha, p=p, t=t))
             assert residence == brute_residence_pmf(alpha, p, t)
 
 
     @pytest.mark.parametrize("alpha", LATTICE_ALPHAS, ids=str)
+    @pytest.mark.soundness
     def test_float_bits_match_int_division(self, alpha):
         for t in range(11):
             dist = enumerate_distribution(params(alpha, t=t))
@@ -298,6 +306,7 @@ class TestLatticeDifferential:
             (Fraction(9, 10), 15),
         ],
     )
+    @pytest.mark.soundness
     def test_float_law_rounds_once(self, alpha, t):
         dist = enumerate_distribution(params(alpha, t=t))
         xs = dist.float_law()[0]
@@ -313,6 +322,7 @@ class TestCountAtMost:
     """``exact._count_at_most`` against the ranks of the ordered support."""
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(9, 10), Fraction(2, 7)], ids=str)
+    @pytest.mark.soundness
     def test_own_positions_take_the_exact_band(self, alpha):
         # At its own float position a path's quotient is within half an ulp
         # of the threshold, inside the margin, so the ints decide: a count of
@@ -340,8 +350,11 @@ class TestCountAtMost:
         assert lattice.low.size == 2**low_steps and lattice.high.size == 2 ** (t - low_steps)
         expected = sorted(path_numerators(exact._path_lattice(alpha, t)).tolist())
         assert sorted(path_numerators(lattice).tolist()) == expected
-        assert lattice.k.tolist() == exact._path_lattice(alpha, t).k.tolist()
+        # Path indices do not depend on the split, so neither does k, their popcount.
+        even = exact._path_lattice(alpha, t)
+        assert path_numerators(lattice).tolist() == path_numerators(even).tolist()
 
+    @pytest.mark.soundness
     def test_exact_band_is_a_binary_search(self, monkeypatch):
         # At alpha 1/10^6 the low half's floats (about 1e-24 here) all lie
         # inside the margin, so thresholds squeezed around one position put
@@ -393,6 +406,7 @@ class TestWordLattice:
         ],
         ids=str,
     )
+    @pytest.mark.soundness
     def test_word_lattice_matches_object_walk(self, alpha, t):
         m, n = alpha.numerator, alpha.denominator
         for h in (t // 2, t // 2 + 1):
@@ -421,7 +435,7 @@ class TestWordWalkCount:
 
         def recorded(*args):
             walks = halves(*args)
-            dtypes.append(walks[1][0].dtype)
+            dtypes.append(walks[1].dtype)
             return walks
 
         monkeypatch.setattr(exact, "_halves", recorded)
@@ -453,16 +467,19 @@ class TestWordWalkCount:
         ],
         ids=str,
     )
+    @pytest.mark.soundness
     def test_word_walk_matches_float_law(self, monkeypatch, alpha, t):
         # Each call walks at most 15 steps.
         assert self.walks_match_float_law(monkeypatch, alpha, t) == [np.int64] * 3
 
+    @pytest.mark.soundness
     def test_object_walk_where_no_split_fits(self, monkeypatch):
         # 1000^7 > 2^53, so at t = 14 one of the two walks of every split
         # needs Python ints, and both are counted in them.
         alpha = Fraction(999, 1000)
         assert self.walks_match_float_law(monkeypatch, alpha, 14) == [object] * 3
 
+    @pytest.mark.soundness
     def test_word_walk_edge_at_the_cap(self, monkeypatch):
         # At 9/10, t = 24, 600 thresholds would balance at a low half of 16
         # steps, a walk of Python ints (10^16 > 2^53), and take 15, the
@@ -548,6 +565,7 @@ class TestExactOrder:
         assert order.tolist() == [2, 4, 0, 3, 1, 5]
         assert xs.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]
 
+    @pytest.mark.soundness
     def test_equal_ints_raise(self):
         scaled = np.array([7, 1, 7], dtype=object)
         with pytest.raises(RuntimeError, match="share a position"):
@@ -606,13 +624,12 @@ class TestPathUniqueness:
     def test_float_levels_are_the_former_positions(self, alpha):
         # The float walk of the collision scan is the int walk's doubling
         # in floats: the same bits as the former dedicated float doubling.
-        positions, k = np.zeros(1), np.zeros(1, dtype=np.int8)
+        positions = np.zeros(1)
         for t in range(17):
             assert positions.dtype == np.float64
             reference = _float_positions(alpha, t)
             assert np.array_equal(positions.view(np.int64), reference.view(np.int64)), t
-            assert np.array_equal(k, [i.bit_count() for i in range(2**t)])
-            positions, k = exact._double(alpha, positions, k, 1)
+            positions = exact._double(alpha, positions, 1)
 
     @pytest.mark.parametrize(
         "alpha, t, tolerance", [(0.75, 17, 1e-6), (0.6, 16, 1e-7), (GOLDEN, 15, 1e-9)]
@@ -814,6 +831,7 @@ class TestResidence:
                 assert exact_residence_distribution(prm) == walk_residence(prm), (p, t)
 
     @pytest.mark.parametrize("t", [0, 1, 2, 5, 12])
+    @pytest.mark.soundness
     def test_walks_only_half_the_levels(self, monkeypatch, t):
         # From an empty cache the deepest level built is the high half's of
         # the last horizon, and each level is built once.
@@ -825,6 +843,7 @@ class TestResidence:
         assert built == list(range(1, t - t // 2 + 1))
 
 
+@pytest.mark.soundness
 class TestSharedWalk:
     """``exact._level``: one cached walk per alpha, read-only, int64 while
     ``n^s < 2^53``, and emptied when a ``cli.main`` command ends."""
@@ -834,9 +853,9 @@ class TestSharedWalk:
         """Empty the cache, then record the level each doubling builds from now on."""
         built, double = [], exact._double
 
-        def recorded(m, scaled, k, weight):
+        def recorded(m, scaled, weight):
             built.append(scaled.size.bit_length())  # 2^(s-1) paths doubled to level s
-            return double(m, scaled, k, weight)
+            return double(m, scaled, weight)
 
         exact._level.cache_clear()
         monkeypatch.setattr(exact, "_double", recorded)
@@ -844,15 +863,13 @@ class TestSharedWalk:
 
     def test_cached_level_is_read_only(self):
         for s in (0, 3, 16):  # int64 and, at 10^16 > 2^53, Python ints
-            scaled, k = exact._level(9, 10, s)
-            assert exact._level(9, 10, s)[0] is scaled
-            for level in (scaled, k):
-                with pytest.raises(ValueError, match="read-only"):
-                    level[0] = 1
-            _, (low, low_k) = exact._halves(Fraction(9, 10), 2 * s, s)
-            for half in (low, low_k):
-                with pytest.raises(ValueError, match="read-only"):
-                    half[0] = 1
+            scaled = exact._level(9, 10, s)
+            assert isinstance(scaled, np.ndarray) and exact._level(9, 10, s) is scaled
+            with pytest.raises(ValueError, match="read-only"):
+                scaled[0] = 1
+            _, low = exact._halves(Fraction(9, 10), 2 * s, s)
+            with pytest.raises(ValueError, match="read-only"):
+                low[0] = 1
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_halves_dtypes_on_both_sides_of_2_53(self, warm):
@@ -870,14 +887,12 @@ class TestSharedWalk:
             (30, 15, np.int64),
             (31, 15, object),
         ]:
-            (high, high_k), (low, low_k) = exact._halves(alpha, t, h)
+            high, low = exact._halves(alpha, t, h)
             assert high.dtype == low.dtype == dtype, (t, h)
-            assert high_k.dtype == low_k.dtype == np.int8
             assert high.tolist() == TestWordLattice.object_walk(9, 10, t - h)
             assert low.tolist() == TestWordLattice.object_walk(9, 10, h)
-            assert high_k.tolist() == [i.bit_count() for i in range(2 ** (t - h))]
-        assert exact._level(9, 10, 15)[0].dtype == np.int64
-        assert exact._level(9, 10, 16)[0].dtype == object
+        assert exact._level(9, 10, 15).dtype == np.int64
+        assert exact._level(9, 10, 16).dtype == object
 
     def test_shared_walk_builds_each_level_once(self, monkeypatch):
         # The horizons of fig4b's exact cvm command at one alpha, counted on

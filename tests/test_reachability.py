@@ -191,6 +191,7 @@ class TestReachability:
             is_eps_reachable(ReachQuery(alpha=1 - 1e-5, r=0.0, epsilon=1e-3))
 
     @pytest.mark.parametrize("alpha, r", [(0.7, 0.3), (0.3, 1.3)])
+    @pytest.mark.soundness
     def test_unsound_witness_raises(self, alpha, r, monkeypatch):
         # Replay is the soundness check on both decision branches; it must
         # raise, not assert, so that python -O keeps it.
@@ -198,6 +199,7 @@ class TestReachability:
         with pytest.raises(RuntimeError, match="witness"):
             is_eps_reachable(ReachQuery(alpha=alpha, r=r, epsilon=1e-3))
 
+    @pytest.mark.soundness
     def test_unsound_witness_raises_on_sweep(self, monkeypatch):
         # Every witnessed lane is replayed: a miss on the last one alone
         # must raise, under python -O too.
@@ -217,6 +219,7 @@ class TestReachability:
                 decide_lanes(alpha, targets, eps)
             monkeypatch.undo()
 
+    @pytest.mark.soundness
     def test_unsound_witness_raises_on_unconfirmed_hit(self):
         # The depth-46 prefix lies 0.375 epsilon from r in exact arithmetic,
         # but its float replay lands 1.11 epsilon away, and no deeper prefix
