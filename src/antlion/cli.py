@@ -109,10 +109,10 @@ def _parse_t_list(text: str):
         chunk = chunk.strip()
         if ".." in chunk:
             lo, _, hi = chunk.partition("..")
-            span = range(int(lo), int(hi) + 1)
+            lo, hi = int(lo), int(hi) + 1  # no range: its len() overflows past 2**63
             # A list entry is a pointer and an int object: 5 words.
-            check_elements(5 * (len(values) + len(span)), f"a list of {len(span)} horizons")
-            values.extend(span)
+            check_elements(5 * (len(values) + hi - lo), f"a list of {hi - lo} horizons")
+            values.extend(range(lo, hi))
         else:
             values.append(int(chunk))
     if not values or any(t < 0 for t in values):
@@ -183,7 +183,7 @@ def _cmd_dist(args):
     if args.mode == "mc" and args.store == "paths":
         # Each index is below its axis length, so int32 holds it.
         walker, step = np.indices(batch.positions.shape, dtype=np.int32)
-        columns = (walker.ravel(), step.ravel(), batch.positions.ravel())
+        columns = (walker.ravel(), step.ravel(), batch.positions.flat)
         yield Table("trajectories", ["walker_id", "step", "position"], columns)
 
 

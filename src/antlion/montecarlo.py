@@ -11,10 +11,12 @@ how the work is partitioned.
 CPU the process may run on (``os.sched_getaffinity``, else ``os.cpu_count``),
 at most one per block, takes blocks of up to ``_BLOCK_CHUNKS`` consecutive
 chunks from a shared counter. Each chunk of a block draws its own stream
-into its own columns of the block's step tile, and the block is walked by
-one thread that writes only its own walkers of the output, so the worker
-count and the order in which blocks finish cannot change a bit. Philox fills
+into its own columns of the block's step tile, and one thread walks the
+block into its own walkers of each step's output row, so neither the worker
+count nor the order in which blocks finish can change a bit. Philox fills
 and the ufunc loops release the interpreter lock, so the threads overlap.
+Paths mode keeps a row per step, so its ``(n_walkers, t + 1)`` positions
+are a transposed view, which ``.ravel()`` copies whole.
 
 A step is read off the stream's raw 64-bit words: numpy's uniform double is
 ``(word >> 11) * 2**-53``, so ``word < _minus_threshold(p)`` is
@@ -68,7 +70,8 @@ class TrajectoryBatch:
 
     ``positions`` is ``(n_walkers,)`` in finals and residence mode and
     ``(n_walkers, t+1)`` in paths mode with column 0 holding the common start
-    at 0. ``nonneg_steps`` is set in paths and residence mode, counted by
+    at 0, a transposed view that ``.ravel()`` copies whole and ``.flat`` reads
+    in place. ``nonneg_steps`` is set in paths and residence mode, counted by
     the walk itself: per walker, the number of steps ``s in 1..t`` with
     ``X_s >= 0``. Treat both as immutable; batches are shared freely.
     """
@@ -110,33 +113,29 @@ def _minus_threshold(p: float) -> int:
     return math.ceil(p * 2**53) << 11
 
 
-def _simulate_blocks(claim, seed, a, p, t, finals, paths, counts) -> None:
+def _simulate_blocks(claim, seed, a, p, t, rows, counts) -> None:
     """Walk every block of chunks that ``claim()`` hands out until it
     returns None.
 
-    Each call owns its tile buffers. ``random_raw((m, STREAM_CHUNK))``
-    consumes a chunk's stream exactly like ``m`` draws of ``STREAM_CHUNK``
-    words each, so a tile of ``m`` steps sees the same words as ``m`` single
-    steps. One loop walks every mode: step ``r`` writes ``a`` times the
-    walk so far plus step ``r`` into the walk's next home. Without
-    ``counts`` that is the block's own columns of ``finals``, in place,
-    alpha ``a[j, 0]`` in row ``j``. With ``counts`` (one alpha) it is row
-    ``r`` of a position tile, computed from row ``r - 1``; each filled tile
-    adds its non-negative positions to ``counts`` and, given ``paths``, is
-    copied into it. The block's last position goes to ``finals`` once.
+    Each call owns its step tile. ``random_raw((m, STREAM_CHUNK))`` consumes
+    a chunk's stream exactly like ``m`` draws of ``STREAM_CHUNK`` words
+    each, so a tile of ``m`` steps sees the same words as ``m`` single
+    steps. Step ``s`` writes ``a`` times the walk so far plus step ``s``
+    into the block's columns of row ``s`` of the step-major ``rows`` (alpha
+    ``a[j, 0]`` in ``rows[:, j]``), or of row 0 in place when ``rows`` keeps
+    one, and adds alpha 0's non-negative positions to ``counts`` if given.
     """
-    n = finals.shape[1]
+    keep = len(rows) > 1
     minus = _minus_threshold(p)
     below = None if minus >> 64 else np.uint64(minus)  # None at p = 1
     xi = np.empty(_TILE * STREAM_CHUNK)
-    xs = None if counts is None else np.empty(_TILE * STREAM_CHUNK)
     while (chunks := claim()) is not None:
         start = chunks.start * STREAM_CHUNK
-        stop = min(chunks.stop * STREAM_CHUNK, n)
+        stop = min(chunks.stop * STREAM_CHUNK, rows.shape[2])
         width = stop - start
         streams = [philox_stream(seed, chunk).bit_generator for chunk in chunks]
         depth = _TILE // len(chunks)
-        x = finals[:, start:stop]
+        x = rows[0, :, start:stop]
         x.fill(0.0)
         for s0 in range(0, t, depth):
             m = min(depth, t - s0)
@@ -154,36 +153,27 @@ def _simulate_blocks(claim, seed, a, p, t, finals, paths, counts) -> None:
                 del words  # before the next chunk's words are drawn
             step *= -2.0
             step += 1.0  # exactly -1.0 where the word is below, +1.0 elsewhere
-            tile = (x,) * m if xs is None else xs[: m * width].reshape(m, 1, width)
             for r in range(m):
-                x = np.multiply(x, a, out=tile[r])
+                x = np.multiply(x, a, out=rows[s0 + r + 1 if keep else 0, :, start:stop])
                 x += step[r]
-            if paths is not None:
-                paths[start:stop, s0 + 1 : s0 + m + 1] = tile[:, 0].T
-            if counts is not None:
-                counts[start:stop] += (tile[:, 0] >= 0.0).sum(axis=0)
-        finals[:, start:stop] = x  # a copy of itself in finals mode
+                if counts is not None:
+                    counts[start:stop] += x[0] >= 0.0
 
 
 def _walk(alphas, p: float, t: int, n_walkers: int, seed: int, mode: str = "finals"):
     """Walk ``n_walkers`` walkers at every alpha on worker threads; return
-    the ``(k, n_walkers)`` finals, the paths (``mode="paths"``) or None and
-    the non-negative-step counts (paths and residence mode) or None."""
+    the step-major positions, ``(t + 1, k, n_walkers)`` in paths mode and
+    ``(1, k, n_walkers)`` otherwise, whose last row is the finals, and the
+    non-negative-step counts (paths and residence mode) or None."""
     if n_walkers < 1:
         raise ValueError("n_walkers must be at least 1")
     check_elements(n_walkers * (t + 1), f"{n_walkers} walkers over {t + 1} positions")
     check_elements(n_walkers * len(alphas), f"{n_walkers} walkers at {len(alphas)} alphas")
-    finals = np.empty((len(alphas), n_walkers))
-    paths = np.empty((n_walkers, t + 1)) if mode == "paths" else None
-    if paths is not None:
-        paths[:, 0] = 0.0
+    rows = np.empty((t + 1 if mode == "paths" else 1, len(alphas), n_walkers))
     counts = None if mode == "finals" else np.zeros(n_walkers, dtype=np.int64)
     a = np.array(alphas, dtype=np.float64)[:, None]
     n_chunks = -(-n_walkers // STREAM_CHUNK)
-    # Paths are written a tile of columns at a time, row by row: one-chunk
-    # blocks keep those writes 16 columns wide and within a chunk's rows.
-    per_block = 1 if mode == "paths" else _BLOCK_CHUNKS
-    blocks = [range(c, min(c + per_block, n_chunks)) for c in range(0, n_chunks, per_block)]
+    blocks = [range(c, min(c + _BLOCK_CHUNKS, n_chunks)) for c in range(0, n_chunks, _BLOCK_CHUNKS)]
     pending = iter(blocks)
     lock = threading.Lock()
     errors = []
@@ -194,7 +184,7 @@ def _walk(alphas, p: float, t: int, n_walkers: int, seed: int, mode: str = "fina
 
     def work():
         try:
-            _simulate_blocks(claim, seed, a, p, t, finals, paths, counts)
+            _simulate_blocks(claim, seed, a, p, t, rows, counts)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
@@ -206,7 +196,7 @@ def _walk(alphas, p: float, t: int, n_walkers: int, seed: int, mode: str = "fina
         thread.join()
     if errors:
         raise errors[0]
-    return finals, paths, counts
+    return rows, counts
 
 
 def simulate(
@@ -226,8 +216,8 @@ def simulate(
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {', '.join(map(repr, _MODES))}, got {mode!r}")
     alpha = params.alpha.as_float
-    finals, paths, counts = _walk([alpha], float(params.p), params.t, n_walkers, seed, mode)
-    positions = finals[0] if paths is None else paths
+    rows, counts = _walk([alpha], float(params.p), params.t, n_walkers, seed, mode)
+    positions = rows[:, 0].T if mode == "paths" else rows[-1, 0]
     return TrajectoryBatch(params, n_walkers, seed, mode, positions, counts)
 
 
@@ -243,7 +233,7 @@ def simulate_finals(
     """
     for alpha in alphas:
         WalkParams(Alpha.from_real(alpha), p, t)  # checks alpha, p and t
-    return _walk(alphas, float(p), t, n_walkers, seed)[0]
+    return _walk(alphas, float(p), t, n_walkers, seed)[0][-1]
 
 
 def simulate_simple_rw(t: int, n_walkers: int = DEFAULT_WALKERS, seed: int = 0) -> TrajectoryBatch:

@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import re
-from collections import Counter
 from contextlib import ExitStack
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Sequence
@@ -131,19 +130,15 @@ def write_tables(items: Sequence, fmt: str) -> None:
         lengths = [len(c) for c in columns]
         if len(columns) != len(header) or len(set(lengths)) > 1:
             raise ValueError(f"table {name!r}: {len(header)} fields, column lengths {lengths}")
-    held = [c for _, table in items for c in table.columns]
-    uses = Counter(map(id, held))
-    labels = {id(c.labels): c.labels for c in held if isinstance(c, Coded)}
+    labels = {id(c.labels): c.labels for _, t in items for c in t.columns if isinstance(c, Coded)}
     labels = {key: list(_cells(values, 0, len(values), fmt)) for key, values in labels.items()}
 
-    def cells(column, lo: int):
-        """Rows ``lo:lo + BLOCK_ROWS`` as text: a list if several tables read it."""
+    def cells(column, lo: int) -> list:
+        """Rows ``lo:lo + BLOCK_ROWS`` as text, read by every table that holds the column."""
         if isinstance(column, Coded):
             codes = column.codes[lo : lo + BLOCK_ROWS].tolist()
-            text = map(labels[id(column.labels)].__getitem__, codes)
-        else:
-            text = _cells(column, lo, lo + BLOCK_ROWS, fmt)
-        return list(text) if uses[id(column)] > 1 else text
+            return list(map(labels[id(column.labels)].__getitem__, codes))
+        return list(_cells(column, lo, lo + BLOCK_ROWS, fmt))
 
     with ExitStack() as stack:
         tables = []  # (file, columns, rows, one row's pieces with a slot per cell)
@@ -165,6 +160,7 @@ def write_tables(items: Sequence, fmt: str) -> None:
                     out[2 * j + 1 :: len(row)] = column_text
                 text = "".join(out)
                 fh.write(text[:-1] if fmt == "json" and lo + BLOCK_ROWS >= n_rows else text)
+            del out, text  # so the next block's text is not held beside this one's
         if fmt == "json":
             for fh, _, n_rows, _ in tables:
                 fh.write("\n]" if n_rows else "]")

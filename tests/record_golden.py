@@ -3,8 +3,9 @@ writes (``<cmd>_manifest.json`` left out: it holds a clock reading).
 
 The golden commands are every command of the README CLI block, in each of
 the three formats, the exact ``dist`` and ``cvm`` points at the edges of
-the word-size lattices, the benchmark's small workloads and one Monte Carlo
-horizon list. ``test_golden.py`` reruns them and compares digests.
+the word-size lattices, the benchmark's small workloads, one Monte Carlo
+horizon list and one Monte Carlo paths dump over several blocks.
+``test_golden.py`` reruns them and compares digests.
 
 The table defines correct output, so record it only at a commit whose
 outputs are known to be right, and state in CHANGES.md why any digest
@@ -66,6 +67,10 @@ TINY_WORKLOADS = (
 # these bytes too.
 MC_HORIZONS = ("cvm --targets arw,srw --alpha 0.1,0.9 --t 1..30 --mode mc --n 2000 --seed 3",)
 
+# Paths over several blocks: four full chunks and a tail of 5 walkers, so
+# one full block and one short block write their rows of every step.
+MC_PATHS = ("dist --alpha 0.9 --t 9 --mode mc --n 16389 --store paths --seed 3",)
+
 
 def code_block(heading: str, language: str) -> str:
     """The first ``language`` code block under the README's ``## heading``."""
@@ -86,7 +91,7 @@ def readme_commands() -> list:
 
 def golden_commands() -> list:
     readme = [f"{cmd} --format {fmt}" for cmd in readme_commands() for fmt in FORMATS]
-    return readme + [*EXACT_POINTS, *TINY_WORKLOADS, *MC_HORIZONS]
+    return readme + [*EXACT_POINTS, *TINY_WORKLOADS, *MC_HORIZONS, *MC_PATHS]
 
 
 def run(main, command: str, out_dir: Path) -> tuple:

@@ -1,7 +1,9 @@
 """CLI surface: outputs, schemas, determinism, exit codes."""
 
+import contextlib
 import csv
 import functools
+import io
 import itertools
 import json
 import math
@@ -359,6 +361,30 @@ class TestColumnWriter:
         assert size > 9_000_000
         assert peak < size / 20
 
+    def test_trajectories_read_the_walk_in_place(self, tmp_path, monkeypatch):
+        # The trajectories table holds the walk's positions and two int32
+        # index columns, 16 bytes a row; a copy of the (transposed) position
+        # matrix would add 8. The traced peak runs up to the write, which the
+        # test above bounds, so that formatting is not traced cell by cell.
+        n, t = 5000, 40
+        peaks = []
+
+        def write_untraced(items, fmt):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            write_tables(items, fmt)
+
+        argv = ["dist", "--alpha", "0.9", "--mode", "mc", "--store", "paths", "--out", str(tmp_path)]
+        assert main([*argv, "--t", "2", "--n", "3"]) == EXIT_OK  # lazy imports, untraced
+        monkeypatch.setattr(cli, "write_tables", write_untraced)
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--t", str(t), "--n", str(n)]) == EXIT_OK
+        finally:
+            tracemalloc.stop()
+        [peak] = peaks  # the one write, of dist, dist_cdf and trajectories
+        assert peak < 20 * n * (t + 1)
+
 
 class Counting:
     """A column that counts the slices read from it."""
@@ -558,6 +584,78 @@ class TestErrors:
         ):
             assert main([*argv, "--out", str(tmp_path)]) == EXIT_RESOURCE
             assert capsys.readouterr().err.count("\n") == 1
+
+
+# A valid argv of each command, so that a share of the drawn cases runs.
+_BASELINE = {
+    "dist": ["--alpha=1/2", "--t=4", "--n=50"],
+    "cvm": ["--targets=arw", "--alpha=1/2", "--t=3", "--n=50", "--grid=-3,3,20"],
+    "residence": ["--alpha=1/2", "--t=4", "--n=50"],
+    "reach": ["--alpha=0.5", "--r=0.1", "--epsilon=0.01"],
+    "bandit": ["--pa=0.8", "--pb=0.2", "--horizon=20"],
+    "moments": ["--alpha=1/2", "--t-max=3"],
+}
+_EXTREMES = {
+    int: ["0", "-1", str(10**20)],
+    float: ["nan", "inf", "-inf", "-0.0", "1e-320", "1e300"],
+    str: ["m/0", "0/1", "", ",", "1/2,", "5..2", f"1..{10**20}", "uniform:5,5", "ar1:2", "-0.0",
+          "1e-320"],
+}
+# ROADMAP item 3: where epsilon is a few ulps wide, a float replay cannot
+# confirm a true witness (reach --alpha 0.5 --r 0.1 --epsilon 1e-320 raises
+# RuntimeError), so reach's epsilon stays off the ulp scale here.
+_EPSILONS = ["nan", "inf", "-inf", "-0.0", "0.5", "1e300"]
+
+
+@st.composite
+def cli_argvs(draw) -> list:
+    """A command's valid baseline with up to three of its flags, taken from
+    ``cli.COMMANDS``, set to extreme values of the flag's type or choices."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _, _, shared, own = cli.COMMANDS[name]
+    specs = {**{flag: cli._SHARED[flag] for flag in shared if flag != "--out"}, **own}
+    argv = [name, *_BASELINE[name]]
+    for flag in draw(st.lists(st.sampled_from(sorted(specs)), max_size=3, unique=True)):
+        spec = specs[flag]
+        if spec.get("action") == "store_true":
+            argv.append(flag)
+            continue
+        if "choices" in spec:
+            values = [*spec["choices"], "bogus"]
+        else:
+            values = _EPSILONS if flag == "--epsilon" else _EXTREMES[spec.get("type", str)]
+        argv.append(f"{flag}={draw(st.sampled_from(values))}")
+    return argv
+
+
+@pytest.mark.soundness
+def test_every_flag_ends_in_a_documented_exit(tmp_path):
+    # Exit 0, or 2-5 with one "antlion:" line; argparse exits 2 only. The
+    # budgets are patched down so that no case holds more than a few MB.
+    codes = []
+
+    @settings(max_examples=1000, deadline=None)
+    @given(argv=cli_argvs())
+    def case(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, "--out", str(tmp_path)])
+            except SystemExit as exc:  # argparse
+                assert exc.code == EXIT_USAGE, argv
+                codes.append(exc.code)
+                return
+        codes.append(code)
+        assert code == EXIT_OK or 2 <= code <= 5, argv
+        if code != EXIT_OK:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("antlion: "), (argv, lines)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "DEFAULT_ELEMENT_LIMIT", 2 * 10**5)
+        patch.setattr(exact, "DEFAULT_HORIZON_CAP", 10)
+        case()
+    assert codes.count(EXIT_OK) >= len(codes) / 10, codes
 
 
 def per_law_cdfs(cases, t, args):
