@@ -277,19 +277,24 @@ def _lockstep_correct(
     xi_a, xi_b = rule.xi_a, rule.xi_b
 
     k = config.k
-    alpha = np.asarray(alphas, dtype=np.float64)[:, None]
+    # An alpha per lane: a multiply that broadcasts a column is slower.
+    alpha = np.repeat(np.asarray(alphas, dtype=np.float64)[:, None], n_seeds, axis=1)
     x = np.zeros((len(alphas), n_seeds))
     theta = np.zeros_like(x)
     play_a = np.empty((h, *x.shape), dtype=bool)
-    for i in range(h):
-        play = np.greater_equal(signal[i], theta, out=play_a[i])
+    xi = np.empty_like(x)
+    for sig, step_a, step_b, play in zip(signal, xi_a, xi_b, play_a):
+        np.greater_equal(sig, theta, out=play)
         x *= alpha
-        x += np.where(play, xi_a[i], xi_b[i])
+        np.copyto(xi, step_b)
+        np.copyto(xi, step_a, where=play)
+        x += xi
         # nearest_integer, in place.
         np.copysign(0.5, x, out=theta)
         theta += x
         np.trunc(theta, out=theta)
-        theta *= k
+        if k != 1.0:  # times 1.0 is the identity
+            theta *= k
     return rule.correct(play_a)
 
 

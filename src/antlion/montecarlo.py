@@ -20,7 +20,9 @@ are a transposed view, which ``.ravel()`` copies whole.
 
 A step is read off the stream's raw 64-bit words: numpy's uniform double is
 ``(word >> 11) * 2**-53``, so ``word < _minus_threshold(p)`` is
-``Generator.random() < p`` bit for bit, without building the doubles.
+``Generator.random() < p`` bit for bit, without building the doubles. At
+``p = 1/2`` the threshold is ``2**63``: a step is the word's top bit, laid
+as a sign bit on the bits of -1.0.
 """
 
 from __future__ import annotations
@@ -53,13 +55,21 @@ STREAM_CHUNK = 4096
 DEFAULT_WALKERS = 50_000
 
 # Consecutive chunks walked together, so that each walk call covers up to
-# this many chunks' walkers. Any value gives the same bits.
-_BLOCK_CHUNKS = 4
+# this many chunks' walkers; two split the 13 chunks of 50 000 walkers 7 : 6
+# over two workers. Any value gives the same bits.
+_BLOCK_CHUNKS = 2
 
-# A step tile holds _TILE * STREAM_CHUNK values whatever the block's width:
-# a block of k chunks draws _TILE // k steps per stream call (16 for one
-# chunk, 4 for a full block). Any value gives the same bits.
+# A step tile holds _TILE * STREAM_CHUNK values (512 KB) whatever the
+# block's width: a block of k chunks draws _TILE // k steps per stream call
+# (16 for one chunk, 8 for a full block). Any value gives the same bits.
 _TILE = 16
+
+# Steps a walker's one-byte residence tally holds before it is added into
+# the int64 counts.
+_TALLY = 255
+
+_SIGN = np.uint64(1 << 63)  # a double's sign bit, and the threshold at p = 1/2
+_MINUS_ONE_BITS = np.uint64(0xBFF0000000000000)  # the bits of -1.0
 
 _MODES = ("finals", "paths", "residence")
 
@@ -123,11 +133,13 @@ def _simulate_blocks(claim, seed, a, p, t, rows, counts) -> None:
     steps. Step ``s`` writes ``a`` times the walk so far plus step ``s``
     into the block's columns of row ``s`` of the step-major ``rows`` (alpha
     ``a[j, 0]`` in ``rows[:, j]``), or of row 0 in place when ``rows`` keeps
-    one, and adds alpha 0's non-negative positions to ``counts`` if given.
+    one, and adds alpha 0's non-negative positions to ``counts`` if given,
+    through a one-byte tally emptied into ``counts`` every ``_TALLY`` steps.
     """
     keep = len(rows) > 1
     minus = _minus_threshold(p)
     below = None if minus >> 64 else np.uint64(minus)  # None at p = 1
+    half = minus == 1 << 63  # p = 1/2: a step is -1 where the word's top bit is clear
     xi = np.empty(_TILE * STREAM_CHUNK)
     while (chunks := claim()) is not None:
         start = chunks.start * STREAM_CHUNK
@@ -137,6 +149,8 @@ def _simulate_blocks(claim, seed, a, p, t, rows, counts) -> None:
         depth = _TILE // len(chunks)
         x = rows[0, :, start:stop]
         x.fill(0.0)
+        nonneg = np.empty(width, dtype=bool)
+        tally = np.zeros(width, dtype=np.uint8)
         for s0 in range(0, t, depth):
             m = min(depth, t - s0)
             step = xi[: m * width].reshape(m, width)
@@ -149,15 +163,26 @@ def _simulate_blocks(claim, seed, a, p, t, rows, counts) -> None:
                 # walker's stream depends only on (seed, walker_index), not
                 # on n_walkers: growing a run extends it, never reshuffles.
                 words = stream.random_raw((m, STREAM_CHUNK))[:, : cols.shape[1]]
-                np.less(words, below, out=cols)
+                if half:
+                    np.bitwise_and(words, _SIGN, out=cols.view(np.uint64))
+                else:
+                    np.less(words, below, out=cols)
                 del words  # before the next chunk's words are drawn
-            step *= -2.0
-            step += 1.0  # exactly -1.0 where the word is below, +1.0 elsewhere
-            for r in range(m):
-                x = np.multiply(x, a, out=rows[s0 + r + 1 if keep else 0, :, start:stop])
-                x += step[r]
+            if half:  # the sign bit, set for a +1 step, on the bits of -1.0
+                bits = step.view(np.uint64)
+                np.bitwise_xor(bits, _MINUS_ONE_BITS, out=bits)
+            else:
+                step *= -2.0
+                step += 1.0  # exactly -1.0 where the word is below, +1.0 elsewhere
+            for s, xi_s in enumerate(step, s0 + 1):
+                x = np.multiply(x, a, out=rows[s, :, start:stop] if keep else x)
+                x += xi_s
                 if counts is not None:
-                    counts[start:stop] += x[0] >= 0.0
+                    np.greater_equal(x[0], 0.0, out=nonneg)
+                    np.add(tally, nonneg.view(np.uint8), out=tally)
+                    if s % _TALLY == 0 or s == t:
+                        counts[start:stop] += tally
+                        tally.fill(0)
 
 
 def _walk(alphas, p: float, t: int, n_walkers: int, seed: int, mode: str = "finals"):

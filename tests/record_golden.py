@@ -4,7 +4,8 @@ writes (``<cmd>_manifest.json`` left out: it holds a clock reading).
 The golden commands are every command of the README CLI block, in each of
 the three formats, the exact ``dist`` and ``cvm`` points at the edges of
 the word-size lattices, the benchmark's small workloads, one Monte Carlo
-horizon list and one Monte Carlo paths dump over several blocks.
+horizon list, one Monte Carlo paths dump over several blocks and one
+Monte Carlo residence walk of several hundred steps.
 ``test_golden.py`` reruns them and compares digests.
 
 The table defines correct output, so record it only at a commit whose
@@ -68,8 +69,12 @@ TINY_WORKLOADS = (
 MC_HORIZONS = ("cvm --targets arw,srw --alpha 0.1,0.9 --t 1..30 --mode mc --n 2000 --seed 3",)
 
 # Paths over several blocks: four full chunks and a tail of 5 walkers, so
-# one full block and one short block write their rows of every step.
+# two full blocks and a one-chunk block write their rows of every step.
 MC_PATHS = ("dist --alpha 0.9 --t 9 --mode mc --n 16389 --store paths --seed 3",)
+
+# A residence walk of 600 steps: more than twice the 255 steps a walker's
+# one-byte residence tally holds before it is added into the counts.
+MC_LONG = ("residence --alpha 0.98 --t 600 --mode mc --n 9000 --seed 3",)
 
 
 def code_block(heading: str, language: str) -> str:
@@ -91,7 +96,7 @@ def readme_commands() -> list:
 
 def golden_commands() -> list:
     readme = [f"{cmd} --format {fmt}" for cmd in readme_commands() for fmt in FORMATS]
-    return readme + [*EXACT_POINTS, *TINY_WORKLOADS, *MC_HORIZONS, *MC_PATHS]
+    return readme + [*EXACT_POINTS, *TINY_WORKLOADS, *MC_HORIZONS, *MC_PATHS, *MC_LONG]
 
 
 def run(main, command: str, out_dir: Path) -> tuple:

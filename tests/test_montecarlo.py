@@ -356,6 +356,11 @@ class TestRawWords:
             (5e-324, 2**11),
             (0.3, montecarlo._minus_threshold(0.3) - 1),
             (0.3, montecarlo._minus_threshold(0.3)),
+            # At 1/2 the step is the word's top bit.
+            (0.5, 2**63 - 1),
+            (0.5, 2**63),
+            (0.5, 0),
+            (0.5, 2**64 - 1),
         ],
     )
     def test_kernel_steps_at_edge_words(self, monkeypatch, p, word):
@@ -385,8 +390,9 @@ class TestWorkers:
 
     @pytest.mark.parametrize("t", [0, 1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
     @pytest.mark.parametrize("n", [1, STREAM_CHUNK + 1, 2 * STREAM_CHUNK, 2 * STREAM_CHUNK + 77])
-    def test_matches_reference_loop(self, t, n):
-        assert_matches_reference(params(0.7, p=0.4, t=t), n, seed=3)
+    @pytest.mark.parametrize("p", [0.4, 0.5])  # 1/2 reads the sign bit, 0.4 compares
+    def test_matches_reference_loop(self, t, n, p):
+        assert_matches_reference(params(0.7, p=p, t=t), n, seed=3)
 
     @pytest.mark.parametrize("mode", ["finals", "paths", "residence"])
     def test_worker_count_never_changes_a_bit(self, monkeypatch, mode):
@@ -406,14 +412,14 @@ class TestWorkers:
         "n",
         [
             1,
-            4 * STREAM_CHUNK - 1,  # one block, its last chunk one walker short
-            4 * STREAM_CHUNK,
-            4 * STREAM_CHUNK + 1,  # a second block of one walker
-            9 * STREAM_CHUNK + 5,  # two full blocks and a tail chunk of 5
+            2 * STREAM_CHUNK - 1,  # one block, its last chunk one walker short
+            2 * STREAM_CHUNK,
+            2 * STREAM_CHUNK + 1,  # a second block of one walker
+            4 * STREAM_CHUNK + 5,  # two full blocks and a tail chunk of 5
         ],
     )
     def test_block_edges_match_reference(self, monkeypatch, mode, n):
-        assert _BLOCK_CHUNKS == 4  # the block edges above
+        assert _BLOCK_CHUNKS == 2  # the block edges above
         prm = params(0.9, p=0.55, t=2 * _TILE + 1)
         expected = reference_simulate(prm, n, seed=8)
         counts = (expected[:, 1:] >= 0.0).sum(axis=1)
@@ -445,7 +451,7 @@ class TestWorkers:
             return stream(seed, *spawn_key)
 
         monkeypatch.setattr(montecarlo, "philox_stream", failing)
-        # Chunk 2 is the third chunk of the first block.
+        # Chunk 2 opens the second block.
         for workers in (1, 2, 4):
             with pytest.raises(MemoryError, match="chunk 2"):
                 simulate_with_workers(
@@ -459,15 +465,15 @@ class TestWorkers:
         def failing(seed, *spawn_key):
             drawn.append(spawn_key[0])
             if spawn_key == (2,):
-                time.sleep(0.05)  # so that with 4 workers the second block is claimed
+                time.sleep(0.05)  # so that with 4 workers the later blocks are claimed
                 raise MemoryError("chunk 2")
             if spawn_key == (4,):
-                time.sleep(0.1)  # and still walked when the first block fails
+                time.sleep(0.1)  # and still walked when the second block fails
             return stream(seed, *spawn_key)
 
         monkeypatch.setattr(montecarlo, "philox_stream", failing)
         prm = params(0.5, t=5)
-        # Two blocks of four chunks: the first fails, so the second is never claimed.
+        # Four blocks of two chunks: the second fails, so the last two are never claimed.
         with pytest.raises(MemoryError, match="chunk 2"):
             simulate_with_workers(monkeypatch, 1, prm, n_walkers=8 * STREAM_CHUNK, seed=1)
         assert not set(drawn) & set(range(4, 8))
@@ -508,9 +514,9 @@ class TestSimulateFinals:
             assert np.array_equal(row.view(np.int64), expected.view(np.int64)), alpha
 
     def test_tile_memory(self, monkeypatch):
-        # Two blocks of four chunks on one worker: a step tile of _TILE *
+        # Four blocks of two chunks on one worker: a step tile of _TILE *
         # STREAM_CHUNK doubles and one chunk's words. A 16-step tile over a
-        # 4-chunk block would take 2 MB on its own.
+        # 2-chunk block would take 1 MB on its own.
         monkeypatch.setattr(montecarlo, "_worker_count", lambda n_blocks: 1)
         tracemalloc.start()
         try:
@@ -548,6 +554,18 @@ class TestResidenceMode:
         assert res.positions.shape == (STREAM_CHUNK + 300,)
         assert np.array_equal(res.finals, paths.finals)
         assert np.array_equal(residence_times(res), residence_times(paths))
+
+    @pytest.mark.parametrize("mode", ["paths", "residence"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_cross_the_tally_flush(self, monkeypatch, mode, workers):
+        # 600 steps empty each walker's one-byte tally into its count twice
+        # and then at t; two blocks, the second of one walker.
+        prm = params(0.98, t=600)
+        n = _BLOCK_CHUNKS * STREAM_CHUNK + 1
+        expected = (reference_simulate(prm, n, seed=5)[:, 1:] >= 0.0).sum(axis=1)
+        assert expected.max() > 2 * montecarlo._TALLY
+        batch = simulate_with_workers(monkeypatch, workers, prm, n_walkers=n, seed=5, mode=mode)
+        assert np.array_equal(batch.nonneg_steps, expected)
 
     def test_horizon_zero(self):
         res = simulate(params(0.5, t=0), n_walkers=10, seed=1, mode="residence")
