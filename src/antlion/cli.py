@@ -181,9 +181,9 @@ def _cmd_dist(args):
         cdf = empirical_cdf(batch)
     yield Table("dist_cdf", ["position", "cdf"], (cdf.xs, cdf.cum))
     if args.mode == "mc" and args.store == "paths":
-        # Each index is below its axis length, so int32 holds it.
-        walker, step = np.indices(batch.positions.shape, dtype=np.int32)
-        columns = (walker.ravel(), step.ravel(), batch.positions.flat)
+        # Zero-stride views: write_tables reads every column a block at a time.
+        walker, step = np.broadcast_arrays(*np.ogrid[: batch.n_walkers, : params.t + 1])
+        columns = (walker.flat, step.flat, batch.positions.flat)
         yield Table("trajectories", ["walker_id", "step", "position"], columns)
 
 
@@ -294,7 +294,7 @@ def _cmd_reach(args):
     else:
         targets = [args.r]
     lanes = decide_lanes(alpha, targets, args.epsilon)
-    zeros = np.zeros(lanes.targets.size, dtype=np.int8)
+    zeros = np.broadcast_to(0, lanes.targets.size)
     alphas, epsilons = Coded(zeros, [alpha]), Coded(zeros, [args.epsilon])
     yield Table(
         "reach",
@@ -339,7 +339,7 @@ def _cmd_bandit(args):
         )
     else:
         trace = run_bandit(config, args.seed)
-        arms, rewards = np.where(trace.arm_a, "A", "B"), trace.reward.view(np.uint8)
+        arms, rewards = Coded(trace.arm_a, ["B", "A"]), trace.reward.view(np.uint8)
         columns = (range(config.horizon), trace.signal, trace.theta, arms, rewards, trace.xi, trace.x)
         header = ["step", "s", "theta", "arm", "reward", "xi", "x"]
         yield Table("bandit_trace", header, columns)

@@ -12,9 +12,9 @@ t // 2``, ``S`` of path ``i * 2^h + j`` is ``high[i] + low[j]``: the first
 ``2^(t/2)`` exact ints each, so position equality stays decidable: int64
 while ``n^t < 2^53`` (exact doubles too), Python ints past it. Nothing
 over all ``2^t`` paths is built eagerly; the moments use that the two
-halves are independent. ``_halves`` alone picks the two walks, which
-``_path_lattice`` scales; each is a level of one cached walk per alpha
-(``_level``), shared by the horizons of a command.
+halves are independent. Each half is a level of one cached walk per alpha
+(``_level``), shared by the horizons of a command; ``_path_lattice`` scales
+the two, and ``_count_at_most`` reads them through ``_halves``.
 
 The support is ordered when first read, by a sort of the exactly rounded
 positions ``S / n^(t-1)``, divided a block of paths at a time: in int64
@@ -242,9 +242,9 @@ def _path_lattice(alpha: Fraction, t: int, _low_steps: Optional[int] = None) -> 
     (by default ``t // 2``) of them."""
     m, n = alpha.numerator, alpha.denominator
     h = t // 2 if _low_steps is None else _low_steps
-    high, low = _halves(alpha, t, h)
+    high, low = _level(m, n, t - h), _level(m, n, h)
     if n**t >= 2**53:  # their walk may fit a word where the scaled halves do not
-        low, high = low.astype(object), high.astype(object)
+        low, high = low.astype(object, copy=False), high.astype(object, copy=False)
     # S_t = m^(t-h) S_h(steps 1..h) + n^h S_(t-h)(steps h+1..t); the later
     # steps are the high index bits, so they index the rows of the outer sum.
     return PathLattice(n**h * high, m ** (t - h) * low, n ** max(t - 1, 0))

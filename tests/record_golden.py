@@ -32,13 +32,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden.json"
 FORMATS = ("csv", "json", "gnuplot")
 
 # 9/10 at t = 15 is the last int64 lattice and t = 16 the first of Python
-# ints; the halves of 999999/1000000 cancel; 1/2 at t = 18 is a large
-# int64 lattice; the grid table prints every grid value of two laws.
+# ints; the halves of 999999/1000000 cancel; 1/2 at t = 18 and t = 20 are
+# large int64 lattices, the latter a million rows; the grid table prints
+# every grid value of two laws.
 EXACT_POINTS = (
     "dist --alpha 9/10 --t 15 --mode exact",
     "dist --alpha 9/10 --t 16 --mode exact",
     "dist --alpha 999999/1000000 --t 12 --mode exact",
     "dist --alpha 1/2 --t 18 --mode exact",
+    "dist --alpha 1/2 --t 20 --mode exact",
     "cvm --targets arw,srw --alpha 9/10 --t 12 --mode exact --grid-table",
 )
 

@@ -140,6 +140,11 @@ class TestCvmDistance:
         b = cvm_distance(normal_cdf, u)
         assert a.distance == b.distance
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, -2.0), (0.0, math.nan)])
+    def test_uniform_needs_lo_below_hi(self, lo, hi):
+        with pytest.raises(ValueError, match="lo < hi"):
+            uniform_cdf(lo, hi)
+
     def test_hand_computed_grid(self):
         # Uniform on [0,1] vs a point mass at 0.5, grid (0, 1, 4):
         # u_k = .25, .5, .75, 1; diffs .25, -.5, -.25, 0 -> sum of squares

@@ -127,6 +127,9 @@ class TestRunBandit:
             config(p_a=1.5)
         with pytest.raises(ValueError):
             config(horizon=0)
+        for alpha in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+                config(alpha=alpha)
         with pytest.raises(ValueError):
             Ar1Signal(1.0)
         with pytest.raises(ValueError):
@@ -183,6 +186,11 @@ class TestSweep:
     def test_requires_alphas(self):
         with pytest.raises(ValueError):
             sweep_alpha(config(), [], n_seeds=1)
+
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_requires_a_seed(self, n_seeds):
+        with pytest.raises(ValueError, match="n_seeds must be at least 1"):
+            sweep_alpha(config(), [0.9], n_seeds=n_seeds)
 
     def test_window_longer_than_horizon_is_whole_run(self, monkeypatch):
         monkeypatch.setattr(bandit, "LAST_WINDOW", 10_000)

@@ -362,10 +362,11 @@ class TestColumnWriter:
         assert peak < size / 20
 
     def test_trajectories_read_the_walk_in_place(self, tmp_path, monkeypatch):
-        # The trajectories table holds the walk's positions and two int32
-        # index columns, 16 bytes a row; a copy of the (transposed) position
-        # matrix would add 8. The traced peak runs up to the write, which the
-        # test above bounds, so that formatting is not traced cell by cell.
+        # The trajectories table holds the walk's positions, 8 bytes a row,
+        # and two zero-stride index views; index matrices would add 8 bytes a
+        # row, as would a copy of the (transposed) position matrix. The traced
+        # peak runs up to the write, which the test above bounds, so that
+        # formatting is not traced cell by cell.
         n, t = 5000, 40
         peaks = []
 
@@ -383,7 +384,7 @@ class TestColumnWriter:
         finally:
             tracemalloc.stop()
         [peak] = peaks  # the one write, of dist, dist_cdf and trajectories
-        assert peak < 20 * n * (t + 1)
+        assert peak < 14 * n * (t + 1)
 
 
 class Counting:
@@ -529,6 +530,23 @@ class TestErrors:
     def test_reach_decides_near_an_ulp(self, tmp_path, argv):
         # Valid queries: each must end in a decision, not a traceback.
         assert main(["reach", *argv, "--out", str(tmp_path)]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reach", "--alpha", "0.5", "--epsilon", "0.01"], "reach needs --r or --sweep"),
+            (
+                ["bandit", "--pa", "0.8", "--pb", "0.2", "--horizon", "10",
+                 "--sweep-alphas", "0.5", "--seeds", "0"],
+                "n_seeds must be at least 1",
+            ),
+        ],
+    )
+    def test_missing_work_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_alpha(self, tmp_path, capsys):
         assert main(["dist", "--alpha", "3/2", "--t", "2", "--out", str(tmp_path)]) == EXIT_USAGE

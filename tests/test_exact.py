@@ -191,6 +191,10 @@ class TestEnumerate:
         assert all(dist.point_probability(s) == Fraction(1, 32) for s in dist.entries)
         assert float(Fraction(1, 32)) == 0.03125
 
+    def test_repr(self):
+        dist = enumerate_distribution(params(Fraction(9, 10), p=Fraction(1, 3), t=5))
+        assert repr(dist) == "ExactDistribution(t=5, alpha=9/10, p=1/3, support=32)"
+
     def test_horizon_zero(self):
         dist = enumerate_distribution(params(Fraction(1, 3), t=0))
         assert support_size(dist) == 1
@@ -619,6 +623,22 @@ class TestPathUniqueness:
 
     def test_real_single_step(self):
         assert check_path_uniqueness_real(0.37, 1).empty
+
+    @pytest.mark.parametrize(
+        "alpha, tolerance, message",
+        [(0.0, 1e-9, "alpha must lie in"), (1.5, 1e-9, "alpha must lie in"),
+         (0.5, 0.0, "tolerance must be positive"), (0.5, -1.0, "tolerance must be positive")],
+    )
+    def test_real_bad_arguments(self, alpha, tolerance, message):
+        with pytest.raises(ValueError, match=message):
+            check_path_uniqueness_real(alpha, 3, tolerance)
+
+    def test_real_tolerance_is_strict(self):
+        # At alpha 1/2, t = 2, the positions -1.5, -0.5, 0.5, 1.5 are exactly
+        # 1.0 apart: each neighbour is a candidate within the tolerance, and
+        # none is reported, as none lies strictly closer.
+        assert check_path_uniqueness_real(0.5, 2, tolerance=1.0).empty
+        assert len(check_path_uniqueness_real(0.5, 2, tolerance=math.nextafter(1.0, 2.0))) == 3
 
     @pytest.mark.parametrize("alpha", [0.5, 0.37, 1.0, GOLDEN, 0.9, 1e-300, 0.999999])
     def test_float_levels_are_the_former_positions(self, alpha):

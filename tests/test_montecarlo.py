@@ -89,6 +89,7 @@ class TestSimulate:
 
     def test_paths_follow_recursion(self):
         batch = simulate(params(0.35, t=25), n_walkers=200, seed=13, mode="paths")
+        assert batch.t == 25 and batch.positions.shape == (200, batch.t + 1)
         assert np.all(batch.positions[:, 0] == 0.0)
         steps = batch.positions[:, 1:] - 0.35 * batch.positions[:, :-1]
         assert np.allclose(np.abs(steps), 1.0, atol=1e-9)
