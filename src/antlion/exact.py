@@ -13,8 +13,8 @@ t // 2``, ``S`` of path ``i * 2^h + j`` is ``high[i] + low[j]``: the first
 while ``n^t < 2^53`` (exact doubles too), Python ints past it. Nothing
 over all ``2^t`` paths is built eagerly; the moments use that the two
 halves are independent. Each half is a level of one cached walk per alpha
-(``_level``), shared by the horizons of a command; ``_path_lattice`` scales
-the two, and ``_count_at_most`` reads them through ``_halves``.
+(``_level``), shared by the horizons of a command; ``_path_lattice``
+scales the two, and ``_count_at_most`` reads them as ``_level`` holds them.
 
 The support is ordered when first read, by a sort of the exactly rounded
 positions ``S / n^(t-1)``, divided a block of paths at a time: in int64
@@ -24,8 +24,8 @@ only points with equal floats can be out of order, and those are sorted on
 their ints, the only ``S`` the ordering computes.
 No array of all ``2^t`` ints is built; the lattice computes each ``S`` read.
 ``_count_at_most`` counts the positions at or below given floats on the
-unscaled walks of an uneven split, on int64 walks wherever a split allows
-them, and never orders the support.
+unscaled walks of an uneven split, each int64 wherever it fits, and never
+orders the support.
 Distinct paths land on distinct positions for rational alpha in (0, 1), and
 a tie raises. The probability of a point is entry ``k`` of the ``t + 1``
 path weights ``p^k (1-p)^(t-k)``, so the law is exact for any step
@@ -40,7 +40,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -227,21 +227,10 @@ class PathLattice(Sequence):
             raise ValueError(f"{scaled!r} is not a numerator of the support") from None
 
 
-def _halves(alpha: Fraction, t: int, h: int) -> tuple:
-    """The unscaled walks ``S`` of the last ``t - h`` and first ``h`` steps:
-    both of Python ints if ``n^max(h, t-h) >= 2^53``, else int64."""
+def _path_lattice(alpha: Fraction, t: int) -> PathLattice:
+    """The lattice of ``t`` steps whose low half holds the first ``t // 2``."""
     m, n = alpha.numerator, alpha.denominator
-    high, low = _level(m, n, t - h), _level(m, n, h)
-    if n ** max(h, t - h) >= 2**53:
-        high, low = high.astype(object, copy=False), low.astype(object, copy=False)
-    return high, low
-
-
-def _path_lattice(alpha: Fraction, t: int, _low_steps: Optional[int] = None) -> PathLattice:
-    """The lattice of ``t`` steps whose low half holds the first ``_low_steps``
-    (by default ``t // 2``) of them."""
-    m, n = alpha.numerator, alpha.denominator
-    h = t // 2 if _low_steps is None else _low_steps
+    h = t // 2
     high, low = _level(m, n, t - h), _level(m, n, h)
     if n**t >= 2**53:  # their walk may fit a word where the scaled halves do not
         low, high = low.astype(object, copy=False), high.astype(object, copy=False)
@@ -256,14 +245,14 @@ def _count_at_most(alpha: Fraction, t: int, ys) -> np.ndarray:
 
     The support is never ordered and no array over all paths is built: the
     counts meet in the middle (Horowitz and Sahni, 1974) on the split ``S =
-    top high[i] + bottom low[j]`` of ``_halves``' walks, ``top = n^h`` and
+    top high[i] + bottom low[j]`` of ``_level``'s walks, ``top = n^h`` and
     ``bottom = m^(t-h)``. The low half takes ``h = ceil((t + log2 len(ys)) /
     2) - 1`` steps, one fewer than balances sorting it against the
     ``len(high) * len(ys)`` (row, ``y``) queries, as those are vectorised,
-    or fewer if that is the deepest split whose walks both fit int64.
-    On an int64 walk (``n^max(h, t-h) < 2^53``) ``H = fl(high / (den /
-    top))`` rounds once and ``L = fl(low * fl(bottom / den))`` twice; on
-    Python ints both are ``fl(half / den)`` of the scaled half. The low half
+    or fewer if that is the deepest split whose walks both fit int64. On an
+    int64 walk ``H = fl(high / (den / top))`` rounds once (``den / top =
+    n^(t-1-h)`` is exact) and ``L = fl(low * fl(bottom / den))`` twice; on
+    Python ints each is ``fl(half / den)`` of its scaled half. The low half
     is sorted on ``L``, and on its ints where two ``L`` are equal. Per row,
     with ``d = fl(y - H)``, one ``searchsorted`` counts the ``L <= fl(d -
     M)``, which all round to at most ``y``. Where the next ``L`` is at most
@@ -279,7 +268,8 @@ def _count_at_most(alpha: Fraction, t: int, ys) -> np.ndarray:
     2^-53`` and ``e = 2^-1074``, ``q = S / den`` lies within ``u|H| + 3u
     max|L| + e`` of ``H + L``: ``H`` is rounded once (by at most ``e / 2``
     below the normal range) and ``L`` at most twice, in int64 never below it
-    (``bottom / den >= 2^-106``). ``y - H`` lies within ``u|d|`` of ``d``.
+    (``bottom / den > 2^-159``, as ``n^h < 2^53`` and, unless both walks are
+    int64, ``h >= ceil(t/2) - 1``). ``y - H`` lies within ``u|d|`` of ``d``.
     So ``L <= fl(d - M)`` gives ``q <= y``, hence ``fl(q) <= y``, once ``M``
     covers ``u (|H| + 3 max|L| + 2|d|) + e``; and ``L > fl(d + M)`` puts
     ``q`` at or past the float after ``y`` (at most ``2u|y| + e`` above),
@@ -292,11 +282,11 @@ def _count_at_most(alpha: Fraction, t: int, ys) -> np.ndarray:
     h = min(t, max(0, math.ceil((t + math.log2(max(ys.size, 1))) / 2) - 1))
     m, n = alpha.numerator, alpha.denominator
     h = next((s for s in range(h, -1, -1) if n ** max(s, t - s) < 2**53), h)
-    high, low = _halves(alpha, t, h)
+    high, low = _level(m, n, t - h), _level(m, n, h)
     top, bottom, den = n**h, m ** (t - h), n ** max(t - 1, 0)
-    scaled = low.dtype == object  # Python ints; at h = t, den / top is 1/n and high is [0]
-    high_x = (top * high / den).astype(float) if scaled else high / (den / top)
-    low_x = (bottom * low / den).astype(float) if scaled else low * (bottom / den)
+    # At h = t, den / top is 1/n and high is [0].
+    high_x = high / (den / top) if high.dtype == np.int64 else (top * high / den).astype(float)
+    low_x = low * (bottom / den) if low.dtype == np.int64 else (bottom * low / den).astype(float)
     by_x = np.argsort(low_x)
     low_x, low = low_x[by_x], low[by_x]
     if (low_x[1:] == low_x[:-1]).any():  # equal floats: their ints decide

@@ -34,7 +34,9 @@ FORMATS = ("csv", "json", "gnuplot")
 # 9/10 at t = 15 is the last int64 lattice and t = 16 the first of Python
 # ints; the halves of 999999/1000000 cancel; 1/2 at t = 18 and t = 20 are
 # large int64 lattices, the latter a million rows; the grid table prints
-# every grid value of two laws.
+# every grid value of two laws. The last grid table counts 999/1000 from t
+# = 11, where no split of the walk keeps both halves in int64, so an int64
+# walk is counted beside one of Python ints.
 EXACT_POINTS = (
     "dist --alpha 9/10 --t 15 --mode exact",
     "dist --alpha 9/10 --t 16 --mode exact",
@@ -42,6 +44,7 @@ EXACT_POINTS = (
     "dist --alpha 1/2 --t 18 --mode exact",
     "dist --alpha 1/2 --t 20 --mode exact",
     "cvm --targets arw,srw --alpha 9/10 --t 12 --mode exact --grid-table",
+    "cvm --targets arw --alpha 999/1000,999999/1000000 --t 11..14 --mode exact --grid-table",
 )
 
 # The small-size command lists of the benchmark's three workloads at seed 3,

@@ -29,7 +29,7 @@ from antlion.cli import EXIT_HORIZON, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from antlion.core import Alpha, WalkParams, closed_form_mean, closed_form_variance
 from antlion.exact import DIST_HEADER, enumerate_distribution, exact_residence_distribution
 from antlion.montecarlo import Ecdf, empirical_cdf, simulate, simulate_simple_rw
-from antlion.reachability import ReachQuery, is_eps_reachable
+from antlion.reachability import ReachQuery, decide_lanes, is_eps_reachable
 from antlion.tables import BLOCK_ROWS, SUFFIXES, Coded, Table, transpose, write_tables
 
 
@@ -530,6 +530,36 @@ class TestErrors:
     def test_reach_decides_near_an_ulp(self, tmp_path, argv):
         # Valid queries: each must end in a decision, not a traceback.
         assert main(["reach", *argv, "--out", str(tmp_path)]) == EXIT_OK
+
+    # An endpoint exactly epsilon away is a float hit whose replay lands
+    # exactly at epsilon, not strictly within it; after the extra peels the
+    # replay check raises. Here the only nearby endpoint is (1, -1, 1, -1).
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="a float hit on an endpoint exactly epsilon away replays at epsilon",
+    )
+    def test_reach_decides_at_an_exact_tie(self, tmp_path):
+        argv = ["reach", "--alpha", "0.375", "--r", "0.716796875", "--epsilon", "0.00390625"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="a float hit on an endpoint exactly epsilon away replays at epsilon",
+    )
+    @pytest.mark.parametrize(
+        "alpha, targets",
+        [
+            (0.375, [1.37109375, 0.62890625, 0.716796875]),
+            (0.3125, [1.31640625, 0.69140625]),
+            (0.46875, [1.47265625, 0.53515625]),
+        ],
+    )
+    def test_lanes_decide_at_exact_ties(self, alpha, targets):
+        # Each target lies exactly 2^-8 from an endpoint of two or four steps.
+        lanes = decide_lanes(alpha, targets, 2.0**-8)
+        assert lanes.reachable.size == len(targets)
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -347,17 +347,6 @@ class TestCountAtMost:
         assert exact._count_at_most(Fraction(9, 10), 8, 0.0) == 128
         assert exact._count_at_most(Fraction(9, 10), 0, [-0.5, 0.0]).tolist() == [0, 1]
 
-    @pytest.mark.parametrize("t, low_steps", [(0, 0), (5, 0), (5, 5), (6, 4), (7, 1)])
-    def test_uneven_splits(self, t, low_steps):
-        alpha = Fraction(2, 3)
-        lattice = exact._path_lattice(alpha, t, low_steps)
-        assert lattice.low.size == 2**low_steps and lattice.high.size == 2 ** (t - low_steps)
-        expected = sorted(path_numerators(exact._path_lattice(alpha, t)).tolist())
-        assert sorted(path_numerators(lattice).tolist()) == expected
-        # Path indices do not depend on the split, so neither does k, their popcount.
-        even = exact._path_lattice(alpha, t)
-        assert path_numerators(lattice).tolist() == path_numerators(even).tolist()
-
     @pytest.mark.soundness
     def test_exact_band_is_a_binary_search(self, monkeypatch):
         # At alpha 1/10^6 the low half's floats (about 1e-24 here) all lie
@@ -412,13 +401,12 @@ class TestWordLattice:
     )
     @pytest.mark.soundness
     def test_word_lattice_matches_object_walk(self, alpha, t):
-        m, n = alpha.numerator, alpha.denominator
-        for h in (t // 2, t // 2 + 1):
-            lattice = exact._path_lattice(alpha, t, h)
-            for half in (lattice.high, lattice.low):
-                assert half.dtype == (np.int64 if n**t < 2**53 else object)
-            assert lattice.high.tolist() == [n**h * v for v in self.object_walk(m, n, t - h)]
-            assert lattice.low.tolist() == [m ** (t - h) * v for v in self.object_walk(m, n, h)]
+        m, n, h = alpha.numerator, alpha.denominator, t // 2
+        lattice = exact._path_lattice(alpha, t)
+        for half in (lattice.high, lattice.low):
+            assert half.dtype == (np.int64 if n**t < 2**53 else object)
+        assert lattice.high.tolist() == [n**h * v for v in self.object_walk(m, n, t - h)]
+        assert lattice.low.tolist() == [m ** (t - h) * v for v in self.object_walk(m, n, h)]
         # Every support point and the float below it; a strided sample at
         # 2^22 and more paths, where all of them would take a few hundred MB.
         xs = enumerate_distribution(params(alpha, t=t)).float_law()[0]
@@ -430,19 +418,27 @@ class TestWordLattice:
 class TestWordWalkCount:
     """``_count_at_most`` on a walk of int64 where the scaled lattice needs
     Python ints (``n^t >= 2^53``), on both sides of the walk's own ``2^53``,
-    and on Python ints where no split's walks fit int64."""
+    and on an int64 walk beside one of Python ints where no split's walks
+    both fit int64."""
 
     @staticmethod
     def walk_dtypes(monkeypatch) -> list:
-        """The dtype of each low walk that ``_count_at_most`` reads from now on."""
-        dtypes, halves = [], exact._halves
+        """The dtypes of the walks, high then low, that each ``_count_at_most``
+        call reads from ``_level`` from now on; the level's own recursion is
+        left out."""
+        dtypes, level, depth = [], exact._level, [0]
 
-        def recorded(*args):
-            walks = halves(*args)
-            dtypes.append(walks[1].dtype)
-            return walks
+        def recorded(m, n, s):
+            depth[0] += 1
+            try:
+                walk = level(m, n, s)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                dtypes.append(walk.dtype)
+            return walk
 
-        monkeypatch.setattr(exact, "_halves", recorded)
+        monkeypatch.setattr(exact, "_level", recorded)
         return dtypes
 
     @staticmethod
@@ -453,7 +449,7 @@ class TestWordWalkCount:
 
     def walks_match_float_law(self, monkeypatch, alpha, t) -> list:
         """Check about 1000 own positions and the floats below them, which the
-        band decides, and the CvM grid; return the dtypes of the low walks."""
+        band decides, and the CvM grid; return the dtypes of the walks."""
         assert alpha.denominator**t >= 2**53
         xs = enumerate_distribution(params(alpha, t=t)).float_law()[0]
         own = xs[:: xs.size // 997]
@@ -474,14 +470,44 @@ class TestWordWalkCount:
     @pytest.mark.soundness
     def test_word_walk_matches_float_law(self, monkeypatch, alpha, t):
         # Each call walks at most 15 steps.
-        assert self.walks_match_float_law(monkeypatch, alpha, t) == [np.int64] * 3
+        assert self.walks_match_float_law(monkeypatch, alpha, t) == [np.int64] * 6
 
     @pytest.mark.soundness
-    def test_object_walk_where_no_split_fits(self, monkeypatch):
+    def test_mixed_walks_where_no_split_fits(self, monkeypatch):
         # 1000^7 > 2^53, so at t = 14 one of the two walks of every split
-        # needs Python ints, and both are counted in them.
+        # needs Python ints: the low walk of 11 steps, beside a high walk
+        # of 3 that stays int64.
         alpha = Fraction(999, 1000)
-        assert self.walks_match_float_law(monkeypatch, alpha, 14) == [object] * 3
+        assert self.walks_match_float_law(monkeypatch, alpha, 14) == [np.int64, object] * 3
+
+    @pytest.mark.parametrize("alpha", [Fraction(999, 1000), Fraction(999999, 1000000)], ids=str)
+    @pytest.mark.soundness
+    def test_mixed_widths_match_float_law(self, monkeypatch, alpha):
+        # From t = 11 no split of these walks keeps both in int64 (1000^6 and
+        # 10^18 pass 2^53). 600 thresholds take a low walk of Python ints,
+        # beside a short high walk that stays int64 (at 10^6 only while it
+        # has at most 2 steps); one threshold takes a low walk of ceil(t/2) -
+        # 1 steps, int64 at 999/1000 for t <= 12 beside a high walk of Python
+        # ints. Every own position and the float below it, which the band
+        # decides, in runs of 600; single thresholds on a stride of them.
+        dtypes = self.walk_dtypes(monkeypatch)
+        word, ints = np.dtype(np.int64), np.dtype(object)
+        many, single = set(), set()
+        for t in range(11, 15):
+            xs = enumerate_distribution(params(alpha, t=t)).float_law()[0]
+            dtypes.clear()  # the lattice's own halves
+            for ys in (xs, np.nextafter(xs, -np.inf)):
+                expected = xs.searchsorted(ys, "right")
+                for part in np.split(np.arange(ys.size), range(600, ys.size, 600)):
+                    assert np.array_equal(exact._count_at_most(alpha, t, ys[part]), expected[part])
+                many.update(zip(dtypes[::2], dtypes[1::2]))
+                dtypes.clear()
+                for i in range(0, ys.size, 41):
+                    assert exact._count_at_most(alpha, t, ys[i]) == expected[i], (t, i)
+                single.update(zip(dtypes[::2], dtypes[1::2]))
+                dtypes.clear()
+        assert (word, ints) in many
+        assert ((ints, word) in single) == (alpha == Fraction(999, 1000))
 
     @pytest.mark.soundness
     def test_word_walk_edge_at_the_cap(self, monkeypatch):
@@ -508,7 +534,7 @@ class TestWordWalkCount:
             assert np.array_equal(whole, np.concatenate(parts))
             counts.append(whole)
         assert np.all(counts[0] > counts[1])  # a path ends at each own float
-        assert dtypes == [np.int64] * 26 * 3
+        assert dtypes == [np.int64] * 2 * 26 * 3
 
 
 class TestSupportSequence:
@@ -882,37 +908,33 @@ class TestSharedWalk:
         return built
 
     def test_cached_level_is_read_only(self):
-        for s in (0, 3, 16):  # int64 and, at 10^16 > 2^53, Python ints
+        for s, dtype in [(0, np.int64), (3, np.int64), (16, object)]:  # 10^16 > 2^53
             scaled = exact._level(9, 10, s)
             assert isinstance(scaled, np.ndarray) and exact._level(9, 10, s) is scaled
+            assert scaled.dtype == dtype
             with pytest.raises(ValueError, match="read-only"):
                 scaled[0] = 1
-            _, low = exact._halves(Fraction(9, 10), 2 * s, s)
-            with pytest.raises(ValueError, match="read-only"):
-                low[0] = 1
 
     @pytest.mark.parametrize("warm", [False, True])
-    def test_halves_dtypes_on_both_sides_of_2_53(self, warm):
-        # 10^15 < 2^53 <= 10^16. Level 8 is int64 in the cache, and both
-        # halves are Python ints whenever the deeper walk needs them.
-        alpha = Fraction(9, 10)
+    def test_level_dtypes_on_both_sides_of_2_53(self, warm):
+        # 10^15 < 2^53 <= 10^16. Each half of a split is its own level, int64
+        # or Python ints whatever the other is: at (t, h) = (24, 8) the
+        # low walk stays int64 beside a high walk of Python ints.
         exact._level.cache_clear()
         if warm:
-            exact._halves(alpha, 24, 8)  # levels 0..16 cached, 16 of Python ints
-        for t, h, dtype in [
-            (16, 8, np.int64),
-            (23, 8, np.int64),
-            (24, 8, object),
-            (24, 16, object),
-            (30, 15, np.int64),
-            (31, 15, object),
+            exact._level(9, 10, 16)  # levels 0..16 cached, 16 of Python ints
+        for t, h, dtypes in [
+            (16, 8, (np.int64, np.int64)),
+            (23, 8, (np.int64, np.int64)),
+            (24, 8, (object, np.int64)),
+            (24, 16, (np.int64, object)),
+            (30, 15, (np.int64, np.int64)),
+            (31, 15, (object, np.int64)),
         ]:
-            high, low = exact._halves(alpha, t, h)
-            assert high.dtype == low.dtype == dtype, (t, h)
+            high, low = exact._level(9, 10, t - h), exact._level(9, 10, h)
+            assert (high.dtype, low.dtype) == dtypes, (t, h)
             assert high.tolist() == TestWordLattice.object_walk(9, 10, t - h)
             assert low.tolist() == TestWordLattice.object_walk(9, 10, h)
-        assert exact._level(9, 10, 15).dtype == np.int64
-        assert exact._level(9, 10, 16).dtype == object
 
     def test_shared_walk_builds_each_level_once(self, monkeypatch):
         # The horizons of fig4b's exact cvm command at one alpha, counted on

@@ -18,7 +18,7 @@ from antlion import (
     enumerate_distribution,
     is_eps_reachable,
 )
-from antlion import core, reachability
+from antlion import core, exact, reachability
 from antlion.core import evolve, philox_stream
 from antlion.reachability import (
     _EXTRA_PEELS,
@@ -434,3 +434,91 @@ class TestLanesAgainstReference:
         for j, w in enumerate(witnesses):
             assert landed[j] == replay_forward(0.37, w) == _ref_replay_forward(0.37, w)
         assert isinstance(replay_forward(0.37, witnesses[3]), float)
+
+
+class TestAgainstExactLattice:
+    """Decisions against every endpoint of 1 to 12 steps, taken from the
+    exact lattice of a dyadic alpha, whose float is the rational itself."""
+
+    @staticmethod
+    def decided(alpha: Fraction):
+        """Yield ``(eps, xs, points, lanes)`` for each epsilon: the endpoints
+        rounded to floats in increasing order, each as a ``Fraction`` in the
+        same order, and the decisions on 2000 uniforms inside the bounds and
+        on targets just beyond and just within epsilon of each endpoint."""
+        m, n = alpha.numerator, alpha.denominator
+        points = [
+            Fraction(S, n ** (s - 1)) for s in range(1, 13) for S in exact._level(m, n, s).tolist()
+        ]
+        xs = np.array([float(x) for x in points])
+        order = np.argsort(xs)
+        xs, points = xs[order], [points[i] for i in order]
+        bound = 1.0 / (1.0 - float(alpha))
+        for eps in (2.0**-4, 2.0**-8, 1e-3):
+            targets = np.concatenate(
+                [
+                    philox_stream(0).uniform(-bound, bound, 2000),
+                    xs + eps * (1 + 1e-7),
+                    xs - eps * (1 - 1e-7),
+                ]
+            )
+            yield eps, xs, points, decide_lanes(float(alpha), targets, eps)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [Fraction(1, 4), Fraction(5, 16), Fraction(3, 8), Fraction(7, 16), Fraction(15, 32)]
+        + [Fraction(1, 2), Fraction(3, 4)],
+        ids=str,
+    )
+    def test_endpoints_within_epsilon_are_reached(self, alpha):
+        bound = 1.0 / (1.0 - float(alpha))
+        for eps, xs, _, lanes in self.decided(alpha):
+            # The nearest endpoint's float distance is within 2^-48 of the
+            # exact one (|x| < 4), so the floats decide every target that
+            # is not within 2^-40 of the epsilon edge; none is. Exterior
+            # targets stay unreachable, the unconditional exterior case.
+            targets = lanes.targets
+            right = np.minimum(np.searchsorted(xs, targets), xs.size - 1)
+            left = np.maximum(right - 1, 0)
+            near = np.minimum(np.abs(targets - xs[left]), np.abs(targets - xs[right]))
+            assert not (np.abs(near - eps) <= 2.0**-40).any()
+            assert lanes.reachable[(np.abs(targets) < bound) & (near < eps)].all(), eps
+            assert not lanes.reachable[np.abs(targets) > bound].any()
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            Fraction(1, 4),
+            Fraction(5, 16),
+            Fraction(3, 8),
+            Fraction(7, 16),
+            pytest.param(
+                Fraction(15, 32),
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="a certificate edge two ulps past a grazing endpoint",
+                ),
+            ),
+        ],
+        ids=str,
+    )
+    def test_no_endpoint_inside_a_certificate(self, alpha):
+        # Certificate edges are float-evaluated, so an endpoint that grazes
+        # one may sit an ulp inside it (ReachResult); at 3/8, 7/16 and 15/32
+        # some do. At 15/32 and epsilon 1e-3, two certificates reach two
+        # ulps past the endpoint +-6833/32768. An endpoint strictly inside a
+        # certificate shrunk by an ulp rounds into it: none may round
+        # strictly inside, and those that round onto an edge are compared
+        # exactly.
+        for eps, xs, points, lanes in self.decided(alpha):
+            lo, hi = lanes.certificate[np.isfinite(lanes.certificate).all(axis=1)].T
+            lo, hi = np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)
+            inside = np.searchsorted(xs, hi, "left") - np.searchsorted(xs, lo, "right")
+            assert not inside.any(), eps
+            for edges in (lo, hi):
+                first = np.searchsorted(xs, edges, "left")
+                last = np.searchsorted(xs, edges, "right")
+                for i in np.flatnonzero(first < last):
+                    for x in points[first[i] : last[i]]:
+                        assert not lo[i] < x < hi[i], (eps, lo[i], hi[i], x)
