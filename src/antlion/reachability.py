@@ -19,9 +19,9 @@ the same point. Decisions work on that form:
   witness = peeled prefix) or strands the target in the gap or beyond the
   bounds by at least the scaled tolerance (unreachable, certified interval).
   A float hit counts once the prefix's forward replay lands strictly within
-  ``epsilon``; otherwise the target peels on, never to be certified, as a
-  tie in floats cannot rule it out. After ``_EXTRA_PEELS`` levels without
-  a confirmed hit the first float hit stands and its replay check raises.
+  ``epsilon``; otherwise the target peels on, certified by neither the gap
+  nor the bounds, as a tie in floats cannot rule it out. ``_EXTRA_PEELS``
+  levels on, still unconfirmed, it is certified at radius ``epsilon``.
 
 The decision is the finite relaxation "some time lands strictly within
 ``epsilon`` of ``r`` with positive probability" for the epsilon supplied;
@@ -58,7 +58,7 @@ __all__ = [
 _MAX_PEELS = 10_000
 
 # Levels a lane peels on past its first float hit while the replay of its
-# prefix misses; then that first hit stands, and the final replay check raises.
+# prefix misses; then it is certified unreachable at radius epsilon.
 # Over 35 000 uniform targets (alpha 0.05 to 0.499, epsilon 1e-16 to 0.25)
 # a confirmed hit came at most 9 levels past the first.
 _EXTRA_PEELS = 16
@@ -114,10 +114,11 @@ class ReachResult:
     ``witness`` is a forward increment sequence whose replay from 0 lands
     strictly within epsilon of the target. ``certificate`` is an open
     interval around the target containing no reachable point; its radius is
-    at least epsilon except for the unconditional exterior case. The
-    interval edges are float-evaluated, so endpoint-grazing support points
-    (the gap edge is approached to within ~alpha^t) may sit within one ulp
-    of an edge rather than exactly on it.
+    at least epsilon except for the unconditional exterior case. A lane whose
+    float hits no replay confirmed has radius exactly epsilon, a claim made
+    at float resolution only. Edges are float-evaluated, so endpoint-grazing
+    support points (the gap edge is approached to within ~alpha^t) may sit
+    within one ulp of an edge.
     """
 
     reachable: bool
@@ -234,11 +235,9 @@ def _sparse(alpha, targets, eps, bound, inside, certificate):
     rows = []  # rows[k][i]: increment peeled off lane i at level k, else 0
     for level in range(_MAX_PEELS):
         a = np.abs(rr)
-        near = a < ee
-        since[near & (since < 0)] = 0
-        forced = since >= _EXTRA_PEELS
-        hit = near | forced
-        check = np.flatnonzero(near & ~forced)
+        hit = a < ee
+        since[hit & (since < 0)] = 0
+        check = np.flatnonzero(hit)
         if check.size:  # a float hit counts once its prefix replays within eps
             prefix = np.array([row[lanes[check]] for row in rows[::-1]], dtype=np.int8)
             landed = replay_forward(alpha, prefix.reshape(level, check.size))
@@ -250,18 +249,18 @@ def _sparse(alpha, targets, eps, bound, inside, certificate):
         # edge on one side and at the peeled prefix itself on the other
         # (abs(rr) >= ee holds here, so both margins are at least ee).
         stranded = (a < gap) & (gap - a >= ee) & (since < 0)
+        # Unconfirmed _EXTRA_PEELS levels past its first float hit: no
+        # endpoint within epsilon at float resolution.
+        stuck = (since >= _EXTRA_PEELS) & ~hit
         reachable[lanes[hit]] = True
         depth[lanes[hit]] = level
-        if forced.any():  # back to the first float hit, for the final check to replay
-            depth[lanes[forced]] = level - _EXTRA_PEELS
-            for row in rows[level - _EXTRA_PEELS :]:
-                row[lanes[forced]] = 0
         for mask, margin in ((over, a - bound), (stranded, np.minimum(a, gap - a))):
             if mask.any():
                 radius = scale * margin[mask]
                 r = targets[lanes[mask]]
                 certificate[lanes[mask]] = np.stack([r - radius, r + radius], axis=1)
-        live = ~(hit | over | stranded)
+        certificate[lanes[stuck]] = targets[lanes[stuck], None] + (-eps, eps)
+        live = ~(hit | over | stranded | stuck)
         lanes, rr, since = lanes[live], rr[live], since[live]
         since[since >= 0] += 1
         if lanes.size == 0:

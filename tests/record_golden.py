@@ -4,8 +4,9 @@ writes (``<cmd>_manifest.json`` left out: it holds a clock reading).
 The golden commands are every command of the README CLI block, in each of
 the three formats, the exact ``dist`` and ``cvm`` points at the edges of
 the word-size lattices, the benchmark's small workloads, one Monte Carlo
-horizon list, one Monte Carlo paths dump over several blocks and one
-Monte Carlo residence walk of several hundred steps.
+horizon list, one Monte Carlo paths dump over several blocks, one Monte
+Carlo residence walk of several hundred steps and two reach queries that
+no float replay settles.
 ``test_golden.py`` reruns them and compares digests.
 
 The table defines correct output, so record it only at a commit whose
@@ -81,6 +82,14 @@ MC_PATHS = ("dist --alpha 0.9 --t 9 --mode mc --n 16389 --store paths --seed 3",
 # one-byte residence tally holds before it is added into the counts.
 MC_LONG = ("residence --alpha 0.98 --t 600 --mode mc --n 9000 --seed 3",)
 
+# Sparse reach queries that no float replay settles: an endpoint exactly
+# epsilon away, and a depth-46 prefix 0.375 epsilon away in exact arithmetic
+# whose float replay misses. Each is certified at radius epsilon.
+REACH_UNCONFIRMED = (
+    "reach --alpha 0.375 --r 0.716796875 --epsilon 0.00390625",
+    "reach --alpha 0.49 --r -0.23310180992733298 --epsilon 1e-16",
+)
+
 
 def code_block(heading: str, language: str) -> str:
     """The first ``language`` code block under the README's ``## heading``."""
@@ -101,7 +110,9 @@ def readme_commands() -> list:
 
 def golden_commands() -> list:
     readme = [f"{cmd} --format {fmt}" for cmd in readme_commands() for fmt in FORMATS]
-    return readme + [*EXACT_POINTS, *TINY_WORKLOADS, *MC_HORIZONS, *MC_PATHS, *MC_LONG]
+    return readme + [
+        *EXACT_POINTS, *TINY_WORKLOADS, *MC_HORIZONS, *MC_PATHS, *MC_LONG, *REACH_UNCONFIRMED
+    ]
 
 
 def run(main, command: str, out_dir: Path) -> tuple:

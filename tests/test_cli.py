@@ -514,17 +514,24 @@ class TestErrors:
             assert message in err and err.count("\n") == 1
         assert not (tmp_path / "reach.csv").exists()
 
-    @pytest.mark.xfail(
+    _DENSE_DRIFT = pytest.mark.xfail(
         strict=True,
         raises=RuntimeError,
-        reason="the float replay of a true witness drifts past an epsilon a few ulps wide",
+        reason="the float replay of a dense greedy witness drifts past an epsilon a few ulps wide",
     )
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["--alpha", "0.49", "--r", "-0.23310180992733298", "--epsilon", "1e-16"],
-            ["--alpha", "0.9", "--r", "-9.718659286687048", "--epsilon", "1e-15"],
-            ["--alpha", "0.5", "--sweep", "300", "--epsilon", "1e-16", "--seed", "0"],
+            pytest.param(
+                ["--alpha", "0.9", "--r", "-9.718659286687048", "--epsilon", "1e-15"],
+                marks=_DENSE_DRIFT,
+            ),
+            pytest.param(
+                ["--alpha", "0.5", "--sweep", "300", "--epsilon", "1e-16", "--seed", "0"],
+                marks=_DENSE_DRIFT,
+            ),
         ],
     )
     def test_reach_decides_near_an_ulp(self, tmp_path, argv):
@@ -532,22 +539,16 @@ class TestErrors:
         assert main(["reach", *argv, "--out", str(tmp_path)]) == EXIT_OK
 
     # An endpoint exactly epsilon away is a float hit whose replay lands
-    # exactly at epsilon, not strictly within it; after the extra peels the
-    # replay check raises. Here the only nearby endpoint is (1, -1, 1, -1).
-    @pytest.mark.xfail(
-        strict=True,
-        raises=RuntimeError,
-        reason="a float hit on an endpoint exactly epsilon away replays at epsilon",
-    )
+    # exactly at epsilon, not strictly within it; no deeper prefix replays
+    # within it either, so the lane is certified at radius epsilon. Here the
+    # only nearby endpoint is (1, -1, 1, -1).
     def test_reach_decides_at_an_exact_tie(self, tmp_path):
         argv = ["reach", "--alpha", "0.375", "--r", "0.716796875", "--epsilon", "0.00390625"]
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "reach.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["reachable"], row["witness_depth"]) == ("0", "0")
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=RuntimeError,
-        reason="a float hit on an endpoint exactly epsilon away replays at epsilon",
-    )
     @pytest.mark.parametrize(
         "alpha, targets",
         [
@@ -559,7 +560,8 @@ class TestErrors:
     def test_lanes_decide_at_exact_ties(self, alpha, targets):
         # Each target lies exactly 2^-8 from an endpoint of two or four steps.
         lanes = decide_lanes(alpha, targets, 2.0**-8)
-        assert lanes.reachable.size == len(targets)
+        assert not lanes.reachable.any()
+        assert (lanes.certificate == np.add.outer(targets, (-(2.0**-8), 2.0**-8))).all()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -649,9 +651,9 @@ _EXTREMES = {
     str: ["m/0", "0/1", "", ",", "1/2,", "5..2", f"1..{10**20}", "uniform:5,5", "ar1:2", "-0.0",
           "1e-320"],
 }
-# ROADMAP item 3: where epsilon is a few ulps wide, a float replay cannot
-# confirm a true witness (reach --alpha 0.5 --r 0.1 --epsilon 1e-320 raises
-# RuntimeError), so reach's epsilon stays off the ulp scale here.
+# ROADMAP item 2: where epsilon is a few ulps wide, a float replay cannot
+# confirm a true dense witness (reach --alpha 0.5 --r 0.1 --epsilon 1e-320
+# raises RuntimeError), so reach's epsilon stays off the ulp scale here.
 _EPSILONS = ["nan", "inf", "-inf", "-0.0", "0.5", "1e300"]
 
 

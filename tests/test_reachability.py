@@ -195,7 +195,7 @@ class TestReachability:
     def test_unsound_witness_raises(self, alpha, r, monkeypatch):
         # Replay is the soundness check on both decision branches; it must
         # raise, not assert, so that python -O keeps it.
-        monkeypatch.setattr(reachability, "replay_forward", lambda a, xi: r + 1.0)
+        flip_coarsest_increment(monkeypatch, alpha, 0)
         with pytest.raises(RuntimeError, match="witness"):
             is_eps_reachable(ReachQuery(alpha=alpha, r=r, epsilon=1e-3))
 
@@ -207,26 +207,19 @@ class TestReachability:
             bound = 1 / (1 - alpha)
             targets = philox_stream(3).uniform(-bound, bound, size=64)
             last = np.flatnonzero(decide_lanes(alpha, targets, eps).reachable)[-1]
-            real = reachability.replay_forward
-
-            def skewed(a, xi):
-                landed = real(a, xi)
-                landed[-1] += 1.0
-                return landed
-
-            monkeypatch.setattr(reachability, "replay_forward", skewed)
+            flip_coarsest_increment(monkeypatch, alpha, last)
             with pytest.raises(RuntimeError, match=f"witness for r={targets[last]} "):
                 decide_lanes(alpha, targets, eps)
             monkeypatch.undo()
 
-    @pytest.mark.soundness
-    def test_unsound_witness_raises_on_unconfirmed_hit(self):
+    def test_unconfirmed_hit_is_certified_at_epsilon(self):
         # The depth-46 prefix lies 0.375 epsilon from r in exact arithmetic,
         # but its float replay lands 1.11 epsilon away, and no deeper prefix
-        # replays within epsilon. A float hit is never certified, so the
-        # first one stands and the replay check raises.
-        with pytest.raises(RuntimeError, match="depth-46 witness"):
-            decide_lanes(0.49, [-0.23310180992733298], 1e-16)
+        # replays within epsilon. At float resolution no endpoint is within
+        # epsilon, and the certificate says no more than that.
+        r = -0.23310180992733298
+        result = is_eps_reachable(ReachQuery(alpha=0.49, r=r, epsilon=1e-16))
+        assert result == ReachResult(False, certificate=(r - 1e-16, r + 1e-16))
 
     def test_float_tie_peels_on(self):
         # The prefix (1, 1, -1) replays exactly 0.25 from the target, a float
@@ -236,21 +229,16 @@ class TestReachability:
 
     def test_float_hits_peel_on_to_a_confirmed_witness(self, monkeypatch):
         # 24 of these lanes have a float hit whose prefix replays epsilon or
-        # farther away; with no peel past it (the former rule) each raised.
+        # farther away; with no peel past it each would be certified at
+        # radius epsilon, though a deeper prefix replays within it.
         bound = 1 / (1 - 0.49)
         targets = philox_stream(0).uniform(-bound, bound, size=300)
-        decide_lanes(0.49, targets, 1e-16)  # no lane raises
-        assert_lanes_match_reference(0.49, targets, 1e-16)
-
-        def raises(r):
-            try:
-                decide_lanes(0.49, [r], 1e-16)
-            except RuntimeError:
-                return True
-            return False
-
+        peeled = assert_lanes_match_reference(0.49, targets, 1e-16)
         monkeypatch.setattr(reachability, "_EXTRA_PEELS", 0)
-        assert sum(map(raises, targets)) == 24
+        unpeeled = decide_lanes(0.49, targets, 1e-16)
+        lost = peeled.reachable & ~unpeeled.reachable
+        assert lost.sum() == 24 and not (unpeeled.reachable & ~peeled.reachable).any()
+        assert (unpeeled.certificate[lost] == np.add.outer(targets[lost], (-1e-16, 1e-16))).all()
 
     def test_witness_storage_guarded(self, monkeypatch):
         # Both phases check the n x depth witness matrix against the budget.
@@ -264,8 +252,25 @@ class TestReachability:
 # The per-target decision that decide_lanes replaced, with its scalar replay:
 # every lane must equal it in decision, witness and certificate. It was
 # copied verbatim, then given the confirmed sparse hit: a float hit counts
-# once its prefix replays within epsilon, and peels on (never certified)
-# while it does not, until the first float hit stands _EXTRA_PEELS levels on.
+# once its prefix replays within epsilon, and peels on (certified by neither
+# the gap nor the bounds) while it does not, until _EXTRA_PEELS levels past
+# the first float hit it is certified at radius epsilon.
+
+
+def flip_coarsest_increment(monkeypatch, alpha, lane):
+    """Make the decision phase of ``alpha`` return lane ``lane``'s witness
+    with its coarsest increment flipped, which moves its endpoint by 2: only
+    the replay check of the returned witnesses can catch it."""
+    name = "_dense" if alpha >= 0.5 else "_sparse"
+    phase = getattr(reachability, name)
+
+    def flipped(*args):
+        reachable, depth, zeta = phase(*args)
+        assert zeta[0, lane] != 0
+        zeta[0, lane] = -zeta[0, lane]
+        return reachable, depth, zeta
+
+    monkeypatch.setattr(reachability, name, flipped)
 
 
 def _ref_replay_forward(alpha, xi):
@@ -332,10 +337,10 @@ def reference_is_eps_reachable(query: ReachQuery) -> ReachResult:
             first = len(prefix)
         if first is not None:
             witness = tuple(reversed(prefix))
-            if len(prefix) - first >= _EXTRA_PEELS:
-                return _ref_witnessed(alpha, r, eps, tuple(reversed(prefix[:first])))
             if abs(rr) < ee and abs(_ref_replay_forward(alpha, witness) - r) < eps:
                 return ReachResult(True, witness=witness)
+            if len(prefix) - first >= _EXTRA_PEELS:
+                return ReachResult(False, certificate=(r - eps, r + eps))
         elif abs(rr) > bound and abs(rr) - bound >= ee:
             # Beyond what the remaining tail can span, by at least the scaled
             # tolerance; smaller overshoots keep peeling toward the extreme.
@@ -441,18 +446,26 @@ class TestAgainstExactLattice:
     exact lattice of a dyadic alpha, whose float is the rational itself."""
 
     @staticmethod
-    def decided(alpha: Fraction):
-        """Yield ``(eps, xs, points, lanes)`` for each epsilon: the endpoints
-        rounded to floats in increasing order, each as a ``Fraction`` in the
-        same order, and the decisions on 2000 uniforms inside the bounds and
-        on targets just beyond and just within epsilon of each endpoint."""
+    def endpoints(alpha: Fraction, steps: int = 12):
+        """``(xs, points)``: the endpoints of 1 to ``steps`` steps rounded to
+        floats in increasing order, and each as a ``Fraction`` in the same
+        order."""
         m, n = alpha.numerator, alpha.denominator
         points = [
-            Fraction(S, n ** (s - 1)) for s in range(1, 13) for S in exact._level(m, n, s).tolist()
+            Fraction(S, n ** (s - 1))
+            for s in range(1, steps + 1)
+            for S in exact._level(m, n, s).tolist()
         ]
         xs = np.array([float(x) for x in points])
         order = np.argsort(xs)
-        xs, points = xs[order], [points[i] for i in order]
+        return xs[order], [points[i] for i in order]
+
+    @classmethod
+    def decided(cls, alpha: Fraction):
+        """Yield ``(eps, xs, points, lanes)`` for each epsilon: the
+        ``endpoints`` and the decisions on 2000 uniforms inside the bounds
+        and on targets just beyond and just within epsilon of each one."""
+        xs, points = cls.endpoints(alpha)
         bound = 1.0 / (1.0 - float(alpha))
         for eps in (2.0**-4, 2.0**-8, 1e-3):
             targets = np.concatenate(
@@ -512,13 +525,37 @@ class TestAgainstExactLattice:
         # strictly inside, and those that round onto an edge are compared
         # exactly.
         for eps, xs, points, lanes in self.decided(alpha):
-            lo, hi = lanes.certificate[np.isfinite(lanes.certificate).all(axis=1)].T
-            lo, hi = np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)
-            inside = np.searchsorted(xs, hi, "left") - np.searchsorted(xs, lo, "right")
-            assert not inside.any(), eps
-            for edges in (lo, hi):
-                first = np.searchsorted(xs, edges, "left")
-                last = np.searchsorted(xs, edges, "right")
-                for i in np.flatnonzero(first < last):
-                    for x in points[first[i] : last[i]]:
-                        assert not lo[i] < x < hi[i], (eps, lo[i], hi[i], x)
+            self.assert_no_endpoint_inside(xs, points, lanes.certificate, eps)
+
+    @staticmethod
+    def assert_no_endpoint_inside(xs, points, certificate, eps):
+        lo, hi = certificate[np.isfinite(certificate).all(axis=1)].T
+        lo, hi = np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)
+        inside = np.searchsorted(xs, hi, "left") - np.searchsorted(xs, lo, "right")
+        assert not inside.any(), eps
+        for edges in (lo, hi):
+            first = np.searchsorted(xs, edges, "left")
+            last = np.searchsorted(xs, edges, "right")
+            for i in np.flatnonzero(first < last):
+                for x in points[first[i] : last[i]]:
+                    assert not lo[i] < x < hi[i], (eps, lo[i], hi[i], x)
+
+    @pytest.mark.parametrize("alpha", [Fraction(5, 16), Fraction(3, 8), Fraction(7, 16)], ids=str)
+    def test_exact_ties_decide(self, alpha):
+        # Every target lies exactly epsilon from an endpoint of at most 6
+        # steps, all exact floats: ties the 2^-40 margin of
+        # test_endpoints_within_epsilon_are_reached keeps out. The float peel
+        # may call a tie a hit whose replay lands at epsilon, not strictly
+        # within it. Every call decides: each witness lands strictly within
+        # epsilon in exact arithmetic, and no certificate holds an endpoint
+        # past the one-ulp allowance.
+        xs, points = self.endpoints(alpha)
+        ties, _ = self.endpoints(alpha, 6)
+        for eps in (2.0**-8, 2.0**-12):
+            targets = np.concatenate([ties - eps, ties + eps])
+            lanes = decide_lanes(float(alpha), targets, eps)
+            for i in np.flatnonzero(lanes.reachable):
+                zeta = lanes.zeta[: lanes.depth[i], i].tolist()
+                landed = sum(z * alpha**k for k, z in enumerate(zeta))
+                assert abs(landed - Fraction(targets[i])) < eps, (eps, targets[i])
+            self.assert_no_endpoint_inside(xs, points, lanes.certificate, eps)
