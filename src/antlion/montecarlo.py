@@ -20,9 +20,9 @@ are a transposed view, which ``.ravel()`` copies whole.
 
 A step is read off the stream's raw 64-bit words: numpy's uniform double is
 ``(word >> 11) * 2**-53``, so ``word < _minus_threshold(p)`` is
-``Generator.random() < p`` bit for bit, without building the doubles. At
-``p = 1/2`` the threshold is ``2**63``: a step is the word's top bit, laid
-as a sign bit on the bits of -1.0.
+``Generator.random() < p`` bit for bit, without building the doubles. A
+step is a sign bit, set where the word is at or above the threshold, laid
+on the bits of -1.0. At ``p = 1/2`` it is the word's own top bit.
 """
 
 from __future__ import annotations
@@ -118,7 +118,8 @@ def _minus_threshold(p: float) -> int:
 
     numpy's double is ``(word >> 11) * 2**-53``, which is below ``p``
     exactly when ``word >> 11 < ceil(p * 2**53)``, that is when ``word`` is
-    below the threshold. At ``p = 1`` it is ``2**64``, above every word.
+    below the threshold. At ``p = 1`` it is ``2**64``, a Python int that
+    numpy compares with every uint64 word exactly, so every step is -1.
     """
     return math.ceil(p * 2**53) << 11
 
@@ -138,7 +139,6 @@ def _simulate_blocks(claim, seed, a, p, t, rows, counts) -> None:
     """
     keep = len(rows) > 1
     minus = _minus_threshold(p)
-    below = None if minus >> 64 else np.uint64(minus)  # None at p = 1
     half = minus == 1 << 63  # p = 1/2: a step is -1 where the word's top bit is clear
     xi = np.empty(_TILE * STREAM_CHUNK)
     while (chunks := claim()) is not None:
@@ -154,26 +154,20 @@ def _simulate_blocks(claim, seed, a, p, t, rows, counts) -> None:
         for s0 in range(0, t, depth):
             m = min(depth, t - s0)
             step = xi[: m * width].reshape(m, width)
+            bits = step.view(np.uint64)
             for col, stream in zip(range(0, width, STREAM_CHUNK), streams):
-                cols = step[:, col : col + STREAM_CHUNK]
-                if below is None:  # p = 1: every word is below 2**64, every step -1
-                    cols.fill(1.0)
-                    continue
+                cols = bits[:, col : col + STREAM_CHUNK]
                 # Draw the full chunk width even on the tail chunk so a
                 # walker's stream depends only on (seed, walker_index), not
                 # on n_walkers: growing a run extends it, never reshuffles.
                 words = stream.random_raw((m, STREAM_CHUNK))[:, : cols.shape[1]]
                 if half:
-                    np.bitwise_and(words, _SIGN, out=cols.view(np.uint64))
-                else:
-                    np.less(words, below, out=cols)
+                    np.bitwise_and(words, _SIGN, out=cols)
+                else:  # a +1 step's word is at or above the threshold
+                    np.greater_equal(words, minus, out=cols)
+                    np.left_shift(cols, 63, out=cols)
                 del words  # before the next chunk's words are drawn
-            if half:  # the sign bit, set for a +1 step, on the bits of -1.0
-                bits = step.view(np.uint64)
-                np.bitwise_xor(bits, _MINUS_ONE_BITS, out=bits)
-            else:
-                step *= -2.0
-                step += 1.0  # exactly -1.0 where the word is below, +1.0 elsewhere
+            np.bitwise_xor(bits, _MINUS_ONE_BITS, out=bits)  # a set sign bit turns -1.0 into +1.0
             for s, xi_s in enumerate(step, s0 + 1):
                 x = np.multiply(x, a, out=rows[s, :, start:stop] if keep else x)
                 x += xi_s

@@ -115,10 +115,11 @@ class ReachResult:
     strictly within epsilon of the target. ``certificate`` is an open
     interval around the target containing no reachable point; its radius is
     at least epsilon except for the unconditional exterior case. A lane whose
-    float hits no replay confirmed has radius exactly epsilon, a claim made
-    at float resolution only. Edges are float-evaluated, so endpoint-grazing
-    support points (the gap edge is approached to within ~alpha^t) may sit
-    within one ulp of an edge.
+    float hits no replay confirmed has edges ``r - epsilon`` and ``r +
+    epsilon`` rounded to nearest, a claim made at float resolution only;
+    where epsilon is below half an ulp of ``r`` both edges are ``r``. Edges
+    are float-evaluated, so endpoint-grazing support points (the gap edge is
+    approached to within ~alpha^t) may sit within one ulp of an edge.
     """
 
     reachable: bool

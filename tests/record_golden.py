@@ -5,8 +5,8 @@ The golden commands are every command of the README CLI block, in each of
 the three formats, the exact ``dist`` and ``cvm`` points at the edges of
 the word-size lattices, the benchmark's small workloads, one Monte Carlo
 horizon list, one Monte Carlo paths dump over several blocks, one Monte
-Carlo residence walk of several hundred steps and two reach queries that
-no float replay settles.
+Carlo residence walk of several hundred steps, four Monte Carlo walks at
+``p`` other than 1/2 and two reach queries that no float replay settles.
 ``test_golden.py`` reruns them and compares digests.
 
 The table defines correct output, so record it only at a commit whose
@@ -82,6 +82,16 @@ MC_PATHS = ("dist --alpha 0.9 --t 9 --mode mc --n 16389 --store paths --seed 3",
 # one-byte residence tally holds before it is added into the counts.
 MC_LONG = ("residence --alpha 0.98 --t 600 --mode mc --n 9000 --seed 3",)
 
+# Monte Carlo at p other than 1/2, where a step is a word compared with a
+# threshold rather than its top bit: two blocks with a residence tally, a
+# Fraction p over paths that cross a tile edge, and the ends p = 1 and p = 0.
+MC_BIASED = (
+    "residence --alpha 0.98 --p 0.3 --t 40 --mode mc --n 9000 --seed 3",
+    "dist --alpha 0.7 --p 1/3 --t 17 --mode mc --n 5000 --store paths --seed 3",
+    "dist --alpha 0.9 --p 1 --t 20 --mode mc --n 300 --seed 3",
+    "dist --alpha 0.9 --p 0 --t 20 --mode mc --n 300 --seed 3",
+)
+
 # Sparse reach queries that no float replay settles: an endpoint exactly
 # epsilon away, and a depth-46 prefix 0.375 epsilon away in exact arithmetic
 # whose float replay misses. Each is certified at radius epsilon.
@@ -111,7 +121,13 @@ def readme_commands() -> list:
 def golden_commands() -> list:
     readme = [f"{cmd} --format {fmt}" for cmd in readme_commands() for fmt in FORMATS]
     return readme + [
-        *EXACT_POINTS, *TINY_WORKLOADS, *MC_HORIZONS, *MC_PATHS, *MC_LONG, *REACH_UNCONFIRMED
+        *EXACT_POINTS,
+        *TINY_WORKLOADS,
+        *MC_HORIZONS,
+        *MC_PATHS,
+        *MC_LONG,
+        *MC_BIASED,
+        *REACH_UNCONFIRMED,
     ]
 
 

@@ -212,6 +212,14 @@ class TestReachability:
                 decide_lanes(alpha, targets, eps)
             monkeypatch.undo()
 
+    @pytest.mark.soundness
+    def test_peel_bound_raises(self, monkeypatch):
+        # The lane needs more than two levels; running out of them must
+        # raise, not assert, so that python -O keeps it.
+        monkeypatch.setattr(reachability, "_MAX_PEELS", 2)
+        with pytest.raises(RuntimeError, match="peel-back failed to terminate"):
+            decide_lanes(0.3, [1.2], 1e-12)
+
     def test_unconfirmed_hit_is_certified_at_epsilon(self):
         # The depth-46 prefix lies 0.375 epsilon from r in exact arithmetic,
         # but its float replay lands 1.11 epsilon away, and no deeper prefix
@@ -220,6 +228,19 @@ class TestReachability:
         r = -0.23310180992733298
         result = is_eps_reachable(ReachQuery(alpha=0.49, r=r, epsilon=1e-16))
         assert result == ReachResult(False, certificate=(r - 1e-16, r + 1e-16))
+
+    def test_stuck_certificate_below_half_an_ulp_is_empty(self):
+        # Lane 101 is certified at radius epsilon, and epsilon is below half
+        # an ulp of r, so both edges round to r itself.
+        alpha = 0.46906666666666663
+        bound = reachability.reach_bound(alpha)
+        targets = philox_stream(3).uniform(-bound, bound, size=300)
+        lanes = decide_lanes(alpha, targets, 1e-16)
+        r = targets[101]
+        assert r == 1.7833881189918732 and 1e-16 < np.spacing(r) / 2
+        assert lanes.result(101) == ReachResult(False, certificate=(r, r))
+        query = ReachQuery(alpha=alpha, r=float(r), epsilon=1e-16)
+        assert is_eps_reachable(query) == lanes.result(101)
 
     def test_float_tie_peels_on(self):
         # The prefix (1, 1, -1) replays exactly 0.25 from the target, a float
