@@ -49,13 +49,15 @@ __all__ = [
 CdfFn = Callable[[float], float]
 
 
-def standardize_arw(x, alpha: float, t: int):
+def standardize_arw(x, alpha: float, t: int, out=None):
     """Rescale a walk position to unit symmetric-case variance.
 
     Multiplies by ``sqrt((1 - alpha^2) / (1 - alpha^(2t)))``; for p = 1/2 the
-    result has variance exactly 1. Accepts scalars or arrays.
+    result has variance exactly 1. Accepts scalars or arrays, and writes an
+    array's result into ``out`` if given (``out=x`` rescales in place).
     """
-    return _arw_factor(alpha, t) * x
+    factor = _arw_factor(alpha, t)
+    return factor * x if out is None else np.multiply(x, factor, out=out)
 
 
 def _arw_factor(alpha: float, t: int) -> float:
@@ -66,11 +68,11 @@ def _arw_factor(alpha: float, t: int) -> float:
     return math.sqrt((1.0 - alpha * alpha) / (1.0 - alpha ** (2 * t)))
 
 
-def standardize_srw(s, t: int):
-    """Simple-RW rescaling ``s / sqrt(t)``."""
+def standardize_srw(s, t: int, out=None):
+    """Simple-RW rescaling ``s / sqrt(t)``, into ``out`` as ``standardize_arw``."""
     if t < 1:
         raise ValueError("standardization requires t >= 1")
-    return s / math.sqrt(t)
+    return s / math.sqrt(t) if out is None else np.divide(s, math.sqrt(t), out=out)
 
 
 def normal_cdf(x: float) -> float:

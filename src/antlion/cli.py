@@ -197,7 +197,9 @@ def _cvm_cdfs(cases, t: int, args):
     Monte Carlo laws share the seed, walkers and p = 1/2, so they take the
     same steps. They walk together, ``t + 1`` at most, so their finals hold
     no more values than one walk's guard admits, and no more than
-    ``_MC_GROUP_VALUES`` unless one law alone holds more.
+    ``_MC_GROUP_VALUES`` unless one law alone holds more. Each law's row of
+    finals is standardized and sorted in place and becomes its ``Ecdf``'s
+    sample, so no law's values are copied.
     """
     if args.mode == "exact":
         for target, alpha in cases:
@@ -210,9 +212,10 @@ def _cvm_cdfs(cases, t: int, args):
         alphas = [alpha.as_float if target == "arw" else 1.0 for target, alpha in group]
         for (target, alpha), row in zip(group, simulate_finals(alphas, t, args.n, args.seed)):
             if target == "arw":
-                row[:] = standardize_arw(row, alpha.as_float, t)
+                standardize_arw(row, alpha.as_float, t, out=row)
             else:
-                row[:] = standardize_srw(row, t)
+                standardize_srw(row, t, out=row)
+            row.sort()
             yield target, alpha, Ecdf(row)
 
 

@@ -183,8 +183,8 @@ class PathLattice(Sequence):
     item ``i`` is the ``i``-th smallest numerator, a Python int computed
     from the halves when read (an object array for slices and index
     arrays), and iteration computes ``_BLOCK`` of them at a time.
-    Its length is ``2^t``, read off the halves; ``index`` is a binary
-    search, while membership and ``count`` are the ``Sequence`` scans.
+    Its length is ``2^t``, read off the halves; ``index``, membership and
+    ``count`` are one binary search, since no two paths end at one point.
     """
 
     def __init__(self, high, low, den: int):
@@ -220,11 +220,21 @@ class PathLattice(Sequence):
         ``scaled / den``; ``ValueError`` if no path ends there."""
         positions = self.ordered[1]
         try:
-            x = scaled / self.den
+            x = float(scaled / self.den)  # a Fraction ``scaled`` too
             lo, hi = positions.searchsorted(x, "left"), positions.searchsorted(x, "right")
             return int(lo) + self[lo:hi].tolist().index(scaled)
         except (OverflowError, TypeError, ValueError):
             raise ValueError(f"{scaled!r} is not a numerator of the support") from None
+
+    def __contains__(self, scaled) -> bool:
+        try:
+            self.index(scaled)
+        except ValueError:
+            return False
+        return True
+
+    def count(self, scaled) -> int:
+        return int(scaled in self)
 
 
 def _path_lattice(alpha: Fraction, t: int) -> PathLattice:

@@ -10,13 +10,15 @@ how the work is partitioned.
 ``simulate`` and ``simulate_finals`` use that freedom: one worker thread per
 CPU the process may run on (``os.sched_getaffinity``, else ``os.cpu_count``),
 at most one per block, takes blocks of up to ``_BLOCK_CHUNKS`` consecutive
-chunks from a shared counter. Each chunk of a block draws its own stream
-into its own columns of the block's step tile, and one thread walks the
-block into its own walkers of each step's output row, so neither the worker
-count nor the order in which blocks finish can change a bit. Philox fills
-and the ufunc loops release the interpreter lock, so the threads overlap.
-Paths mode keeps a row per step, so its ``(n_walkers, t + 1)`` positions
-are a transposed view, which ``.ravel()`` copies whole.
+chunks, of sizes that differ by at most one, from a shared counter. Each
+chunk of a block draws its own stream into its own columns of the block's
+steps, and one thread walks the block into its own walkers of each step's
+output row, so neither the worker count nor the order in which blocks
+finish can change a bit. Philox fills and the ufunc loops release the
+interpreter lock, so the threads overlap, and wide blocks make the calls
+long enough that they rarely queue for it. Paths mode draws each step into
+its own output row, and its ``(n_walkers, t + 1)`` positions are a
+transposed view of those rows, which ``.ravel()`` copies whole.
 
 A step is read off the stream's raw 64-bit words: numpy's uniform double is
 ``(word >> 11) * 2**-53``, so ``word < _minus_threshold(p)`` is
@@ -54,15 +56,16 @@ STREAM_CHUNK = 4096
 
 DEFAULT_WALKERS = 50_000
 
-# Consecutive chunks walked together, so that each walk call covers up to
-# this many chunks' walkers; two split the 13 chunks of 50 000 walkers 7 : 6
-# over two workers. Any value gives the same bits.
-_BLOCK_CHUNKS = 2
+# Most consecutive chunks walked together, so that each walk call covers up
+# to this many chunks' walkers. Blocks are balanced: 50 000 walkers' 13
+# chunks are 4, 3, 3 and 3, split 7 : 6 by two workers. Any value gives the
+# same bits.
+_BLOCK_CHUNKS = 4
 
-# A step tile holds _TILE * STREAM_CHUNK values (512 KB) whatever the
-# block's width: a block of k chunks draws _TILE // k steps per stream call
-# (16 for one chunk, 8 for a full block). Any value gives the same bits.
-_TILE = 16
+# A block of k chunks draws _TILE // k steps per stream call, so the step
+# tile of finals and residence mode holds _TILE * STREAM_CHUNK values (1 MB)
+# whatever the block's width. Any value gives the same bits.
+_TILE = 32
 
 # Steps a walker's one-byte residence tally holds before it is added into
 # the int64 counts.
@@ -128,19 +131,20 @@ def _simulate_blocks(claim, seed, a, p, t, rows, counts) -> None:
     """Walk every block of chunks that ``claim()`` hands out until it
     returns None.
 
-    Each call owns its step tile. ``random_raw((m, STREAM_CHUNK))`` consumes
-    a chunk's stream exactly like ``m`` draws of ``STREAM_CHUNK`` words
-    each, so a tile of ``m`` steps sees the same words as ``m`` single
-    steps. Step ``s`` writes ``a`` times the walk so far plus step ``s``
-    into the block's columns of row ``s`` of the step-major ``rows`` (alpha
-    ``a[j, 0]`` in ``rows[:, j]``), or of row 0 in place when ``rows`` keeps
-    one, and adds alpha 0's non-negative positions to ``counts`` if given,
-    through a one-byte tally emptied into ``counts`` every ``_TALLY`` steps.
+    ``random_raw((m, STREAM_CHUNK))`` consumes a chunk's stream exactly
+    like ``m`` draws of ``STREAM_CHUNK`` words each, so ``m`` steps drawn
+    at once see the same words as ``m`` single steps. Step ``s`` adds ``a``
+    times the walk so far, in the block's columns of the step-major ``rows``
+    (alpha ``a[j, 0]`` in ``rows[:, j]``): in place in row 0 when ``rows``
+    keeps one, the step drawn into the call's own tile; else (paths mode,
+    one alpha) to the step drawn into row ``s`` itself. Alpha 0's
+    non-negative positions are added to ``counts`` if given, through a
+    one-byte tally emptied into ``counts`` every ``_TALLY`` steps.
     """
     keep = len(rows) > 1
     minus = _minus_threshold(p)
     half = minus == 1 << 63  # p = 1/2: a step is -1 where the word's top bit is clear
-    xi = np.empty(_TILE * STREAM_CHUNK)
+    tile = None if keep else np.empty(_TILE * STREAM_CHUNK)
     while (chunks := claim()) is not None:
         start = chunks.start * STREAM_CHUNK
         stop = min(chunks.stop * STREAM_CHUNK, rows.shape[2])
@@ -149,12 +153,14 @@ def _simulate_blocks(claim, seed, a, p, t, rows, counts) -> None:
         depth = _TILE // len(chunks)
         x = rows[0, :, start:stop]
         x.fill(0.0)
+        ax = np.empty_like(x) if keep else x
         nonneg = np.empty(width, dtype=bool)
         tally = np.zeros(width, dtype=np.uint8)
         for s0 in range(0, t, depth):
             m = min(depth, t - s0)
-            step = xi[: m * width].reshape(m, width)
-            bits = step.view(np.uint64)
+            step = rows[s0 + 1 : s0 + 1 + m, :, start:stop] if keep else tile[: m * width]
+            step = step.reshape(m, 1, width)
+            bits = step.view(np.uint64)[:, 0]
             for col, stream in zip(range(0, width, STREAM_CHUNK), streams):
                 cols = bits[:, col : col + STREAM_CHUNK]
                 # Draw the full chunk width even on the tail chunk so a
@@ -168,15 +174,23 @@ def _simulate_blocks(claim, seed, a, p, t, rows, counts) -> None:
                     np.left_shift(cols, 63, out=cols)
                 del words  # before the next chunk's words are drawn
             np.bitwise_xor(bits, _MINUS_ONE_BITS, out=bits)  # a set sign bit turns -1.0 into +1.0
-            for s, xi_s in enumerate(step, s0 + 1):
-                x = np.multiply(x, a, out=rows[s, :, start:stop] if keep else x)
-                x += xi_s
+            for s, xi_s in enumerate(step, s0 + 1):  # x = fl(fl(a x) + xi_s)
+                x = np.add(np.multiply(x, a, out=ax), xi_s, out=xi_s if keep else x)
                 if counts is not None:
                     np.greater_equal(x[0], 0.0, out=nonneg)
                     np.add(tally, nonneg.view(np.uint8), out=tally)
                     if s % _TALLY == 0 or s == t:
                         counts[start:stop] += tally
                         tally.fill(0)
+
+
+def _blocks(n_chunks: int) -> list:
+    """The fewest runs of at most ``_BLOCK_CHUNKS`` consecutive chunks that
+    cover ``range(n_chunks)``, in sizes that differ by at most one, larger first."""
+    n_blocks = -(-n_chunks // _BLOCK_CHUNKS)
+    size, larger = divmod(n_chunks, n_blocks)  # the first `larger` blocks take one more
+    edges = [b * size + min(b, larger) for b in range(n_blocks + 1)]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _walk(alphas, p: float, t: int, n_walkers: int, seed: int, mode: str = "finals"):
@@ -191,8 +205,7 @@ def _walk(alphas, p: float, t: int, n_walkers: int, seed: int, mode: str = "fina
     rows = np.empty((t + 1 if mode == "paths" else 1, len(alphas), n_walkers))
     counts = None if mode == "finals" else np.zeros(n_walkers, dtype=np.int64)
     a = np.array(alphas, dtype=np.float64)[:, None]
-    n_chunks = -(-n_walkers // STREAM_CHUNK)
-    blocks = [range(c, min(c + _BLOCK_CHUNKS, n_chunks)) for c in range(0, n_chunks, _BLOCK_CHUNKS)]
+    blocks = _blocks(-(-n_walkers // STREAM_CHUNK))
     pending = iter(blocks)
     lock = threading.Lock()
     errors = []
@@ -263,10 +276,12 @@ def simulate_simple_rw(t: int, n_walkers: int = DEFAULT_WALKERS, seed: int = 0) 
 
 class Ecdf(DiscreteCdf):
     """Empirical CDF: the step CDF that gives each of the ``n`` sample values
-    weight ``1/n``, so ``cum[i]`` is exactly ``(i + 1) / n``."""
+    weight ``1/n``, so ``cum[i]`` is exactly ``(i + 1) / n``. A sample
+    already in increasing order is kept as given, without a sort or a copy."""
 
     def __init__(self, values):
-        self.xs = np.sort(np.asarray(values, dtype=np.float64))
+        xs = np.asarray(values, dtype=np.float64)
+        self.xs = xs if np.all(xs[1:] >= xs[:-1]) else np.sort(xs)
         n = self.xs.size
         if n == 0:
             raise ValueError("cannot build an empirical CDF from an empty sample")

@@ -6,7 +6,8 @@ the three formats, the exact ``dist`` and ``cvm`` points at the edges of
 the word-size lattices, the benchmark's small workloads, one Monte Carlo
 horizon list, one Monte Carlo paths dump over several blocks, one Monte
 Carlo residence walk of several hundred steps, four Monte Carlo walks at
-``p`` other than 1/2 and two reach queries that no float replay settles.
+``p`` other than 1/2, three walks over blocks of several chunks and two
+reach queries that no float replay settles.
 ``test_golden.py`` reruns them and compares digests.
 
 The table defines correct output, so record it only at a commit whose
@@ -92,6 +93,16 @@ MC_BIASED = (
     "dist --alpha 0.9 --p 0 --t 20 --mode mc --n 300 --seed 3",
 )
 
+# Walks over blocks of several chunks: two laws of 14 chunks, the last of 3
+# walkers, which no even split of blocks covers; and one block of three
+# chunks walked in paths mode over more steps than a tile of three chunks
+# holds, at p = 1/2 and at p = 0.3.
+MC_BLOCKS = (
+    "cvm --targets arw,srw --alpha 0.5,0.9 --t 40 --mode mc --n 53251 --seed 3",
+    "dist --alpha 0.9 --t 45 --mode mc --n 9000 --store paths --seed 3",
+    "dist --alpha 0.9 --p 0.3 --t 45 --mode mc --n 9000 --store paths --seed 3",
+)
+
 # Sparse reach queries that no float replay settles: an endpoint exactly
 # epsilon away, and a depth-46 prefix 0.375 epsilon away in exact arithmetic
 # whose float replay misses. Each is certified at radius epsilon.
@@ -127,6 +138,7 @@ def golden_commands() -> list:
         *MC_PATHS,
         *MC_LONG,
         *MC_BIASED,
+        *MC_BLOCKS,
         *REACH_UNCONFIRMED,
     ]
 

@@ -60,6 +60,13 @@ class TestStandardize:
         assert standardize_srw(2.0, 4) == 1.0
         assert standardize_srw(-10.0, 100) == -1.0
 
+    def test_in_place_is_the_same_bits(self):
+        x = np.array([-3.0, -0.0, 0.5, 7.25])
+        for standardize, args in ((standardize_arw, (0.9, 11)), (standardize_srw, (7,))):
+            y = x.copy()
+            assert standardize(y, *args, out=y) is y
+            assert np.array_equal(y.view(np.int64), standardize(x, *args).view(np.int64))
+
     def test_domain(self):
         with pytest.raises(ValueError):
             standardize_arw(1.0, 1.0, 5)

@@ -821,6 +821,33 @@ class TestCvm:
         assert main(argv) == EXIT_OK
         assert len(drawn) == 3  # three chunks, one horizon: not once per law
 
+    def test_mc_cvm_holds_no_copy_of_the_finals(self, tmp_path, monkeypatch):
+        # After the walk, one law's CvM holds its finals, standardized and
+        # sorted in place as the Ecdf's sample, and the Ecdf's cum: 16 bytes a
+        # walker. A standardized temporary or a sorted copy adds 8 bytes a
+        # walker each. The walk's own peak is test_tile_memory's.
+        n, walks = 100_000, []
+        shared_walk = cli.simulate_finals
+
+        def walk(*args):
+            block = shared_walk(*args)
+            walks.append(block.shape)
+            tracemalloc.reset_peak()
+            return block
+
+        argv = ["cvm", "--targets", "arw", "--alpha", "0.9", "--t", "50", "--mode", "mc"]
+        argv += ["--out", str(tmp_path)]
+        assert main([*argv, "--n", "10"]) == EXIT_OK  # lazy imports, untraced
+        monkeypatch.setattr(cli, "simulate_finals", walk)
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--n", str(n)]) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert walks == [(1, n)]
+        assert peak < 20 * n
+
     @pytest.mark.parametrize("grid", ["-inf,3,10", "-1e308,1e308,10"])
     def test_bad_grid(self, tmp_path, capsys, grid):
         argv = ["cvm", "--targets", "srw", "--t", "4", f"--grid={grid}", "--out", str(tmp_path)]

@@ -577,13 +577,19 @@ class TestSupportSequence:
             with pytest.raises(ValueError):
                 dist.point_probability(missing)
 
-    def test_membership_through_the_sequence_mixins(self):
+    def test_membership_by_binary_search(self, monkeypatch):
+        # A scan of the 2^t numerators would iterate; the binary search never does.
+        def no_scan(self):
+            raise AssertionError("membership scanned the support")
+
+        monkeypatch.setattr(exact.PathLattice, "__iter__", no_scan)
         dist = enumerate_distribution(params(Fraction(9, 10), t=8))
         support = [x * dist.scale_denominator for _, x, _, _ in brute_paths(Fraction(9, 10), 8)]
         for s in support:
             assert s.denominator == 1 and s in dist.entries and dist.entries.count(s) == 1
         assert max(support) + 1 not in dist.entries
         assert 10**400 not in dist.entries and 1.5 not in dist.entries
+        assert dist.entries.count(max(support) + 1) == dist.entries.count(1.5) == 0
 
 
 class TestExactOrder:

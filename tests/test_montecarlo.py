@@ -169,6 +169,15 @@ class TestEcdf:
         assert e.cum.tolist() == [(i + 1) / 7 for i in range(7)]
         assert [e(x) for x in e.xs] == [(i + 1) / 7 for i in range(7)]
 
+    def test_sorted_sample_is_kept_in_place(self):
+        values = np.array([-1.0, -0.0, 0.0, 2.0, 2.0, 5.0])
+        e = Ecdf(values)
+        assert e.xs is values and e.cum.tolist() == [(i + 1) / 6 for i in range(6)]
+        unsorted = np.array([2.0, -1.0, 5.0])
+        e = Ecdf(unsorted)
+        assert e.xs.tolist() == [-1.0, 2.0, 5.0] and not np.shares_memory(e.xs, unsorted)
+        assert unsorted.tolist() == [2.0, -1.0, 5.0]
+
     def test_uniform_limit_at_half(self):
         # DKW with n=50k puts the sup-distance well under 0.015 once the
         # walk's law is this close to uniform on [-2, 2].
@@ -397,30 +406,32 @@ class TestWorkers:
 
     @pytest.mark.parametrize("mode", ["finals", "paths", "residence"])
     def test_worker_count_never_changes_a_bit(self, monkeypatch, mode):
-        n = 3 * STREAM_CHUNK + 5  # four chunks, the last of 5 walkers
+        n = 2 * _BLOCK_CHUNKS * STREAM_CHUNK + 5  # three blocks, the last chunk of 5 walkers
         prm = params(0.9, p=0.55, t=2 * _TILE + 1)
-        runs = [
-            simulate_with_workers(monkeypatch, w, prm, n_walkers=n, seed=8, mode=mode)
-            for w in (1, 2, 3, 9)
-        ]
-        for batch in runs[1:]:
-            assert np.array_equal(batch.positions, runs[0].positions)
+        first = simulate_with_workers(monkeypatch, 1, prm, n_walkers=n, seed=8, mode=mode)
+        for workers in (2, 3, 9):
+            batch = simulate_with_workers(monkeypatch, workers, prm, n_walkers=n, seed=8, mode=mode)
+            assert np.array_equal(batch.positions, first.positions), workers
             if mode != "finals":
-                assert np.array_equal(batch.nonneg_steps, runs[0].nonneg_steps)
+                assert np.array_equal(batch.nonneg_steps, first.nonneg_steps), workers
 
     @pytest.mark.parametrize("mode", ["finals", "paths", "residence"])
     @pytest.mark.parametrize(
-        "n",
+        "n, sizes",
         [
-            1,
-            2 * STREAM_CHUNK - 1,  # one block, its last chunk one walker short
-            2 * STREAM_CHUNK,
-            2 * STREAM_CHUNK + 1,  # a second block of one walker
-            4 * STREAM_CHUNK + 5,  # two full blocks and a tail chunk of 5
+            pytest.param(1, [1], id="1"),
+            # one block, its last chunk one walker short
+            pytest.param(4 * STREAM_CHUNK - 1, [4], id="16383"),
+            pytest.param(4 * STREAM_CHUNK, [4], id="16384"),
+            # a fifth chunk of one walker: two blocks, of three and two chunks
+            pytest.param(4 * STREAM_CHUNK + 1, [3, 2], id="16385"),
+            # 13 chunks, the last of 5 walkers: no even split, so 4, 3, 3, 3
+            pytest.param(12 * STREAM_CHUNK + 5, [4, 3, 3, 3], id="49157"),
         ],
     )
-    def test_block_edges_match_reference(self, monkeypatch, mode, n):
-        assert _BLOCK_CHUNKS == 2  # the block edges above
+    def test_block_edges_match_reference(self, monkeypatch, mode, n, sizes):
+        assert _BLOCK_CHUNKS == 4  # the block edges above
+        assert [len(block) for block in montecarlo._blocks(-(-n // STREAM_CHUNK))] == sizes
         prm = params(0.9, p=0.55, t=2 * _TILE + 1)
         expected = reference_simulate(prm, n, seed=8)
         counts = (expected[:, 1:] >= 0.0).sum(axis=1)
@@ -430,6 +441,14 @@ class TestWorkers:
             assert np.array_equal(batch.positions, want), workers
             if mode != "finals":
                 assert np.array_equal(batch.nonneg_steps, counts), workers
+
+    def test_blocks_are_balanced(self):
+        for n_chunks in range(1, 42):
+            blocks = montecarlo._blocks(n_chunks)
+            assert [c for block in blocks for c in block] == list(range(n_chunks))
+            sizes = [len(block) for block in blocks]
+            assert len(blocks) == -(-n_chunks // _BLOCK_CHUNKS) and max(sizes) <= _BLOCK_CHUNKS
+            assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
 
     def test_many_workers_with_short_switch_interval(self, monkeypatch):
         prm = params(0.6, t=40)
@@ -447,17 +466,16 @@ class TestWorkers:
         stream = montecarlo.philox_stream
 
         def failing(seed, *spawn_key):
-            if spawn_key == (2,):
-                raise MemoryError("chunk 2")
+            if spawn_key == (_BLOCK_CHUNKS,):
+                raise MemoryError("second block")
             return stream(seed, *spawn_key)
 
         monkeypatch.setattr(montecarlo, "philox_stream", failing)
-        # Chunk 2 opens the second block.
+        # Chunk _BLOCK_CHUNKS opens the second of two full blocks.
+        n = 2 * _BLOCK_CHUNKS * STREAM_CHUNK
         for workers in (1, 2, 4):
-            with pytest.raises(MemoryError, match="chunk 2"):
-                simulate_with_workers(
-                    monkeypatch, workers, params(0.5, t=5), n_walkers=4 * STREAM_CHUNK, seed=1
-                )
+            with pytest.raises(MemoryError, match="second block"):
+                simulate_with_workers(monkeypatch, workers, params(0.5, t=5), n_walkers=n, seed=1)
 
     def test_failing_block_stops_the_walk(self, monkeypatch):
         stream = montecarlo.philox_stream
@@ -465,23 +483,24 @@ class TestWorkers:
 
         def failing(seed, *spawn_key):
             drawn.append(spawn_key[0])
-            if spawn_key == (2,):
+            if spawn_key == (_BLOCK_CHUNKS,):
                 time.sleep(0.05)  # so that with 4 workers the later blocks are claimed
-                raise MemoryError("chunk 2")
-            if spawn_key == (4,):
+                raise MemoryError("second block")
+            if spawn_key == (2 * _BLOCK_CHUNKS,):
                 time.sleep(0.1)  # and still walked when the second block fails
             return stream(seed, *spawn_key)
 
         monkeypatch.setattr(montecarlo, "philox_stream", failing)
         prm = params(0.5, t=5)
-        # Four blocks of two chunks: the second fails, so the last two are never claimed.
-        with pytest.raises(MemoryError, match="chunk 2"):
-            simulate_with_workers(monkeypatch, 1, prm, n_walkers=8 * STREAM_CHUNK, seed=1)
-        assert not set(drawn) & set(range(4, 8))
+        # Four full blocks: the second fails, so the last two are never claimed.
+        n = 4 * _BLOCK_CHUNKS * STREAM_CHUNK
+        with pytest.raises(MemoryError, match="second block"):
+            simulate_with_workers(monkeypatch, 1, prm, n_walkers=n, seed=1)
+        assert not set(drawn) & set(range(2 * _BLOCK_CHUNKS, 4 * _BLOCK_CHUNKS))
         # Every worker is joined before the error reaches the caller.
         threads = threading.active_count()
-        with pytest.raises(MemoryError, match="chunk 2"):
-            simulate_with_workers(monkeypatch, 4, prm, n_walkers=8 * STREAM_CHUNK, seed=1)
+        with pytest.raises(MemoryError, match="second block"):
+            simulate_with_workers(monkeypatch, 4, prm, n_walkers=n, seed=1)
         assert threading.active_count() == threads
 
     def test_worker_count_follows_affinity(self, monkeypatch):
@@ -504,7 +523,7 @@ class TestSimulateFinals:
         one_worker=st.booleans(),
     )
     def test_rows_are_the_per_law_walks(self, alphas, t, p, seed, one_worker):
-        n = 3 * STREAM_CHUNK + 5  # four chunks, the last of 5 walkers
+        n = _BLOCK_CHUNKS * STREAM_CHUNK + 5  # two blocks, the last chunk of 5 walkers
         with pytest.MonkeyPatch.context() as patch:
             if one_worker:
                 patch.setattr(montecarlo, "_worker_count", lambda n_blocks: 1)
@@ -515,9 +534,9 @@ class TestSimulateFinals:
             assert np.array_equal(row.view(np.int64), expected.view(np.int64)), alpha
 
     def test_tile_memory(self, monkeypatch):
-        # Four blocks of two chunks on one worker: a step tile of _TILE *
-        # STREAM_CHUNK doubles and one chunk's words. A 16-step tile over a
-        # 2-chunk block would take 1 MB on its own.
+        # Two blocks of four chunks on one worker: a step tile of _TILE *
+        # STREAM_CHUNK doubles and one chunk's words. A 32-step tile over a
+        # 4-chunk block would take 4 MB on its own.
         monkeypatch.setattr(montecarlo, "_worker_count", lambda n_blocks: 1)
         tracemalloc.start()
         try:
@@ -560,7 +579,8 @@ class TestResidenceMode:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_counts_cross_the_tally_flush(self, monkeypatch, mode, workers):
         # 600 steps empty each walker's one-byte tally into its count twice
-        # and then at t; two blocks, the second of one walker.
+        # and then at t; two blocks, of three and two chunks, the last chunk
+        # of one walker.
         prm = params(0.98, t=600)
         n = _BLOCK_CHUNKS * STREAM_CHUNK + 1
         expected = (reference_simulate(prm, n, seed=5)[:, 1:] >= 0.0).sum(axis=1)
