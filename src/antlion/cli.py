@@ -65,17 +65,17 @@ from .exact import (
 from .montecarlo import (
     DEFAULT_WALKERS,
     Ecdf,
-    empirical_cdf,
     residence_times,
     simulate,
     simulate_finals,
 )
-# is_eps_reachable, exact_standardized_cdf and simulate_simple_rw, which no
-# command calls, stay cli attributes: perfbench/spans.py wraps them.
+# is_eps_reachable, exact_standardized_cdf, simulate_simple_rw and
+# empirical_cdf, which no command calls, stay cli attributes:
+# perfbench/spans.py wraps them.
 from .analysis import exact_standardized_cdf  # noqa: F401
-from .montecarlo import simulate_simple_rw  # noqa: F401
+from .montecarlo import empirical_cdf, simulate_simple_rw  # noqa: F401
 from .reachability import decide_lanes, is_eps_reachable, reach_bound  # noqa: F401
-from .tables import SUFFIXES, Coded, Table, transpose, write_tables
+from .tables import SUFFIXES, Coded, Computed, Table, code_distinct, transpose, write_tables
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -174,16 +174,26 @@ def _cmd_dist(args):
     if args.mode == "exact":
         dist = enumerate_distribution(params)
         yield Table("dist", DIST_HEADER, dist.columns())
-        cdf = dist.cdf
-    else:
-        batch = simulate(params, n_walkers=args.n, seed=args.seed, mode=args.store)
-        yield Table("dist", ["walker_id", "position"], (range(batch.n_walkers), batch.finals))
-        cdf = empirical_cdf(batch)
-    yield Table("dist_cdf", ["position", "cdf"], (cdf.xs, cdf.cum))
-    if args.mode == "mc" and args.store == "paths":
-        # Zero-stride views: write_tables reads every column a block at a time.
-        walker, step = np.broadcast_arrays(*np.ogrid[: batch.n_walkers, : params.t + 1])
-        columns = (walker.flat, step.flat, batch.positions.flat)
+        yield Table("dist_cdf", ["position", "cdf"], (dist.cdf.xs, dist.cdf.cum))
+        return
+    batch = simulate(params, n_walkers=args.n, seed=args.seed, mode=args.store)
+    n, width = batch.n_walkers, params.t + 1
+    walkers = range(n)
+    # Both position columns are coded on the sorted finals, so each position
+    # is formatted once: dist's by its walker's rank, dist_cdf's in order.
+    order = np.argsort(batch.finals)
+    cdf = Ecdf(batch.finals[order])
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    yield Table("dist", ["walker_id", "position"], (walkers, Coded(rank, cdf.xs)))
+    # cdf.cum's values, computed a block at a time like the trajectories'
+    # walker and step codes, so that no such array is held while writing.
+    cum = Computed(n, lambda i: (i + 1.0) / n)
+    yield Table("dist_cdf", ["position", "cdf"], (Coded(walkers, cdf.xs), cum))
+    if args.store == "paths":
+        walker = Coded(Computed(n * width, lambda i: i // width), walkers)
+        step = Coded(Computed(n * width, lambda i: i % width), range(width))
+        columns = (walker, step, batch.positions.flat)
         yield Table("trajectories", ["walker_id", "step", "position"], columns)
 
 
@@ -302,7 +312,7 @@ def _cmd_reach(args):
     yield Table(
         "reach",
         ["alpha", "r", "epsilon", "reachable", "witness_depth"],
-        (alphas, lanes.targets, epsilons, lanes.reachable, lanes.depth),
+        (alphas, lanes.targets, epsilons, lanes.reachable, code_distinct(lanes.depth)),
     )
 
 
@@ -343,7 +353,10 @@ def _cmd_bandit(args):
     else:
         trace = run_bandit(config, args.seed)
         arms, rewards = Coded(trace.arm_a, ["B", "A"]), trace.reward.view(np.uint8)
-        columns = (range(config.horizon), trace.signal, trace.theta, arms, rewards, trace.xi, trace.x)
+        signal, theta, rewards, xi = (
+            code_distinct(column) for column in (trace.signal, trace.theta, rewards, trace.xi)
+        )
+        columns = (range(config.horizon), signal, theta, arms, rewards, xi, trace.x)
         header = ["step", "s", "theta", "arm", "reward", "xi", "x"]
         yield Table("bandit_trace", header, columns)
         yield Summary(

@@ -4,10 +4,22 @@ A table is a header plus one column per field (a numpy array, list, range,
 :class:`Coded` column or other sliceable sequence), all of one length. Tables
 are written together in blocks of ``BLOCK_ROWS`` rows: in each block every
 column object is formatted once, by a C-level map when its cells share one
-type, and the lines are joined, so no whole table's text is held. The bytes
-are those of the former cell-by-cell writers: ``csv.writer`` and
-space-joined lines over ``repr`` for floats, ``1``/``0`` for bools and
-``str`` otherwise; ``json.dump(records, indent=2)`` for json.
+type, and the lines are joined, so no whole table's text is held. A numpy
+block's cell type is its dtype's. The bytes are those of the former
+cell-by-cell writers: ``csv.writer`` and space-joined lines over ``repr``
+for floats, ``1``/``0`` for bools and ``str`` otherwise;
+``json.dump(records, indent=2)`` for json.
+
+A coded column's labels are formatted once per write, however many rows
+and columns read them. Up to ``BLOCK_ROWS`` labels are held as a list of
+strings. A larger set of numeric labels (a numeric array or a range) is
+held as one text store, built a block of labels at a time: each label's
+ASCII text in a fixed-width slot, 25 bytes a float label where a list of
+strings takes about 80, and a block of codes reads its cells back in one
+gather. A column is worth coding when it repeats values: :func:`code_distinct`
+codes a numeric array over its distinct bit patterns, unless it has more
+than ``BLOCK_ROWS`` of them, and :class:`Computed` codes, such as a grid's
+row and column numbers, are computed a block at a time.
 """
 
 from __future__ import annotations
@@ -34,17 +46,59 @@ class Table(NamedTuple):
     columns: Sequence
 
 
+class Computed:
+    """A column computed a block at a time: rows ``lo:hi`` are
+    ``rows(np.arange(lo, hi))``, an array of ``hi - lo`` values."""
+
+    def __init__(self, n_rows: int, rows):
+        self.n_rows, self.rows = n_rows, rows
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __getitem__(self, cells: slice) -> np.ndarray:
+        return self.rows(np.arange(*cells.indices(self.n_rows)))
+
+
 class Coded:
     """A column whose row ``i`` is ``labels[codes[i]]``: each label is
-    formatted once per write. Codes must lie in ``range(len(labels))``."""
+    formatted once per write, as a list of strings or, past ``BLOCK_ROWS``
+    numeric labels, as a text store (see the module docstring).
+
+    ``codes`` is an int array or a range, whose codes must lie in
+    ``range(len(labels))``, or a :class:`Computed` column of codes, which
+    are trusted to."""
 
     def __init__(self, codes, labels: Sequence):
-        self.codes, self.labels = np.asarray(codes), labels
-        if self.codes.size and not 0 <= self.codes.min() <= self.codes.max() < len(labels):
+        self.codes = codes if isinstance(codes, (range, Computed)) else np.asarray(codes)
+        self.labels = labels
+        if isinstance(codes, Computed) or not len(self.codes):
+            return
+        if isinstance(codes, range):
+            low, high = sorted((codes[0], codes[-1]))
+        else:
+            low, high = self.codes.min(), self.codes.max()
+        if not 0 <= low <= high < len(labels):
             raise ValueError(f"codes must lie in range({len(labels)})")
 
     def __len__(self) -> int:
         return len(self.codes)
+
+
+def code_distinct(column: np.ndarray):
+    """``column`` as a :class:`Coded` column over its distinct bit patterns,
+    so ``-0.0`` and ``0.0`` and NaNs of different payloads stay apart; or
+    ``column`` itself when it has more than ``BLOCK_ROWS`` distinct values."""
+    bits = column.view(f"u{column.itemsize}")
+    # A sort and a search: np.unique's inverse argsorts, about six times
+    # slower on a column of few distinct ints.
+    labels = np.sort(bits)
+    distinct = np.ones(len(labels), dtype=bool)
+    np.not_equal(labels[1:], labels[:-1], out=distinct[1:])
+    labels = labels[distinct]
+    if len(labels) > BLOCK_ROWS:
+        return column
+    return Coded(np.searchsorted(labels, bits), labels.view(column.dtype))
 
 
 def transpose(rows: list, width: int) -> list:
@@ -85,17 +139,72 @@ _FORMATTERS = {
 }
 
 
+# The Python type of every cell of a numpy block's ``tolist()``, by dtype kind;
+# wider dtypes (long double) and other kinds have their cells scanned.
+_DTYPE_KINDS = {"b": bool, "i": int, "u": int, "f": float}
+
+
+def _dtype_kind(cells: np.ndarray):
+    return _DTYPE_KINDS.get(cells.dtype.kind) if cells.dtype.itemsize <= 8 else None
+
+
 def _cells(column, lo: int, hi: int, fmt: str):
     """Rows ``lo:hi`` of ``column`` as strings of format ``fmt``."""
     cells = column[lo:hi]
-    if isinstance(cells, np.ndarray):
-        cells = cells.tolist()  # Python scalars, one type per array
-    kinds = set(map(type, cells))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if fmt == "json" and kind is float and not all(map(math.isfinite, cells)):
-        kind = None  # json.dumps spells NaN and the infinities
+    if isinstance(cells, range):
+        kind = int
+    elif isinstance(cells, np.ndarray) and (kind := _dtype_kind(cells)):
+        if fmt == "json" and kind is float and not np.isfinite(cells).all():
+            kind = None  # json.dumps spells NaN and the infinities
+        cells = cells.tolist()
+    else:
+        if isinstance(cells, np.ndarray):
+            cells = cells.tolist()  # object, str or long double cells
+        kinds = set(map(type, cells))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if fmt == "json" and kind is float and not all(map(math.isfinite, cells)):
+            kind = None
     by_kind, fallback = _FORMATTERS[fmt]
     return map(by_kind.get(kind, fallback), cells)
+
+
+class _TextStore:
+    """The text of a large set of numeric labels, each in a fixed-width
+    slot of ASCII padded with spaces, built a block of labels at a time. A
+    block of codes reads its cells in one gather of slots (one slice for a
+    run of codes) and one whitespace split."""
+
+    def __init__(self, labels: Sequence, fmt: str):
+        # A numeric array's label takes at most 24 characters, a range's no
+        # more than its longer end; each slot keeps at least one space.
+        longest = 24
+        if isinstance(labels, range):
+            longest = max(len(str(labels[0])), len(str(labels[-1])))
+        self.slots = np.empty((len(labels), longest + 1), np.uint8)
+        for lo in range(0, len(labels), BLOCK_ROWS):
+            block = np.array(list(_cells(labels, lo, lo + BLOCK_ROWS, fmt)), f"S{longest + 1}")
+            block = block.view(np.uint8).reshape(len(block), longest + 1)
+            block[block == 0] = ord(" ")  # numpy pads with NULs
+            self.slots[lo : lo + len(block)] = block
+
+    def __call__(self, codes) -> list:
+        """The text of the labels of a block of codes."""
+        if isinstance(codes, range) and codes.step == 1:
+            slots = self.slots[codes.start : codes.stop]
+        else:
+            slots = self.slots[np.asarray(codes)]
+        return slots.tobytes().decode("ascii").split()
+
+
+def _label_text(labels: Sequence, fmt: str):
+    """A function from a block of codes into ``labels`` to their cells'
+    text, each label formatted once: a text store past ``BLOCK_ROWS``
+    numeric labels, else a list of the labels' strings."""
+    numeric = isinstance(labels, range) or isinstance(labels, np.ndarray) and _dtype_kind(labels)
+    if numeric and len(labels) > BLOCK_ROWS:
+        return _TextStore(labels, fmt)
+    text = list(_cells(labels, 0, len(labels), fmt)).__getitem__
+    return lambda codes: list(map(text, codes if isinstance(codes, range) else codes.tolist()))
 
 
 def _begin(fh, header: Sequence[str], fmt: str) -> list:
@@ -131,13 +240,12 @@ def write_tables(items: Sequence, fmt: str) -> None:
         if len(columns) != len(header) or len(set(lengths)) > 1:
             raise ValueError(f"table {name!r}: {len(header)} fields, column lengths {lengths}")
     labels = {id(c.labels): c.labels for _, t in items for c in t.columns if isinstance(c, Coded)}
-    labels = {key: list(_cells(values, 0, len(values), fmt)) for key, values in labels.items()}
+    labels = {key: _label_text(values, fmt) for key, values in labels.items()}
 
     def cells(column, lo: int) -> list:
         """Rows ``lo:lo + BLOCK_ROWS`` as text, read by every table that holds the column."""
         if isinstance(column, Coded):
-            codes = column.codes[lo : lo + BLOCK_ROWS].tolist()
-            return list(map(labels[id(column.labels)].__getitem__, codes))
+            return labels[id(column.labels)](column.codes[lo : lo + BLOCK_ROWS])
         return list(_cells(column, lo, lo + BLOCK_ROWS, fmt))
 
     with ExitStack() as stack:

@@ -6,8 +6,9 @@ the three formats, the exact ``dist`` and ``cvm`` points at the edges of
 the word-size lattices, the benchmark's small workloads, one Monte Carlo
 horizon list, one Monte Carlo paths dump over several blocks, one Monte
 Carlo residence walk of several hundred steps, four Monte Carlo walks at
-``p`` other than 1/2, three walks over blocks of several chunks and two
-reach queries that no float replay settles.
+``p`` other than 1/2, three walks over blocks of several chunks, two
+reach queries that no float replay settles and five commands whose columns
+are written through labels.
 ``test_golden.py`` reruns them and compares digests.
 
 The table defines correct output, so record it only at a commit whose
@@ -111,6 +112,19 @@ REACH_UNCONFIRMED = (
     "reach --alpha 0.49 --r -0.23310180992733298 --epsilon 1e-16",
 )
 
+# Columns written through labels: Monte Carlo positions shared by dist and
+# dist_cdf, 64 distinct among 5000 walkers so that equal values take
+# distinct ranks, in csv and json; paths whose index columns cross block
+# edges; a bandit signal of 2582 distinct values, too many to code; and 11
+# distinct witness depths over three blocks of reach rows.
+CODED_COLUMNS = (
+    "dist --alpha 0.5 --t 6 --mode mc --n 5000 --seed 3",
+    "dist --alpha 0.5 --t 6 --mode mc --n 5000 --seed 3 --format json",
+    "dist --alpha 0.9 --t 40 --mode mc --n 60 --store paths --format json --seed 3",
+    "bandit --alpha 0.99 --pa 0.8 --pb 0.2 --horizon 3000 --signal uniform:-5000,5000 --seed 3",
+    "reach --alpha 0.3 --sweep 3000 --epsilon 0.001 --seed 3",
+)
+
 
 def code_block(heading: str, language: str) -> str:
     """The first ``language`` code block under the README's ``## heading``."""
@@ -140,6 +154,7 @@ def golden_commands() -> list:
         *MC_BIASED,
         *MC_BLOCKS,
         *REACH_UNCONFIRMED,
+        *CODED_COLUMNS,
     ]
 
 

@@ -30,7 +30,16 @@ from antlion.core import Alpha, WalkParams, closed_form_mean, closed_form_varian
 from antlion.exact import DIST_HEADER, enumerate_distribution, exact_residence_distribution
 from antlion.montecarlo import Ecdf, empirical_cdf, simulate, simulate_simple_rw
 from antlion.reachability import ReachQuery, decide_lanes, is_eps_reachable
-from antlion.tables import BLOCK_ROWS, SUFFIXES, Coded, Table, transpose, write_tables
+from antlion.tables import (
+    BLOCK_ROWS,
+    SUFFIXES,
+    Coded,
+    Computed,
+    Table,
+    code_distinct,
+    transpose,
+    write_tables,
+)
 
 
 def read_csv(path: Path):
@@ -157,8 +166,9 @@ def cell_values(column) -> list:
     column as its Python scalars, a coded one as its labels."""
     if isinstance(column, Coded):
         labels = cell_values(column.labels)
-        return [labels[code] for code in column.codes.tolist()]
-    return column.tolist() if isinstance(column, np.ndarray) else list(column[0 : len(column)])
+        return [labels[code] for code in cell_values(column.codes)]
+    cells = column[0 : len(column)]
+    return cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
 
 
 def assert_same_tables(tmp_path, tables, fmt):
@@ -268,6 +278,38 @@ def _draw_coded(draw, n_rows: int) -> Coded:
     return Coded(np.array(codes, dtype=np.int8) if draw(st.booleans()) else codes, labels)
 
 
+# Floats whose bit patterns differ though some compare equal or print alike:
+# both zeros, NaNs of four payloads, the infinities and subnormals.
+_NAN_BITS = [0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0 << 48 | 1, 0x7FF8DEADBEEF0001]
+_FLOAT_EDGES = np.concatenate([
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e16, 0.1],
+    np.array(_NAN_BITS, np.uint64).view(float),
+])
+
+
+@st.composite
+def repeating_columns(draw):
+    """A numeric column in which each of its distinct values appears at
+    least once, in random order: floats (with ``_FLOAT_EDGES``), int64,
+    uint8 or bool, with 1, 2, 3, ``BLOCK_ROWS`` or ``BLOCK_ROWS + 1``
+    distinct values where the dtype has that many."""
+    kind = draw(st.sampled_from(["float", "int", "uint8", "bool"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2, 3, BLOCK_ROWS, BLOCK_ROWS + 1]))
+    if kind == "float":
+        # Past the edges, negative values of at least 1e-200 in magnitude.
+        scale = 10.0 ** draw(st.integers(-200, 200))
+        spread = -scale * np.cumsum(rng.random(n) + 0.5)
+        distinct = np.concatenate([rng.permutation(_FLOAT_EDGES), spread])
+    elif kind == "int":
+        distinct = np.cumsum(rng.integers(1, 2**40, n)) - 2**50
+    else:
+        distinct = np.arange(256, dtype=np.uint8) if kind == "uint8" else np.array([False, True])
+    distinct = distinct[:n]
+    repeats = rng.integers(0, len(distinct), draw(st.integers(0, 2 * BLOCK_ROWS)))
+    return distinct[rng.permutation(np.concatenate([np.arange(len(distinct)), repeats]))]
+
+
 @st.composite
 def shared_tables(draw):
     """One to three tables of possibly unequal lengths; a table may reuse a
@@ -304,6 +346,40 @@ class TestColumnWriter:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(tables=shared_tables())
     def test_shared_and_coded_columns_match_row_oracle(self, tmp_path, fmt, tables):
+        assert_same_tables(tmp_path, tables, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(column=repeating_columns())
+    def test_code_distinct_writes_the_plain_bytes(self, tmp_path, fmt, column):
+        coded = code_distinct(column)
+        n_distinct = len(np.unique(column.view(f"u{column.itemsize}")))
+        assert isinstance(coded, Coded) == (n_distinct <= BLOCK_ROWS)
+        steps = range(len(column))
+        write_tables([(tmp_path / "coded", Table("t", ["x", "i"], [coded, steps])),
+                      (tmp_path / "plain", Table("t", ["x", "i"], [column, steps]))], fmt)
+        assert (tmp_path / "coded").read_bytes() == (tmp_path / "plain").read_bytes()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("kind", ["float", "int", "bool", "range"])
+    def test_label_store_matches_row_oracle(self, tmp_path, fmt, kind):
+        # Past BLOCK_ROWS numeric labels, read as runs, in any order and
+        # through computed codes.
+        n = 2 * BLOCK_ROWS + 3
+        rng = np.random.default_rng(7)
+        labels = {
+            "float": np.concatenate([_FLOAT_EDGES, rng.standard_normal(n) * 1e-5]),
+            "int": rng.integers(-(2**63), 2**63 - 1, n, endpoint=True),
+            "bool": rng.random(n) < 0.5,
+            "range": range(-(10**30), -(10**30) + n),
+        }[kind]
+        n = len(labels)
+        whole = [Coded(c, labels) for c in (range(n), range(n - 1, -1, -1), rng.permutation(n))]
+        tables = [
+            (["run", "reversed", "permuted"], whole),
+            (["drawn"], [Coded(rng.integers(0, n, 3 * BLOCK_ROWS), labels)]),
+            (["halves"], [Coded(Computed(2 * n, lambda i: i // 2), labels)]),
+        ]
         assert_same_tables(tmp_path, tables, fmt)
 
     @pytest.mark.parametrize("fmt", FORMATS)
@@ -386,6 +462,44 @@ class TestColumnWriter:
         [peak] = peaks  # the one write, of dist, dist_cdf and trajectories
         assert peak < 14 * n * (t + 1)
 
+    @staticmethod
+    def traced_write_peak(monkeypatch, argv) -> int:
+        """The traced peak of the one ``write_tables`` call of ``main(argv)``,
+        above what was allocated before it (the tables' own arrays)."""
+        peaks = []
+
+        def write_traced(items, fmt):
+            tracemalloc.start()
+            try:
+                write_tables(items, fmt)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "write_tables", write_traced)
+        assert main(argv) == EXIT_OK
+        [peak] = peaks
+        return peak
+
+    def test_mc_positions_are_held_as_compact_text(self, tmp_path, monkeypatch):
+        # The sorted positions' text is held once for dist and dist_cdf, as
+        # 25 bytes a walker; a list of strings would take about 80.
+        n = 50_000
+        argv = ["dist", "--alpha", "0.5", "--t", "60", "--mode", "mc", "--n", str(n)]
+        argv += ["--format", "json", "--out", str(tmp_path)]
+        peak = self.traced_write_peak(monkeypatch, argv)
+        assert peak < 40 * n
+
+    def test_trajectories_hold_no_index_array(self, tmp_path, monkeypatch):
+        # Each block of rows computes its walker and step codes: the write
+        # never holds an (n, t + 1) index array. (The traced write peaks at
+        # about 0.6 MB here and 1.2 MB at n = 20 000, which takes 10 s.)
+        n, t = 2_000, 100
+        argv = ["dist", "--alpha", "0.9", "--t", str(t), "--mode", "mc", "--store", "paths"]
+        argv += ["--n", str(n), "--format", "gnuplot", "--out", str(tmp_path)]
+        peak = self.traced_write_peak(monkeypatch, argv)
+        assert peak < 8 * n * (t + 1)
+
 
 class Counting:
     """A column that counts the slices read from it."""
@@ -431,7 +545,9 @@ class TestFormattedOnce:
         cells = (tmp_path / "b").read_text().split()
         assert {"-0.0", "0.0"} <= {cell.strip(",") for cell in cells}
 
-    @pytest.mark.parametrize("codes", [[0, -1], [2], np.array([0, 1, 2], dtype=np.int8)])
+    @pytest.mark.parametrize(
+        "codes", [[0, -1], [2], np.array([0, 1, 2], dtype=np.int8), range(3), range(1, -2, -1)]
+    )
     def test_codes_out_of_range_raise(self, codes):
         with pytest.raises(ValueError, match="range"):
             Coded(codes, [1.5, 2.5])
